@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
-from marketrng.chi2 import chi2_critical  # noqa: F401  (warm import for workers)
 from marketrng.config import ConfigError, RunConfig
 from marketrng.pipeline import (
     ExperimentStream,
@@ -73,7 +70,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--trim", dest="trim_fractions", help="comma-separated trim fractions")
         p.add_argument("--boundary-mode", dest="boundary_mode", choices=("ignore", "respect"))
         p.add_argument("--seed", dest="master_seed", type=int)
-        p.add_argument("--jobs", type=int)
+        p.add_argument("--jobs", type=int, help="accepted and ignored: runs are single-process")
         p.add_argument("--out", dest="output_dir")
 
     for name in ("ingest", "test", "simulate"):
@@ -156,17 +153,16 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def _profiles_for(stream: ExperimentStream, config: RunConfig):
+    # psi_profile needs a window of every size up to max_nu; in respect
+    # mode windows stay inside segments, so the longest segment must fit.
     respect = config.boundary_mode == "respect"
-    usable = [s for s in stream.sequences if len(s) >= config.max_nu]
-    skipped = [s.source_id for s in stream.sequences if len(s) < config.max_nu]
-    worker = partial(psi_profile, max_nu=config.max_nu, respect_boundaries=respect)
-    jobs = config.resolved_jobs()
-    if jobs > 1 and len(usable) > 1:
-        chunk = max(1, len(usable) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            profiles = list(pool.map(worker, usable, chunksize=chunk))
-    else:
-        profiles = [worker(seq) for seq in usable]
+    fits = []
+    for s in stream.sequences:
+        edges = (0, *(s.segment_bounds if respect else ()), len(s))
+        fits.append(max(hi - lo for lo, hi in zip(edges, edges[1:])) >= config.max_nu)
+    usable = [s for s, ok in zip(stream.sequences, fits) if ok]
+    skipped = [s.source_id for s, ok in zip(stream.sequences, fits) if not ok]
+    profiles = [psi_profile(s, max_nu=config.max_nu, respect_boundaries=respect) for s in usable]
     return usable, profiles, skipped
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -82,9 +81,6 @@ class RunConfig:
         if not has_length and not has_file:
             raise ConfigError("synthetic spec needs 'length' or 'lengths_file'")
 
-    def resolved_jobs(self) -> int:
-        return self.jobs if self.jobs is not None else (os.cpu_count() or 1)
-
     def synthetic_lengths(self) -> list[int]:
         """Expand the synthetic spec into one length per sequence."""
         spec = self.synthetic or DEFAULT_SYNTHETIC
@@ -134,7 +130,7 @@ class RunConfig:
         """Config as echoed into report.json.
 
         Excludes fields that only describe where and how the run executed
-        (output location, worker count), so reports from identical
+        (output location, the no-op jobs setting), so reports from identical
         experiments are byte-identical wherever they are written.
         """
         data = self.to_dict()

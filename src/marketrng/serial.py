@@ -14,15 +14,21 @@ its second difference
 is asymptotically chi-square with 2**(nu - 2) degrees of freedom and
 asymptotically independent across nu, which makes it the quantity that
 downstream significance tests consume.
+
+Every window size comes from one counting pass: a bincount of each start
+position's max_nu-bit code keyed by its room, the bits left before its
+segment ends (capped at max_nu).  Size-nu windows are the starts with
+room >= nu, and their patterns are the codes' top nu bits, so each nu is
+a fold of that table; bits past a segment end are summed out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_WINDOW = 8
 
@@ -135,10 +141,28 @@ class PsiProfile:
         return np.array([self.d2[nu] for nu in sorted(self.d2)], dtype=float)
 
 
-def _window_codes(bits: np.ndarray, nu: int) -> np.ndarray:
-    # Encode every window as an integer, earliest bit most significant.
-    weights = (1 << np.arange(nu - 1, -1, -1)).astype(np.int64)
-    return sliding_window_view(bits.astype(np.int64), nu) @ weights
+def _window_table(seq: BinarySequence, max_nu: int, respect_boundaries: bool) -> np.ndarray:
+    """Room-keyed count table of every window start, shape (max_nu+1, 2**max_nu).
+
+    ``table[r, c]`` counts the starts whose next ``max_nu`` bits spell
+    ``c`` (bits past the end of the array read as 0) and whose segment
+    leaves ``r = min(max_nu, segment_end - start)`` bits of room.
+    """
+    n = len(seq)
+    padded = np.zeros(n + max_nu - 1, dtype=np.intp)
+    padded[:n] = seq.bits
+    code = padded[:n].copy()
+    for k in range(1, max_nu):
+        code <<= 1
+        code |= padded[k : k + n]
+    ends = n
+    if respect_boundaries and seq.segment_bounds:
+        edges = np.array((0, *seq.segment_bounds, n))
+        ends = np.repeat(edges[1:], np.diff(edges))
+    room = np.minimum(ends - np.arange(n), max_nu)
+    code += room << max_nu
+    table = np.bincount(code, minlength=(max_nu + 1) << max_nu)
+    return table.reshape(max_nu + 1, 1 << max_nu)
 
 
 def count_overlapping_patterns(
@@ -152,25 +176,20 @@ def count_overlapping_patterns(
     """
     if not 1 <= nu <= MAX_WINDOW:
         raise ValueError(f"window size must be in 1..{MAX_WINDOW}, got {nu}")
-    n = len(seq)
-    counts = np.zeros(2**nu, dtype=np.int64)
     skipped = 0
     if respect_boundaries and seq.segment_bounds:
-        for segment in seq.segments():
-            if segment.size < nu:
-                skipped += 1
-                continue
-            counts += np.bincount(_window_codes(segment, nu), minlength=2**nu)
-    else:
-        if nu > n:
-            raise ValueError(f"window size {nu} exceeds sequence length {n}")
-        counts = np.bincount(_window_codes(seq.bits, nu), minlength=2**nu)
-    return PatternCounts(
-        nu=nu,
-        counts=counts,
-        total_windows=int(counts.sum()),
-        skipped_segments=skipped,
-    )
+        skipped = sum(segment.size < nu for segment in seq.segments())
+    elif nu > len(seq):
+        raise ValueError(f"window size {nu} exceeds sequence length {len(seq)}")
+    # Starts with a full nu bits of room are exactly the counted windows.
+    counts = _window_table(seq, nu, respect_boundaries)[nu]
+    return PatternCounts(nu, counts, int(counts.sum()), skipped)
+
+
+def _psi(nu: int, w: int, ssq: int) -> float:
+    if w <= 0:
+        raise ValueError("pattern counts cover zero windows")
+    return (2**nu * ssq) / w - w
 
 
 def psi_square(counts: PatternCounts) -> float:
@@ -181,11 +200,16 @@ def psi_square(counts: PatternCounts) -> float:
     so that the result depends only on the integer sum of squares and is
     invariant under any permutation of the pattern labels.
     """
-    w = counts.total_windows
-    if w <= 0:
-        raise ValueError("pattern counts cover zero windows")
-    ssq = int(np.dot(counts.counts, counts.counts))
-    return (2**counts.nu * ssq) / w - w
+    return _psi(counts.nu, counts.total_windows, int(np.dot(counts.counts, counts.counts)))
+
+
+@lru_cache(maxsize=None)
+def _fold_starts(max_nu: int) -> tuple[np.ndarray, np.ndarray]:
+    # Row nu - 1 of the room >= nu table splits into 2**nu runs of codes
+    # sharing their top nu bits; level nu starts at 2**nu - 2 of the folds.
+    nus, width = range(1, max_nu + 1), 1 << max_nu
+    runs = [(nu - 1) * width + np.arange(0, width, width >> nu) for nu in nus]
+    return np.concatenate(runs), np.array([(1 << nu) - 2 for nu in nus])
 
 
 def psi_profile(
@@ -196,10 +220,13 @@ def psi_profile(
         raise ValueError(f"max_nu must be in 1..{MAX_WINDOW}, got {max_nu}")
     if len(seq) < max_nu:
         raise ValueError(f"sequence length {len(seq)} shorter than max_nu {max_nu}")
-    psi = {
-        nu: psi_square(count_overlapping_patterns(seq, nu, respect_boundaries))
-        for nu in range(1, max_nu + 1)
-    }
+    table = _window_table(seq, max_nu, respect_boundaries)
+    at_least = np.cumsum(table[:0:-1], axis=0)[::-1]  # row nu - 1: room >= nu
+    runs, levels = _fold_starts(max_nu)
+    counts = np.add.reduceat(at_least.ravel(), runs)
+    windows = at_least.sum(axis=1).tolist()
+    squares = np.add.reduceat(counts * counts, levels).tolist()
+    psi = {nu: _psi(nu, windows[nu - 1], squares[nu - 1]) for nu in range(1, max_nu + 1)}
     return PsiProfile.from_psi(psi, n_bits=len(seq))
 
 

@@ -184,6 +184,19 @@ class TestTestCommand:
         assert report.kind == "year_separated"
         assert report.psi_summary[1]["max"] == 0.0
 
+    def test_year_respect_skips_year_of_short_segments(self, tmp_path):
+        # A panel ending in March leaves every firm segment of the final
+        # year shorter than max_nu; in respect mode that year holds no
+        # window of size 8 and is skipped instead of aborting the run.
+        firms = [(f"F{i:02d}", random_walk_closes(27, seed=400 + i), {}) for i in range(6)]
+        panel = write_panel(tmp_path / "p.csv", firms)
+        out = tmp_path / "out"
+        args = ["test", "--input", str(panel), "--stream", "year", "--boundary-mode", "respect"]
+        assert main(args + ["--out", str(out)]) == 0
+        report = json.loads((out / "year_separated" / "report.json").read_text())["report"]
+        assert report["sequence_ids"] == ["2001", "2002"]
+        assert report["extras"]["skipped_sequences"] == ["2003"]
+
     def test_missing_input_is_usage_error(self):
         assert main(["test"]) == 1
 

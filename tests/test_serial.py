@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from marketrng.serial import (
     BinarySequence,
@@ -29,6 +31,64 @@ def brute_force_counts(bits, nu):
         index = int("".join(str(b) for b in window), 2)
         out[index] = c
     return out
+
+
+@st.composite
+def segmented_sequences(draw):
+    """Bits (sometimes all zero) with random joins, often shorter than 8."""
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    else:
+        bits = [0] * n
+    bounds = draw(st.sets(st.integers(1, n - 1), max_size=12)) if n > 1 else set()
+    return seq(bits, tuple(sorted(bounds)))
+
+
+def oracle_counts(s, nu, respect):
+    """Brute-force counts and skipped-segment tally for one window size."""
+    pieces = list(s.segments()) if respect else [s.bits]
+    counts = np.zeros(2**nu, dtype=np.int64)
+    for piece in pieces:
+        if piece.size >= nu:
+            counts += brute_force_counts(piece, nu)
+    skipped = sum(piece.size < nu for piece in pieces) if respect and s.segment_bounds else 0
+    return counts, skipped
+
+
+class TestDifferential:
+    @given(segmented_sequences(), st.integers(1, 8), st.booleans())
+    def test_counts_match_brute_force(self, s, nu, respect):
+        if nu > len(s) and not (respect and s.segment_bounds):
+            with pytest.raises(ValueError, match=f"window size {nu} exceeds sequence length {len(s)}"):
+                count_overlapping_patterns(s, nu, respect)
+            return
+        expected, skipped = oracle_counts(s, nu, respect)
+        got = count_overlapping_patterns(s, nu, respect)
+        assert got.counts.tolist() == expected.tolist()
+        assert got.total_windows == int(expected.sum())
+        assert got.skipped_segments == skipped
+
+    @given(segmented_sequences(), st.integers(1, 8), st.booleans())
+    def test_profile_matches_brute_force(self, s, max_nu, respect):
+        if len(s) < max_nu:
+            with pytest.raises(ValueError, match=f"sequence length {len(s)} shorter than max_nu {max_nu}"):
+                psi_profile(s, max_nu, respect)
+            return
+        tables = [oracle_counts(s, nu, respect)[0] for nu in range(1, max_nu + 1)]
+        if any(t.sum() == 0 for t in tables):
+            with pytest.raises(ValueError, match="pattern counts cover zero windows"):
+                psi_profile(s, max_nu, respect)
+            return
+        # sum_i (n_i - lam)**2 / lam in exact integer form, lam = W / 2**nu
+        psi = {
+            nu: (2**nu * int(t @ t)) / int(t.sum()) - int(t.sum())
+            for nu, t in enumerate(tables, start=1)
+        }
+        expected = PsiProfile.from_psi(psi, n_bits=len(s))
+        got = psi_profile(s, max_nu, respect)
+        assert got.psi == expected.psi and got.d1 == expected.d1 and got.d2 == expected.d2
+        assert got.dof == expected.dof and got.n_bits == len(s)
 
 
 class TestBinarySequence:
