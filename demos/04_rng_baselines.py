@@ -11,7 +11,6 @@ import numpy as np
 
 from marketrng import (
     Pcg64,
-    Pcg64State,
     SyntheticSpec,
     logistic_bits,
     pcg64_bits,
@@ -27,7 +26,7 @@ gen = Pcg64.from_seed(42, 54)
 print("first outputs for seed 42, stream 54:",
       " ".join(f"{gen.next_u64():#018x}" for _ in range(3)))
 
-seq = pcg64_bits(Pcg64State.seeded(42, 54), 40, source_id="demo")
+seq = pcg64_bits(Pcg64.from_seed(42, 54), 40, source_id="demo")
 print("first 40 bits, MSB first:", "".join(map(str, seq.bits)))
 
 # A firm-like synthetic dataset: second-difference means should land on

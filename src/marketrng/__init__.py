@@ -30,13 +30,10 @@ from marketrng.pipeline import (
     parse_prices,
 )
 from marketrng.rng import (
-    LogisticState,
     Pcg64,
-    Pcg64State,
     SyntheticSpec,
     logistic_bits,
     pcg64_bits,
-    pcg64_next,
     rng_selftest,
     shape_synthetic,
 )
@@ -75,13 +72,10 @@ __all__ = [
     "log_returns",
     "monthly_column_sums",
     "parse_prices",
-    "LogisticState",
     "Pcg64",
-    "Pcg64State",
     "SyntheticSpec",
     "logistic_bits",
     "pcg64_bits",
-    "pcg64_next",
     "rng_selftest",
     "shape_synthetic",
     "RecurrenceMatrix",

@@ -249,7 +249,10 @@ def cmd_simulate(config: RunConfig) -> int:
     generator = spec_dict.get("generator", "pcg64")
     burn_in = int(spec_dict.get("burn_in", 100))
     lengths = config.synthetic_lengths()
-    spec = SyntheticSpec(kind=kind, lengths=tuple(lengths))
+    try:
+        spec = SyntheticSpec(kind=kind, lengths=tuple(lengths))
+    except ValueError as exc:
+        raise ConfigError(f"synthetic spec: {exc}") from exc
     stream = shape_synthetic(
         spec, generator=generator, master_seed=config.master_seed, burn_in=burn_in
     )

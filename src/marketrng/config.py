@@ -80,14 +80,24 @@ class RunConfig:
         has_file = bool(spec.get("lengths_file"))
         if not has_length and not has_file:
             raise ConfigError("synthetic spec needs 'length' or 'lengths_file'")
+        burn_in = spec.get("burn_in", 100)
+        if not isinstance(burn_in, int) or isinstance(burn_in, bool) or burn_in < 0:
+            raise ConfigError("synthetic burn_in must be a non-negative integer")
 
     def synthetic_lengths(self) -> list[int]:
         """Expand the synthetic spec into one length per sequence."""
         spec = self.synthetic or DEFAULT_SYNTHETIC
         count = int(spec["count"])
         if spec.get("lengths_file"):
-            text = Path(spec["lengths_file"]).read_text(encoding="utf-8")
-            lengths = [int(line) for line in text.split() if line.strip()]
+            path = Path(spec["lengths_file"])
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read lengths file {path}: {exc}") from exc
+            try:
+                lengths = [int(line) for line in text.split() if line.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"lengths file {path} holds a non-integer entry: {exc}") from exc
             if len(lengths) != count:
                 raise ConfigError(
                     f"lengths file holds {len(lengths)} entries, spec says {count}"

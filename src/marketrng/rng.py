@@ -1,15 +1,20 @@
 """Pseudo-random baselines: bit-exact PCG64 and a logistic-map generator.
 
-The PCG64 here is the XSL-RR 128/64 member of the permuted congruential
+``Pcg64`` is the XSL-RR 128/64 member of the permuted congruential
 family: a 128-bit LCG with the reference multiplier, whose output is the
-xor of the state halves rotated right by the state's top six bits.  The
-implementation is bit-exact to the published reference (state advances
-first, the output permutation reads the advanced state), which is also
-the generator behind numpy's default bit stream.
+xor of the state halves rotated right by the state's top six bits.  Its
+pure-integer step is bit-exact to the published reference (state
+advances first, the output permutation reads the advanced state), which
+is also the generator behind numpy's default bit stream, and it is the
+only code that produces PCG64 bits here, so ``rng_selftest`` checks
+exactly that code.
 
 The logistic-map generator iterates x <- 4x(1-x) and thresholds at 0.5,
-re-seeding deterministically whenever the trajectory hits an absorbing
+re-seeding deterministically whenever a trajectory hits an absorbing
 value.  It stands in as the deliberately simplistic baseline.
+``logistic_bit_matrix`` advances many trajectories together as one
+float64 array; elementwise the step is the same IEEE operation as the
+scalar map.
 """
 
 from __future__ import annotations
@@ -34,60 +39,36 @@ LOGISTIC_FORBIDDEN = (0.0, 0.25, 0.5, 0.75, 1.0)
 _GOLDEN_CONJUGATE = 0.6180339887498949
 
 
-@dataclass(frozen=True)
-class Pcg64State:
-    """128-bit LCG state and (odd) stream increment."""
+def _rotr64(value: int, rot: int) -> int:
+    return ((value >> rot) | (value << ((-rot) & 63))) & _MASK64
 
-    state: int
-    increment: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.state <= _MASK128:
+class Pcg64:
+    """PCG64 generator: 128-bit LCG state and (odd) stream increment."""
+
+    def __init__(self, state: int, increment: int):
+        if not 0 <= state <= _MASK128:
             raise ValueError("state must be a 128-bit unsigned integer")
-        if not 0 <= self.increment <= _MASK128:
+        if not 0 <= increment <= _MASK128:
             raise ValueError("increment must be a 128-bit unsigned integer")
-        if self.increment % 2 == 0:
+        if increment % 2 == 0:
             raise ValueError("increment must be odd")
+        self.state = state
+        self.increment = increment
 
     @classmethod
-    def seeded(cls, initstate: int, stream: int) -> "Pcg64State":
+    def from_seed(cls, initstate: int, stream: int) -> "Pcg64":
         """Reference seeding: two warm-up steps around the state injection."""
         inc = ((stream << 1) | 1) & _MASK128
         state = (0 * PCG64_MULTIPLIER + inc) & _MASK128
         state = (state + initstate) & _MASK128
         state = (state * PCG64_MULTIPLIER + inc) & _MASK128
-        return cls(state=state, increment=inc)
-
-
-def _rotr64(value: int, rot: int) -> int:
-    return ((value >> rot) | (value << ((-rot) & 63))) & _MASK64
-
-
-def pcg64_next(state: Pcg64State) -> tuple[int, Pcg64State]:
-    """Advance one step and emit the 64-bit output word."""
-    new = (state.state * PCG64_MULTIPLIER + state.increment) & _MASK128
-    out = _rotr64((new >> 64) ^ (new & _MASK64), new >> 122)
-    return out, Pcg64State(state=new, increment=state.increment)
-
-
-class Pcg64:
-    """Mutable convenience wrapper around the pure step function."""
-
-    def __init__(self, state: Pcg64State):
-        self._state = state.state
-        self._inc = state.increment
-
-    @classmethod
-    def from_seed(cls, initstate: int, stream: int) -> "Pcg64":
-        return cls(Pcg64State.seeded(initstate, stream))
-
-    @property
-    def state(self) -> Pcg64State:
-        return Pcg64State(state=self._state, increment=self._inc)
+        return cls(state, inc)
 
     def next_u64(self) -> int:
-        self._state = (self._state * PCG64_MULTIPLIER + self._inc) & _MASK128
-        s = self._state
+        """Advance one step and emit the 64-bit output word."""
+        self.state = (self.state * PCG64_MULTIPLIER + self.increment) & _MASK128
+        s = self.state
         return _rotr64((s >> 64) ^ (s & _MASK64), s >> 122)
 
     def next_uniform(self) -> float:
@@ -104,80 +85,58 @@ class Pcg64:
         return bits[:n_bits]
 
 
-def pcg64_bits(
-    source: Pcg64 | Pcg64State, n_bits: int, source_id: str = ""
-) -> BinarySequence:
-    """Draw a binary sequence; a passed state is consumed functionally."""
-    gen = source if isinstance(source, Pcg64) else Pcg64(source)
+def pcg64_bits(gen: Pcg64, n_bits: int, source_id: str = "") -> BinarySequence:
+    """Draw a binary sequence, advancing ``gen`` past the words it used."""
     return BinarySequence(bits=gen.bit_array(n_bits), source_id=source_id)
 
 
-@dataclass(frozen=True)
-class LogisticState:
-    """Current trajectory point of the logistic map (control fixed at 4)."""
-
-    x: float
-    r: float = LOGISTIC_R
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.x < 1.0:
-            raise ValueError("logistic state must lie strictly inside (0, 1)")
+def _absorbing(x: np.ndarray) -> np.ndarray:
+    return (x <= 0.0) | (x >= 1.0) | (x == 0.25) | (x == 0.5) | (x == 0.75)
 
 
-def _is_absorbing(x: float) -> bool:
-    return x <= 0.0 or x >= 1.0 or x in (0.25, 0.5, 0.75)
+def logistic_bit_matrix(seeds: np.ndarray, n_bits: int, burn_in: int = 100) -> np.ndarray:
+    """Bits of one logistic trajectory per seed, as rows of a uint8 matrix.
 
-
-class LogisticGenerator:
-    """Logistic-map bit source with deterministic re-seeding.
-
-    Each step applies x <- 4x(1-x); if the trajectory lands on an
-    absorbing value it is replaced by the next point of a low-discrepancy
-    seed ladder anchored at the original seed, so the whole stream stays
-    a pure function of (seed, burn_in).
+    Every trajectory starts at its seed, takes ``burn_in`` unrecorded
+    steps, then records x > 0.5 after each of ``n_bits`` steps.  A point
+    that lands on an absorbing value is replaced by the next point of a
+    low-discrepancy seed ladder anchored at that row's seed, so each row
+    is a pure function of (seed, burn_in) and a prefix of any longer run.
+    Seeds may lie anywhere in [0, 1]; an absorbing seed re-seeds on its
+    first step.
     """
-
-    def __init__(self, seed: float, burn_in: int = 100):
-        if not 0.0 < seed < 1.0 or seed in LOGISTIC_FORBIDDEN:
-            raise ValueError(f"invalid logistic seed {seed!r}")
-        if burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        self._seed = seed
-        self.reseeds = 0
-        self.state = LogisticState(x=seed)
-        for _ in range(burn_in):
-            self._advance()
-
-    def _fresh_seed(self) -> float:
-        while True:
-            self.reseeds += 1
-            x = (self._seed + self.reseeds * _GOLDEN_CONJUGATE) % 1.0
-            if 0.0 < x < 1.0 and not _is_absorbing(x):
-                return x
-
-    def _advance(self) -> float:
-        x = self.state.x
-        x = 4.0 * x * (1.0 - x)
-        if _is_absorbing(x):
-            x = self._fresh_seed()
-        self.state = LogisticState(x=x)
-        return x
-
-    def bit_array(self, n_bits: int) -> np.ndarray:
-        if n_bits < 1:
-            raise ValueError("n_bits must be positive")
-        out = np.empty(n_bits, dtype=np.uint8)
-        for i in range(n_bits):
-            out[i] = 1 if self._advance() > 0.5 else 0
-        return out
+    if n_bits < 1:
+        raise ValueError("n_bits must be positive")
+    if burn_in < 0:
+        raise ValueError("burn_in must be non-negative")
+    anchors = np.asarray(seeds, dtype=np.float64)
+    if not np.all((anchors >= 0.0) & (anchors <= 1.0)):
+        raise ValueError("logistic seeds must lie in [0, 1]")
+    x = anchors.copy()
+    reseeds = [0] * x.size
+    out = np.empty((x.size, n_bits), dtype=np.uint8)
+    for step in range(burn_in + n_bits):
+        x = LOGISTIC_R * x * (1.0 - x)
+        for row in np.flatnonzero(_absorbing(x)).tolist():
+            while True:
+                reseeds[row] += 1
+                fresh = (float(anchors[row]) + reseeds[row] * _GOLDEN_CONJUGATE) % 1.0
+                if not _absorbing(np.float64(fresh)):
+                    break
+            x[row] = fresh
+        if step >= burn_in:
+            out[:, step - burn_in] = x > 0.5
+    return out
 
 
 def logistic_bits(
     seed: float, n_bits: int, burn_in: int = 100, source_id: str = ""
 ) -> BinarySequence:
     """Binary sequence from one logistic trajectory after burn-in."""
-    gen = LogisticGenerator(seed, burn_in=burn_in)
-    return BinarySequence(bits=gen.bit_array(n_bits), source_id=source_id)
+    if not 0.0 < seed < 1.0 or seed in LOGISTIC_FORBIDDEN:
+        raise ValueError(f"invalid logistic seed {seed!r}")
+    bits = logistic_bit_matrix(np.array([seed]), n_bits, burn_in)[0]
+    return BinarySequence(bits=bits, source_id=source_id)
 
 
 @dataclass(frozen=True)
@@ -237,6 +196,7 @@ def shape_synthetic(
     kind = "firm_separated" if spec.kind == "firm_like" else "year_separated"
     sequences: list[BinarySequence] = []
     provenance: list[dict] = []
+    seeds: list[float] = []
     for j, length in enumerate(spec.lengths):
         source_id = f"sim{j:05d}"
         gen = Pcg64.from_seed(master_seed, j)
@@ -248,16 +208,21 @@ def shape_synthetic(
             "n_bits": int(length),
         }
         if generator == "pcg64":
-            bits = gen.bit_array(length)
+            sequences.append(BinarySequence(bits=gen.bit_array(length), source_id=source_id))
         else:
             seed = gen.next_uniform()
             while not 0.0 < seed < 1.0 or seed in LOGISTIC_FORBIDDEN:
                 seed = gen.next_uniform()
-            bits = LogisticGenerator(seed, burn_in=burn_in).bit_array(length)
+            seeds.append(seed)
             meta["seed"] = seed
             meta["burn_in"] = int(burn_in)
-        sequences.append(BinarySequence(bits=bits, source_id=source_id))
         provenance.append(meta)
+    if generator == "logistic":
+        rows = logistic_bit_matrix(np.array(seeds), max(spec.lengths), burn_in)
+        sequences = [
+            BinarySequence(bits=row[:length], source_id=meta["source_id"])
+            for row, length, meta in zip(rows, spec.lengths, provenance)
+        ]
     return ExperimentStream(kind=kind, sequences=sequences, provenance=provenance)
 
 

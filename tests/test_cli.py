@@ -286,6 +286,42 @@ class TestSimulateCommand:
         )
         assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "synthetic, lengths_text, message",
+        [
+            ({"count": 2, "length": 7}, None, "lengths must be >= 8"),
+            ({"count": 2, "length": 20, "burn_in": -1}, None, "burn_in"),
+            ({"count": 2, "length": 20, "burn_in": -1, "generator": "logistic"}, None, "burn_in"),
+            ({"count": 2, "length": 20, "burn_in": "x"}, None, "burn_in"),
+            ({"count": 2, "length": 20, "burn_in": 2.5}, None, "burn_in"),
+            ({"count": 2, "lengths_file": "missing.txt"}, None, "cannot read lengths file"),
+            ({"count": 2, "lengths_file": "lengths.txt"}, "24\nabc\n", "non-integer entry"),
+            ({"count": 2, "lengths_file": "lengths.txt"}, "24\n5\n", "lengths must be >= 8"),
+        ],
+        ids=[
+            "length-7",
+            "burn-in-negative",
+            "burn-in-negative-logistic",
+            "burn-in-string",
+            "burn-in-float",
+            "lengths-file-missing",
+            "lengths-file-non-integer",
+            "lengths-file-short-entry",
+        ],
+    )
+    def test_bad_simulate_config_is_usage_error(
+        self, tmp_path, capsys, synthetic, lengths_text, message
+    ):
+        if "lengths_file" in synthetic:
+            if lengths_text is not None:
+                (tmp_path / synthetic["lengths_file"]).write_text(lengths_text, encoding="utf-8")
+            synthetic = {**synthetic, "lengths_file": str(tmp_path / synthetic["lengths_file"])}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"synthetic": synthetic}), encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestSelftestCommand:
     def test_intact_build_passes(self, capsys):

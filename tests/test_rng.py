@@ -4,16 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from marketrng.rng import (
-    LogisticGenerator,
-    LogisticState,
     Pcg64,
-    Pcg64State,
     SyntheticSpec,
+    logistic_bit_matrix,
     logistic_bits,
     pcg64_bits,
-    pcg64_next,
     rng_selftest,
     shape_synthetic,
 )
@@ -38,19 +37,29 @@ def reference_pcg64(initstate, initseq, count):
     return out
 
 
+def reference_logistic(seed, n_bits, burn_in):
+    """Scalar per-step logistic map with the seed-ladder re-seeding.
+
+    Returns the recorded bits and how many ladder rungs were used.
+    """
+    golden = (5**0.5 - 1) / 2
+    x, reseeds, bits = seed, 0, []
+    for step in range(burn_in + n_bits):
+        x = 4.0 * x * (1.0 - x)
+        while x <= 0.0 or x >= 1.0 or x in (0.25, 0.5, 0.75):
+            reseeds += 1
+            x = (seed + reseeds * golden) % 1.0
+        if step >= burn_in:
+            bits.append(1 if x > 0.5 else 0)
+    return bits, reseeds
+
+
 class TestPcg64Core:
     def test_state_validation(self):
         with pytest.raises(ValueError):
-            Pcg64State(state=0, increment=2)  # even increment
+            Pcg64(state=0, increment=2)  # even increment
         with pytest.raises(ValueError):
-            Pcg64State(state=2**128, increment=1)
-
-    def test_next_is_pure_and_deterministic(self):
-        state = Pcg64State.seeded(42, 54)
-        out1, new1 = pcg64_next(state)
-        out2, new2 = pcg64_next(state)
-        assert out1 == out2 and new1 == new2
-        assert state == Pcg64State.seeded(42, 54)
+            Pcg64(state=2**128, increment=1)
 
     def test_same_seed_same_stream(self):
         a = Pcg64.from_seed(123, 7)
@@ -73,12 +82,11 @@ class TestPcg64Core:
             )
 
     def test_matches_numpy_bit_generator(self):
-        state = Pcg64State.seeded(42, 54)
+        gen = Pcg64.from_seed(42, 54)
         bg = np.random.PCG64()
         raw = bg.state
-        raw["state"] = {"state": state.state, "inc": state.increment}
+        raw["state"] = {"state": gen.state, "inc": gen.increment}
         bg.state = raw
-        gen = Pcg64(state)
         assert [gen.next_u64() for _ in range(500)] == [int(w) for w in bg.random_raw(500)]
 
     def test_distinct_streams_diverge_quickly(self):
@@ -92,21 +100,23 @@ class TestPcg64Core:
         rng = np.random.default_rng(77)
         inc = 2 * 987654321 + 1
         states = {int.from_bytes(rng.bytes(16), "big") for _ in range(500)}
-        successors = {
-            pcg64_next(Pcg64State(state=s, increment=inc))[1].state for s in states
-        }
+        successors = set()
+        for s in states:
+            gen = Pcg64(state=s, increment=inc)
+            gen.next_u64()
+            successors.add(gen.state)
         assert len(successors) == len(states)
 
 
 class TestPcg64Bits:
     def test_one_word_exactly(self):
-        seq = pcg64_bits(Pcg64State.seeded(9, 1), 64)
+        seq = pcg64_bits(Pcg64.from_seed(9, 1), 64)
         word = Pcg64.from_seed(9, 1).next_u64()
         expected = [(word >> (63 - i)) & 1 for i in range(64)]
         assert seq.bits.tolist() == expected
 
     def test_sixty_five_bits(self):
-        seq = pcg64_bits(Pcg64State.seeded(9, 1), 65)
+        seq = pcg64_bits(Pcg64.from_seed(9, 1), 65)
         gen = Pcg64.from_seed(9, 1)
         first, second = gen.next_u64(), gen.next_u64()
         assert seq.bits[:64].tolist() == [(first >> (63 - i)) & 1 for i in range(64)]
@@ -114,17 +124,17 @@ class TestPcg64Bits:
 
     def test_prefix_property(self):
         for k in (1, 63, 64, 65, 200):
-            short = pcg64_bits(Pcg64State.seeded(5, 5), k)
-            longer = pcg64_bits(Pcg64State.seeded(5, 5), k + 1)
+            short = pcg64_bits(Pcg64.from_seed(5, 5), k)
+            longer = pcg64_bits(Pcg64.from_seed(5, 5), k + 1)
             assert longer.bits[:k].tolist() == short.bits.tolist()
 
     def test_ones_fraction(self):
-        seq = pcg64_bits(Pcg64State.seeded(1234, 0), 1_000_000)
+        seq = pcg64_bits(Pcg64.from_seed(1234, 0), 1_000_000)
         assert abs(seq.bits.mean() - 0.5) < 0.002
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):
-            pcg64_bits(Pcg64State.seeded(1, 1), 0)
+            pcg64_bits(Pcg64.from_seed(1, 1), 0)
 
 
 class TestLogistic:
@@ -144,38 +154,68 @@ class TestLogistic:
         assert abs(bits.mean() - 0.5) < 0.02
 
     def test_state_validation(self):
-        with pytest.raises(ValueError):
-            LogisticState(x=0.0)
-        with pytest.raises(ValueError):
-            LogisticState(x=1.0)
+        for seed in (-0.1, 1.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                logistic_bit_matrix(np.array([0.3, seed]), 8)
 
     def test_absorbing_fixed_point_triggers_reseed(self):
-        gen = LogisticGenerator(0.2, burn_in=0)
-        gen.state = LogisticState(x=0.75)  # exact fixed point of the map
-        before = gen.reseeds
-        x = gen._advance()
-        assert gen.reseeds == before + 1
-        assert 0.0 < x < 1.0 and x != 0.75
+        # 0.75 is an exact fixed point: without a re-seed every bit is 1.
+        row = logistic_bit_matrix(np.array([0.75]), 100, burn_in=0)[0]
+        bits, reseeds = reference_logistic(0.75, 100, 0)
+        assert reseeds == 1
+        assert row.tolist() == bits
+        assert 0 < row.sum() < 100
 
     def test_endpoint_cascade_triggers_reseed(self):
-        gen = LogisticGenerator(0.2, burn_in=0)
-        gen.state = LogisticState(x=0.5)  # maps to exactly 1.0
-        before = gen.reseeds
-        x = gen._advance()
-        assert gen.reseeds == before + 1
-        assert 0.0 < x < 1.0
+        # 0.5 maps to exactly 1.0, whose image 0.0 is absorbing for good.
+        row = logistic_bit_matrix(np.array([0.5]), 100, burn_in=0)[0]
+        bits, reseeds = reference_logistic(0.5, 100, 0)
+        assert reseeds == 1
+        assert row.tolist() == bits
+        assert 0 < row.sum() < 100
 
     def test_reseed_path_is_deterministic(self):
         def run():
-            gen = LogisticGenerator(0.2, burn_in=0)
-            gen.state = LogisticState(x=0.75)
-            return gen.bit_array(100).tolist()
+            return logistic_bit_matrix(np.array([0.2, 0.75]), 100, burn_in=0).tolist()
 
         assert run() == run()
 
     def test_negative_burn_in_rejected(self):
         with pytest.raises(ValueError):
-            LogisticGenerator(0.3, burn_in=-1)
+            logistic_bit_matrix(np.array([0.3]), 10, burn_in=-1)
+        with pytest.raises(ValueError):
+            logistic_bits(0.3, 10, burn_in=-1)
+
+    @given(
+        seeds=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            min_size=1,
+            max_size=6,
+        ),
+        n_bits=st.integers(1, 200),
+        burn_in=st.integers(0, 120),
+    )
+    def test_matrix_matches_scalar_reference(self, seeds, n_bits, burn_in):
+        rows = logistic_bit_matrix(np.array(seeds), n_bits, burn_in)
+        assert rows.shape == (len(seeds), n_bits)
+        for seed, row in zip(seeds, rows):
+            assert row.tolist() == reference_logistic(seed, n_bits, burn_in)[0]
+
+    @given(
+        seeds=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        n_bits=st.integers(1, 120),
+    )
+    def test_absorbing_starts_match_scalar_reference(self, seeds, n_bits):
+        rows = logistic_bit_matrix(np.array(seeds), n_bits, burn_in=0)
+        for seed, row in zip(seeds, rows):
+            assert row.tolist() == reference_logistic(seed, n_bits, 0)[0]
 
     def test_combined_chi2_comparison_frozen_run(self):
         # Frozen comparative run: with this spec and master seed the
@@ -225,7 +265,7 @@ class TestShapeSynthetic:
         spec = SyntheticSpec.firm_like(3, 64)
         stream = shape_synthetic(spec, master_seed=7)
         for j, seq in enumerate(stream.sequences):
-            expected = pcg64_bits(Pcg64State.seeded(7, j), 64)
+            expected = pcg64_bits(Pcg64.from_seed(7, j), 64)
             assert seq.bits.tolist() == expected.bits.tolist()
             assert stream.provenance[j]["stream"] == j
 
@@ -236,6 +276,17 @@ class TestShapeSynthetic:
         for meta in stream.provenance:
             assert 0.0 < meta["seed"] < 1.0
             assert meta["burn_in"] == 100
+
+    @given(
+        lengths=st.lists(st.integers(8, 300), min_size=1, max_size=6),
+        master_seed=st.integers(0, 2**32),
+        burn_in=st.integers(0, 120),
+    )
+    def test_year_like_logistic_matches_scalar_reference(self, lengths, master_seed, burn_in):
+        spec = SyntheticSpec.year_like(len(lengths), lengths)
+        stream = shape_synthetic(spec, "logistic", master_seed=master_seed, burn_in=burn_in)
+        for seq, meta, length in zip(stream.sequences, stream.provenance, lengths):
+            assert seq.bits.tolist() == reference_logistic(meta["seed"], length, burn_in)[0]
 
     def test_minimum_length(self):
         with pytest.raises(ValueError):
