@@ -45,11 +45,13 @@ parsed = parse_prices(io.StringIO("\n".join(rows)))
 print(f"parsed {len(parsed.records)} rows, {len(parsed.rejects)} rejects")
 
 kept, dropped = clean_panel(parsed.records, "monthly")
-print(f"kept {len(kept)} firms; dropped:")
+print(f"kept {len(kept.ids)} firms ({len(kept)} rows); dropped:")
 for entry in dropped:
     print(f"  {entry['id']}: {entry['reason']} ({entry['detail']})")
 
-series = {name: compute_return_series(records, "monthly") for name, records in kept.items()}
+# One column of log returns for every kept firm, firm after firm.
+series = compute_return_series(kept)
+print(f"{series.values.size} monthly log returns")
 
 firm_stream = build_stream(series, "firm_separated")
 print("\nfirm-separated stream:")

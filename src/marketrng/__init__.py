@@ -18,9 +18,8 @@ from marketrng.serial import (
 from marketrng.chi2 import ChiSquareAssessment, assess, chi2_critical, chi2_sf
 from marketrng.pipeline import (
     ExperimentStream,
-    PriceRecord,
-    ReturnSeries,
-    adjust_price,
+    Panel,
+    Returns,
     binarise_median,
     build_stream,
     clean_panel,
@@ -61,10 +60,9 @@ __all__ = [
     "assess",
     "chi2_critical",
     "chi2_sf",
-    "PriceRecord",
-    "ReturnSeries",
+    "Panel",
+    "Returns",
     "ExperimentStream",
-    "adjust_price",
     "binarise_median",
     "build_stream",
     "clean_panel",

@@ -16,7 +16,6 @@ from marketrng.config import ConfigError, RunConfig
 from marketrng.pipeline import (
     ExperimentStream,
     FormatError,
-    adjust_price,
     build_stream,
     compute_return_series,
     clean_panel,
@@ -41,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+_ROWS_PER_WRITE = 1 << 16
 
 
 class _UsageError(Exception):
@@ -127,14 +127,15 @@ def cmd_ingest(config: RunConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    lines = ["id,date,close,adjfactor,retfactor"]
-    for instrument in sorted(kept):
-        for rec in kept[instrument]:
-            lines.append(
-                f"{rec.instrument_id},{rec.date.isoformat()},"
-                f"{rec.close_unadjusted!r},{rec.adj_factor!r},{rec.ret_factor!r}"
-            )
-    (out / "cleaned.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Formatted in blocks, so the panel is never held whole as Python text.
+    ids, iso = kept.ids, [d.isoformat() for d in kept.dates]
+    columns = (kept.instrument, kept.date, kept.close, kept.adjfactor, kept.retfactor)
+    with open(out / "cleaned.csv", "w", encoding="utf-8") as handle:
+        handle.write("id,date,close,adjfactor,retfactor\n")
+        for lo in range(0, len(kept), _ROWS_PER_WRITE):
+            block = zip(*(col[lo : lo + _ROWS_PER_WRITE].tolist() for col in columns))
+            lines = (f"{ids[i]},{iso[d]},{c!r},{a!r},{r!r}\n" for i, d, c, a, r in block)
+            handle.write("".join(lines))
 
     audit_rows = [
         {"id": f"line:{rej.line}", "reason": "reject", "detail": rej.reason}
@@ -143,10 +144,10 @@ def cmd_ingest(config: RunConfig) -> int:
     _write_audit(out / "audit.csv", audit_rows)
 
     print(
-        f"kept {len(kept)} instrument(s), dropped {len(dropped)}, "
+        f"kept {len(kept.ids)} instrument(s), dropped {len(dropped)}, "
         f"rejected {len(parsed.rejects)} row(s)"
     )
-    if not kept:
+    if not kept.ids:
         print("no instruments survived cleaning", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK
@@ -192,39 +193,36 @@ def _summarize_and_write(stream, config: RunConfig, out_dir: Path, extra_config:
 def cmd_test(config: RunConfig) -> int:
     parsed = _read_panel(config)
     kept, dropped = clean_panel(parsed.records, config.frequency, config.gap_scope)
-    if not kept:
+    if not kept.ids:
         print("no instruments survived cleaning", file=sys.stderr)
         return EXIT_DATA
-    series = {
-        instrument: compute_return_series(records, config.frequency)
-        for instrument, records in kept.items()
-    }
+    returns = compute_return_series(kept)
     out = Path(config.output_dir)
     kind_map = {"firm": "firm_separated", "year": "year_separated"}
     for short in config.stream_kinds:
         kind = kind_map[short]
-        stream = build_stream(series, kind)
+        stream = build_stream(returns, kind)
         stream_dir = out / kind
         status = _summarize_and_write(stream, config, stream_dir)
         if status != EXIT_OK:
             return status
-        _emit_figures(stream, series, kept, config, stream_dir)
+        _emit_figures(stream, returns, kept, config, stream_dir)
         print(f"{kind}: {len(stream.sequences)} sequence(s) -> {stream_dir}")
     _write_audit(out / "audit.csv", dropped)
     return EXIT_OK
 
 
-def _emit_figures(stream, series, kept, config: RunConfig, out_dir: Path) -> None:
+def _emit_figures(stream, returns, kept, config: RunConfig, out_dir: Path) -> None:
     figures = out_dir / "figures"
     if stream.kind == "firm_separated":
-        ids = list(config.recurrence_ids) or sorted(series)[:2]
-        for instrument in ids:
-            if instrument not in series:
+        code = {name: k for k, name in enumerate(returns.ids)}
+        for instrument in list(config.recurrence_ids) or returns.ids[:2]:
+            if instrument not in code:
                 continue
             if config.recurrence_source == "prices":
-                values = [adjust_price(r) for r in kept[instrument]]
+                values = kept.adjusted_prices()[kept.instrument == code[instrument]]
             else:
-                values = series[instrument].returns
+                values = returns.values[returns.instrument == code[instrument]]
             matrix = recurrence_matrix(values, axis_label=config.recurrence_source)
             write_recurrence(matrix, figures / f"recurrence_{instrument}")
     else:

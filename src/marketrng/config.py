@@ -24,6 +24,11 @@ class ConfigError(ValueError):
     """Raised for unusable configuration files or flag combinations."""
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     input_path: str | None = None
@@ -74,14 +79,15 @@ class RunConfig:
         if spec.get("generator", "pcg64") not in ("pcg64", "logistic"):
             raise ConfigError("synthetic generator must be 'pcg64' or 'logistic'")
         count = spec.get("count")
-        if not isinstance(count, int) or count < 1:
+        if not _is_int(count) or count < 1:
             raise ConfigError("synthetic count must be a positive integer")
-        has_length = isinstance(spec.get("length"), int)
-        has_file = bool(spec.get("lengths_file"))
-        if not has_length and not has_file:
+        length = spec.get("length")
+        if length is not None and (not _is_int(length) or length < 1):
+            raise ConfigError("synthetic length must be a positive integer")
+        if length is None and not spec.get("lengths_file"):
             raise ConfigError("synthetic spec needs 'length' or 'lengths_file'")
         burn_in = spec.get("burn_in", 100)
-        if not isinstance(burn_in, int) or isinstance(burn_in, bool) or burn_in < 0:
+        if not _is_int(burn_in) or burn_in < 0:
             raise ConfigError("synthetic burn_in must be a non-negative integer")
 
     def synthetic_lengths(self) -> list[int]:

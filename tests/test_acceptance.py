@@ -18,7 +18,7 @@ from scipy import stats
 import reference_values as ref
 from marketrng.chi2 import chi2_critical
 from marketrng.cli import main
-from marketrng.pipeline import PriceRecord, adjust_price, binarise_median, log_returns
+from marketrng.pipeline import binarise_median, log_returns, parse_prices
 from marketrng.report import summarize_stream, trim_top_contributors
 from marketrng.rng import SyntheticSpec, shape_synthetic
 from marketrng.serial import BinarySequence, PsiProfile, complement, count_overlapping_patterns, psi_profile
@@ -238,18 +238,18 @@ def test_invariance_suite():
             problems.append("price scaling")
             break
 
-    import datetime as dt
-
-    for _ in range(1000):
+    base_rows, scaled_rows = ["id,date,close,adjfactor,retfactor"], ["id,date,close,adjfactor,retfactor"]
+    for i in range(1000):
         close = float(rng.uniform(0.5, 500.0))
         adj = float(rng.uniform(0.1, 10.0))
         ret = float(rng.uniform(0.1, 10.0))
         c = 2.0 ** int(rng.integers(-20, 21))
-        a = adjust_price(PriceRecord("A", dt.date(2001, 1, 31), close, adj, ret))
-        b = adjust_price(PriceRecord("A", dt.date(2001, 1, 31), close, adj * c, ret * c))
-        if a != b:
-            problems.append("factor scaling")
-            break
+        base_rows.append(f"A{i:04d},2001-01-31,{close!r},{adj!r},{ret!r}")
+        scaled_rows.append(f"A{i:04d},2001-01-31,{close!r},{adj * c!r},{ret * c!r}")
+    a = parse_prices(base_rows).records.adjusted_prices()
+    b = parse_prices(scaled_rows).records.adjusted_prices()
+    if a.size != 1000 or a.tolist() != b.tolist():
+        problems.append("factor scaling")
 
     _report(
         "invariance suite: 1,000 exact instances per invariance",

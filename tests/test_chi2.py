@@ -89,6 +89,19 @@ class TestAssessment:
         assert result.p_value == 1.0
         assert not result.significant
 
+    def test_negative_statistic_has_p_value_one(self):
+        # A finite-sample second difference below zero, as simulate met on
+        # a 12-bit sequence; chi2_sf itself keeps rejecting negative input.
+        result = assess(-0.8000000000000007, 2, 0.05)
+        assert result.statistic == -0.8000000000000007
+        assert result.p_value == 1.0
+        assert not result.significant
+        assert result.critical_value == chi2_critical(0.05, 2)
+        with pytest.raises(ValueError):
+            chi2_sf(-0.8000000000000007, 2)
+        with pytest.raises(ValueError):
+            assess(-1.0, 0, 0.05)
+
     def test_reference_year_values(self):
         # 2001's second difference at two degrees of freedom discards the
         # null; 2002's 4.24 does not.

@@ -111,6 +111,26 @@ class TestIngest:
         assert short_share == pytest.approx(0.0586, abs=0.005)
         assert "kept 856" in capsys.readouterr().out
 
+    def test_out_of_range_adjusted_price_is_rejected(self, tmp_path):
+        # Each field is finite and positive, but close * adjfactor /
+        # retfactor overflows (AAA) or underflows to 0 (BBB).  Both rows
+        # follow a complete first year, so each firm stays kept.
+        rows = [HEADER]
+        rows += firm_rows("AAA", random_walk_closes(12, 1)) + ["AAA,2002-01-31,1e300,1e10,1"]
+        rows += firm_rows("BBB", random_walk_closes(12, 2)) + ["BBB,2002-01-31,1e-300,1e-100,1e10"]
+        panel = tmp_path / "p.csv"
+        panel.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(panel), "--out", str(out)]) == 0
+        cleaned = out / "cleaned.csv"
+        assert main(["test", "--input", str(cleaned), "--out", str(tmp_path / "t")]) == 0
+        assert main(["test", "--input", str(panel), "--out", str(tmp_path / "raw")]) == 0
+        assert (out / "audit.csv").read_text().splitlines() == [
+            "id,reason,detail",
+            "line:14,reject,adjusted price out of range",
+            "line:27,reject,adjusted price out of range",
+        ]
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
 
@@ -245,6 +265,18 @@ class TestSimulateCommand:
             > reports["pcg64"].combined[8].statistic
         )
 
+    def test_negative_second_difference_is_not_significant(self, tmp_path):
+        # Seed 1's one 12-bit sequence has a negative second difference;
+        # it is reported signed, with p = 1, instead of aborting the run.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"synthetic": {"count": 1, "length": 12}}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--seed", "1", "--out", str(out)]) == 0
+        report, _ = read_report_json(out / "firm_separated" / "report.json")
+        negative = [a for a in report.combined.values() if a.statistic < 0.0]
+        assert negative
+        assert all(a.p_value == 1.0 and not a.significant for a in negative)
+
     def test_bad_synthetic_spec_is_usage_error(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"synthetic": {"count": 0, "length": 20}}))
@@ -297,6 +329,9 @@ class TestSimulateCommand:
             ({"count": 2, "lengths_file": "missing.txt"}, None, "cannot read lengths file"),
             ({"count": 2, "lengths_file": "lengths.txt"}, "24\nabc\n", "non-integer entry"),
             ({"count": 2, "lengths_file": "lengths.txt"}, "24\n5\n", "lengths must be >= 8"),
+            ({"count": True, "length": 20}, None, "count must be a positive integer"),
+            ({"count": 2, "length": True}, None, "length must be a positive integer"),
+            ({"count": 2, "length": 20.0}, None, "length must be a positive integer"),
         ],
         ids=[
             "length-7",
@@ -307,6 +342,9 @@ class TestSimulateCommand:
             "lengths-file-missing",
             "lengths-file-non-integer",
             "lengths-file-short-entry",
+            "count-bool",
+            "length-bool",
+            "length-float",
         ],
     )
     def test_bad_simulate_config_is_usage_error(

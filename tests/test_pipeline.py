@@ -1,5 +1,6 @@
 """Market pipeline: parsing, cleaning, returns, binarisation, streams."""
 
+import dataclasses
 import datetime as dt
 import io
 import json
@@ -10,9 +11,6 @@ import pytest
 
 from marketrng.pipeline import (
     FormatError,
-    PriceRecord,
-    ReturnSeries,
-    adjust_price,
     binarise_median,
     build_stream,
     clean_panel,
@@ -33,18 +31,11 @@ def month_end(year, month):
 
 
 def monthly_records(instrument, start_year, start_month, closes):
+    """(id, date, close, adjfactor, retfactor) rows, one per month."""
     records = []
     year, month = start_year, start_month
     for close in closes:
-        records.append(
-            PriceRecord(
-                instrument_id=instrument,
-                date=month_end(year, month),
-                close_unadjusted=float(close),
-                adj_factor=1.0,
-                ret_factor=1.0,
-            )
-        )
+        records.append((instrument, month_end(year, month), float(close), 1.0, 1.0))
         month += 1
         if month > 12:
             month = 1
@@ -52,15 +43,37 @@ def monthly_records(instrument, start_year, start_month, closes):
     return records
 
 
+def panel_of(records):
+    """The Panel that parse_prices makes of the given rows, in that order."""
+    rows = [HEADER] + [f"{i},{d.isoformat()},{c!r},{a!r},{r!r}" for i, d, c, a, r in records]
+    result = parse_prices(rows)
+    assert len(result.records) == len(records) and not result.rejects
+    return result.records
+
+
+def panel_rows(panel):
+    """The panel as (id, date, close, adjfactor, retfactor, line) tuples."""
+    return list(
+        zip(
+            [panel.ids[k] for k in panel.instrument.tolist()],
+            [panel.dates[k] for k in panel.date.tolist()],
+            panel.close.tolist(),
+            panel.adjfactor.tolist(),
+            panel.retfactor.tolist(),
+            panel.line.tolist(),
+        )
+    )
+
+
 class TestParsePrices:
     def test_single_valid_row(self):
         text = f"{HEADER}\nAAA,2001-01-31,10.5,1.0,1.0\n"
         result = parse_prices(io.StringIO(text))
         assert len(result.records) == 1 and not result.rejects
-        rec = result.records[0]
-        assert rec.instrument_id == "AAA"
-        assert rec.date == dt.date(2001, 1, 31)
-        assert rec.close_unadjusted == 10.5
+        rec = panel_rows(result.records)[0]
+        assert rec[0] == "AAA"
+        assert rec[1] == dt.date(2001, 1, 31)
+        assert rec[2] == 10.5
 
     def test_empty_close_is_rejected_with_line(self):
         text = f"{HEADER}\nAAA,2001-01-31,,1.0,1.0\n"
@@ -73,8 +86,16 @@ class TestParsePrices:
         rows = [HEADER, "AAA,2001-01-31,10,1,1", "BBB,2001-01-31,20,1,1"]
         lf = parse_prices(io.StringIO("\n".join(rows) + "\n"))
         crlf = parse_prices(io.StringIO("\r\n".join(rows) + "\r\n"))
-        assert lf.records == crlf.records
+        assert panel_rows(lf.records) == panel_rows(crlf.records)
         assert lf.rejects == crlf.rejects
+
+    def test_accepted_rows_keep_line_numbers(self):
+        # A blank line, a quoted field over two lines, and a reject: each
+        # row keeps the physical line it ends on.
+        text = f'{HEADER}\nAAA,2001-01-31,10,1,1\n\nBBB,2001-01-31,10,1,"1\n"\nCCC,x,1,1,1\nDDD,2001-01-31,10,1,1\n'
+        result = parse_prices(io.StringIO(text))
+        assert result.records.line.tolist() == [2, 5, 7]
+        assert [r.line for r in result.rejects] == [6]
 
     def test_missing_header_is_format_error(self):
         with pytest.raises(FormatError):
@@ -107,33 +128,33 @@ class TestParsePrices:
 class TestCleanPanel:
     def test_contiguous_months_kept(self):
         records = monthly_records("AAA", 2001, 1, range(1, 25))
-        kept, dropped = clean_panel(records, "monthly")
-        assert "AAA" in kept and not dropped
+        kept, dropped = clean_panel(panel_of(records), "monthly")
+        assert "AAA" in kept.ids and not dropped
 
     def test_gap_dropped(self):
         closes = list(range(1, 13))
         records = monthly_records("AAA", 2001, 1, closes)
-        records = [r for r in records if r.date.month != 7]  # knock out July
-        kept, dropped = clean_panel(records, "monthly")
-        assert not kept
+        records = [r for r in records if r[1].month != 7]  # knock out July
+        kept, dropped = clean_panel(panel_of(records), "monthly")
+        assert not kept.ids
         assert dropped[0]["reason"] == "gap"
 
     def test_eleven_months_is_short(self):
         records = monthly_records("AAA", 2001, 1, range(1, 12))
-        kept, dropped = clean_panel(records, "monthly")
-        assert not kept
+        kept, dropped = clean_panel(panel_of(records), "monthly")
+        assert not kept.ids
         assert dropped[0]["reason"] == "short"
 
     def test_twelve_months_is_enough(self):
         records = monthly_records("AAA", 2001, 1, range(1, 13))
-        kept, _ = clean_panel(records, "monthly")
-        assert "AAA" in kept
+        kept, _ = clean_panel(panel_of(records), "monthly")
+        assert "AAA" in kept.ids
 
     def test_duplicate_period_dropped(self):
         records = monthly_records("AAA", 2001, 1, range(1, 13))
         records.append(records[0])
-        kept, dropped = clean_panel(records, "monthly")
-        assert not kept and dropped[0]["reason"] == "duplicate"
+        kept, dropped = clean_panel(panel_of(records), "monthly")
+        assert not kept.ids and dropped[0]["reason"] == "duplicate"
 
     def test_daily_gap_uses_inferred_calendar(self):
         # Calendar = union of observed dates; BBB missing one trading day.
@@ -141,55 +162,56 @@ class TestCleanPanel:
         trading = [d for d in days if d.weekday() < 5][:300]
         recs = []
         for d in trading:
-            recs.append(PriceRecord("AAA", d, 10.0, 1.0, 1.0))
+            recs.append(("AAA", d, 10.0, 1.0, 1.0))
         for d in trading:
             if d != trading[100]:
-                recs.append(PriceRecord("BBB", d, 20.0, 1.0, 1.0))
-        kept, dropped = clean_panel(recs, "daily")
-        assert "AAA" in kept
+                recs.append(("BBB", d, 20.0, 1.0, 1.0))
+        kept, dropped = clean_panel(panel_of(recs), "daily")
+        assert "AAA" in kept.ids
         assert [d["id"] for d in dropped] == ["BBB"]
         assert dropped[0]["reason"] == "gap"
 
     def test_daily_short_dropped(self):
         days = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(200)]
-        recs = [PriceRecord("AAA", d, 10.0, 1.0, 1.0) for d in days]
-        kept, dropped = clean_panel(recs, "daily")
-        assert not kept and dropped[0]["reason"] == "short"
+        recs = [("AAA", d, 10.0, 1.0, 1.0) for d in days]
+        kept, dropped = clean_panel(panel_of(recs), "daily")
+        assert not kept.ids and dropped[0]["reason"] == "short"
 
     def test_late_listing_not_penalised_in_life_scope(self):
         recs = monthly_records("AAA", 2001, 1, range(1, 25))
         recs += monthly_records("BBB", 2002, 1, range(1, 13))
-        kept, dropped = clean_panel(recs, "monthly", gap_scope="life")
-        assert set(kept) == {"AAA", "BBB"} and not dropped
+        kept, dropped = clean_panel(panel_of(recs), "monthly", gap_scope="life")
+        assert set(kept.ids) == {"AAA", "BBB"} and not dropped
 
     def test_dataset_scope_drops_partial_coverage(self):
         recs = monthly_records("AAA", 2001, 1, range(1, 25))
         recs += monthly_records("BBB", 2002, 1, range(1, 13))
-        kept, dropped = clean_panel(recs, "monthly", gap_scope="dataset")
-        assert set(kept) == {"AAA"}
+        kept, dropped = clean_panel(panel_of(recs), "monthly", gap_scope="dataset")
+        assert set(kept.ids) == {"AAA"}
         assert dropped[0]["id"] == "BBB" and dropped[0]["reason"] == "gap"
 
     def test_cleaning_is_idempotent(self):
         recs = monthly_records("AAA", 2001, 1, range(1, 25))
         recs += monthly_records("BBB", 2001, 1, [1, 2, 3])
         gapped = monthly_records("CCC", 2001, 1, range(1, 15))
-        recs += [r for r in gapped if r.date.month != 5]
-        kept, _ = clean_panel(recs, "monthly")
-        flat = [r for records in kept.values() for r in records]
-        kept_again, dropped_again = clean_panel(flat, "monthly")
-        assert kept_again == kept and not dropped_again
+        recs += [r for r in gapped if r[1].month != 5]
+        kept, _ = clean_panel(panel_of(recs), "monthly")
+        kept_again, dropped_again = clean_panel(kept, "monthly")
+        assert panel_rows(kept_again) == panel_rows(kept) and not dropped_again
 
 
 class TestPriceMath:
     def test_adjust_examples(self):
-        assert adjust_price(PriceRecord("A", dt.date(2001, 1, 31), 100, 1, 1)) == 100
-        assert adjust_price(PriceRecord("A", dt.date(2001, 1, 31), 100, 2, 1)) == 200
-        assert adjust_price(PriceRecord("A", dt.date(2001, 1, 31), 50, 1, 1.25)) == 40
+        day = dt.date(2001, 1, 31)
+        panel = panel_of([("A", day, 100, 1, 1), ("B", day, 100, 2, 1), ("C", day, 50, 1, 1.25)])
+        assert panel.adjusted_prices().tolist() == [100, 200, 40]
 
     def test_adjust_rejects_non_positive(self):
-        rec = PriceRecord("A", dt.date(2001, 1, 31), -1.0, 1.0, 1.0)
+        result = parse_prices([HEADER, "A,2001-01-31,-1.0,1.0,1.0"])
+        assert not result.records and result.rejects[0].reason == "non-positive close"
+        panel = panel_of(monthly_records("A", 2001, 1, [1.0, 2.0]))
         with pytest.raises(ValueError):
-            adjust_price(rec)
+            compute_return_series(dataclasses.replace(panel, close=-panel.close))
 
     def test_adjust_factor_scaling_invariance(self):
         # Power-of-two scales are exact in binary floating point; other
@@ -199,15 +221,18 @@ class TestPriceMath:
             close = float(rng.uniform(0.5, 500.0))
             adj = float(rng.uniform(0.1, 10.0))
             ret = float(rng.uniform(0.1, 10.0))
-            base = PriceRecord("A", dt.date(2001, 1, 31), close, adj, ret)
+            day = dt.date(2001, 1, 31)
             c = 2.0 ** int(rng.integers(-20, 21))
-            scaled = PriceRecord("A", dt.date(2001, 1, 31), close, adj * c, ret * c)
-            assert adjust_price(scaled) == adjust_price(base)
             arbitrary = float(rng.uniform(0.01, 100.0))
-            scaled2 = PriceRecord(
-                "A", dt.date(2001, 1, 31), close, adj * arbitrary, ret * arbitrary
-            )
-            assert adjust_price(scaled2) == pytest.approx(adjust_price(base), rel=1e-12)
+            base, scaled, scaled2 = panel_of(
+                [
+                    ("A", day, close, adj, ret),
+                    ("B", day, close, adj * c, ret * c),
+                    ("C", day, close, adj * arbitrary, ret * arbitrary),
+                ]
+            ).adjusted_prices().tolist()
+            assert scaled == base
+            assert scaled2 == pytest.approx(base, rel=1e-12)
 
     def test_log_returns_examples(self):
         assert log_returns([1.0, math.e]).tolist() == pytest.approx([1.0])
@@ -266,13 +291,12 @@ class TestBinarise:
 
 def toy_series(n_firms=3, start=2001, years=2, seed=0):
     rng = np.random.default_rng(seed)
-    series = {}
+    series = []
     for i in range(n_firms):
         name = f"F{i:02d}"
         closes = np.exp(np.cumsum(rng.standard_normal(years * 12 + 1) * 0.05)) * 100
-        records = monthly_records(name, start, 1, closes)
-        series[name] = compute_return_series(records, "monthly")
-    return series
+        series.extend(monthly_records(name, start, 1, closes))
+    return compute_return_series(panel_of(series))
 
 
 class TestBuildStream:
@@ -313,7 +337,7 @@ class TestBuildStream:
     def test_single_return_segments_skipped_and_audited(self):
         # Firm listed in November: December is its only return that year.
         records = monthly_records("AAA", 2001, 11, [100, 101, 102, 103, 104, 105])
-        series = {"AAA": compute_return_series(records, "monthly")}
+        series = compute_return_series(panel_of(records))
         stream = build_stream(series, "year_separated")
         assert [s.source_id for s in stream.sequences] == ["2002"]
         assert stream.audit and stream.audit[0]["reason"] == "short_segment"
@@ -372,23 +396,14 @@ class TestMonthlyColumnSums:
 
 class TestReturnSeries:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ReturnSeries(
-                instrument_id="A",
-                frequency="monthly",
-                dates=(dt.date(2001, 2, 28), dt.date(2001, 2, 28)),
-                returns=np.array([0.1, 0.2]),
-            )
-        with pytest.raises(ValueError):
-            ReturnSeries(
-                instrument_id="A",
-                frequency="monthly",
-                dates=(dt.date(2001, 2, 28),),
-                returns=np.array([0.1, 0.2]),
-            )
+        day = dt.date(2001, 2, 28)
+        with pytest.raises(ValueError):  # dates not strictly increasing
+            compute_return_series(panel_of([("A", day, 1.0, 1.0, 1.0), ("A", day, 2.0, 1.0, 1.0)]))
+        with pytest.raises(ValueError):  # a single price gives no return
+            compute_return_series(panel_of([("A", day, 1.0, 1.0, 1.0)]))
 
     def test_compute_return_series(self):
         records = monthly_records("AAA", 2001, 1, [100.0, 110.0, 121.0])
-        series = compute_return_series(records, "monthly")
-        assert series.returns.tolist() == pytest.approx([math.log(1.1)] * 2)
-        assert series.dates[0] == month_end(2001, 2)
+        series = compute_return_series(panel_of(records))
+        assert series.values.tolist() == pytest.approx([math.log(1.1)] * 2)
+        assert series.dates[series.date[0]] == month_end(2001, 2)
