@@ -307,7 +307,8 @@ def build_stream(returns: Returns, kind: str) -> ExperimentStream:
     concatenated in ascending instrument order into one sequence per
     year, with joins recorded in ``segment_bounds``.  Segments with fewer
     than two returns cannot be binarised and are skipped with an audit
-    entry; a year left with no segment yields no sequence.
+    entry; a year left with no qualifying segment yields no sequence and
+    an ``empty_year`` audit entry, after the segment entries.
     """
     if kind not in ("firm_separated", "year_separated"):
         raise ValueError(f"unknown stream kind {kind!r}")
@@ -340,6 +341,8 @@ def build_stream(returns: Returns, kind: str) -> ExperimentStream:
         for k, n in enumerate(lengths)
         if n < 2
     ]
+    empty = np.setdiff1d(segment_year, segment_year[sizes >= 2]).tolist()
+    audit += [{"id": str(y), "reason": "empty_year", "detail": "no qualifying segment"} for y in empty]
     # Usable segments and their bits in year-major order; the stable sorts
     # keep instruments ascending within a year and dates within a segment.
     usable = np.flatnonzero(sizes >= 2)
@@ -374,14 +377,12 @@ def monthly_column_sums(year_seq: BinarySequence, months_per_row: int) -> Column
     """
     if months_per_row < 1:
         raise ValueError("months_per_row must be positive")
-    rows = []
-    excluded = 0
-    for segment in year_seq.segments():
-        if segment.size == months_per_row:
-            rows.append(segment)
-        else:
-            excluded += 1
+    edges = np.array((0, *year_seq.segment_bounds, len(year_seq)))
+    sizes = np.diff(edges)
+    full = sizes == months_per_row
+    rows = int(full.sum())
     if not rows:
         raise ValueError("no segment of the requested length")
-    sums = np.sum(np.vstack(rows).astype(np.int64), axis=0)
-    return ColumnSums(values=sums, rows_included=len(rows), rows_excluded=excluded)
+    bits = year_seq.bits[np.repeat(full, sizes)].reshape(rows, months_per_row)
+    sums = bits.sum(axis=0, dtype=np.int64)
+    return ColumnSums(values=sums, rows_included=rows, rows_excluded=sizes.size - rows)

@@ -126,6 +126,16 @@ class StreamReport:
         )
 
 
+def _check_trim_fraction(trim_fraction: float) -> None:
+    if not 0.0 <= trim_fraction < 1.0:
+        raise ValueError(f"trim fraction must lie in [0, 1), got {trim_fraction}")
+
+
+def _contributor_order(values: np.ndarray, id_arr: np.ndarray) -> np.ndarray:
+    """Indices of ``values`` from largest to smallest, ties by ascending id."""
+    return np.lexsort((id_arr, -values))  # lexsort: primary key last
+
+
 def trim_top_contributors(
     values,
     trim_fraction: float,
@@ -138,8 +148,7 @@ def trim_top_contributors(
     Ties at the cut are broken by ascending sequence id.  Degrees of
     freedom shrink to (|A| - dropped) * xi.
     """
-    if not 0.0 <= trim_fraction < 1.0:
-        raise ValueError(f"trim fraction must lie in [0, 1), got {trim_fraction}")
+    _check_trim_fraction(trim_fraction)
     arr = np.asarray(values, dtype=float)
     n = arr.size
     if n == 0:
@@ -148,10 +157,8 @@ def trim_top_contributors(
     if id_arr.size != n:
         raise ValueError("ids must match values in length")
     k = int(np.floor(trim_fraction * n))
-    # lexsort: primary key last -> values descending, ties by id ascending
-    order = np.lexsort((id_arr, -arr))
-    keep = order[k:]
-    statistic = float(arr[keep].sum())
+    order = _contributor_order(arr, id_arr)
+    statistic = float(arr[order[k:]].sum())
     dof = (n - k) * int(xi)
     return TrimResult(
         statistic=statistic,
@@ -213,11 +220,11 @@ def summarize_stream(
     significant_fraction: dict[int, float] = {}
     ladder: dict[int, list[TrimStep]] = {}
 
+    id_arr = np.array(ids)
     joint_order_ids: tuple[str, ...] | None = None
     if trim_mode == "joint":
-        totals = d2_matrix.sum(axis=1)
-        order = np.lexsort((np.array(ids), -totals))
-        joint_order_ids = tuple(np.array(ids)[order].tolist())
+        order = _contributor_order(d2_matrix.sum(axis=1), id_arr)
+        joint_order_ids = tuple(id_arr[order].tolist())
 
     for j, nu in enumerate(d2_nus):
         xi = 2 ** (nu - 2)
@@ -225,26 +232,30 @@ def summarize_stream(
         combined[nu] = assess(float(column.sum()), n * xi, alpha)
         crit = chi2_critical(alpha, xi)
         significant_fraction[nu] = float((column > crit).mean())
+        if trim_mode == "per_nu":
+            # One ranking per window size serves every trim fraction: the
+            # kept values are always the tail of the same order.
+            ranked = column[_contributor_order(column, id_arr)]
         steps = []
         for p in trim_fractions:
+            k = int(np.floor(p * n))
             if trim_mode == "per_nu":
-                result = trim_top_contributors(column, p, xi, alpha, ids)
+                _check_trim_fraction(p)
+                stat = float(ranked[k:].sum())
             else:
-                k = int(np.floor(p * n))
                 drop = set(joint_order_ids[:k])
-                keep_mask = np.array([i not in drop for i in ids])
-                stat = float(column[keep_mask].sum())
-                dof = (n - k) * xi
-                result = TrimResult(stat, dof, k, assess(stat, dof, alpha), tuple(sorted(drop)))
+                stat = float(column[np.array([i not in drop for i in ids])].sum())
+            dof = (n - k) * xi
+            result = assess(stat, dof, alpha)
             steps.append(
                 TrimStep(
                     fraction=float(p),
-                    dropped=result.dropped,
-                    statistic=result.statistic,
-                    dof=result.dof,
-                    p_value=result.assessment.p_value,
-                    critical_value=result.assessment.critical_value,
-                    significant=result.assessment.significant,
+                    dropped=k,
+                    statistic=stat,
+                    dof=dof,
+                    p_value=result.p_value,
+                    critical_value=result.critical_value,
+                    significant=result.significant,
                 )
             )
         ladder[nu] = steps

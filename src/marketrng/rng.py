@@ -79,10 +79,12 @@ class Pcg64:
         """MSB-first bits of successive words, final word truncated."""
         if n_bits < 1:
             raise ValueError("n_bits must be positive")
-        n_words = (n_bits + 63) // 64
-        words = np.array([self.next_u64() for _ in range(n_words)], dtype=np.uint64)
-        bits = np.unpackbits(np.frombuffer(words.astype(">u8").tobytes(), dtype=np.uint8))
-        return bits[:n_bits]
+        return _unpack_words([self.next_u64() for _ in range((n_bits + 63) // 64)])[:n_bits]
+
+
+def _unpack_words(words: list[int]) -> np.ndarray:
+    """MSB-first bits of 64-bit words, word after word."""
+    return np.unpackbits(np.array(words, dtype=">u8").view(np.uint8))
 
 
 def pcg64_bits(gen: Pcg64, n_bits: int, source_id: str = "") -> BinarySequence:
@@ -194,35 +196,38 @@ def shape_synthetic(
     if generator not in ("pcg64", "logistic"):
         raise ValueError(f"unknown generator {generator!r}")
     kind = "firm_separated" if spec.kind == "firm_like" else "year_separated"
-    sequences: list[BinarySequence] = []
     provenance: list[dict] = []
-    seeds: list[float] = []
+    draws: list = []  # pcg64: every sequence's words in turn; logistic: one seed each
     for j, length in enumerate(spec.lengths):
-        source_id = f"sim{j:05d}"
         gen = Pcg64.from_seed(master_seed, j)
         meta = {
-            "source_id": source_id,
+            "source_id": f"sim{j:05d}",
             "generator": generator,
             "master_seed": int(master_seed),
             "stream": j,
             "n_bits": int(length),
         }
         if generator == "pcg64":
-            sequences.append(BinarySequence(bits=gen.bit_array(length), source_id=source_id))
+            draws.extend(gen.next_u64() for _ in range((length + 63) // 64))
         else:
             seed = gen.next_uniform()
             while not 0.0 < seed < 1.0 or seed in LOGISTIC_FORBIDDEN:
                 seed = gen.next_uniform()
-            seeds.append(seed)
+            draws.append(seed)
             meta["seed"] = seed
             meta["burn_in"] = int(burn_in)
         provenance.append(meta)
-    if generator == "logistic":
-        rows = logistic_bit_matrix(np.array(seeds), max(spec.lengths), burn_in)
-        sequences = [
-            BinarySequence(bits=row[:length], source_id=meta["source_id"])
-            for row, length, meta in zip(rows, spec.lengths, provenance)
-        ]
+    if generator == "pcg64":
+        # Each sequence is the head of its own whole words, as Pcg64.bit_array cuts it.
+        bits = _unpack_words(draws)
+        starts = np.cumsum([0, *((n + 63) // 64 * 64 for n in spec.lengths)]).tolist()
+        rows = (bits[a : a + n] for a, n in zip(starts, spec.lengths))
+    else:
+        matrix = logistic_bit_matrix(np.array(draws), max(spec.lengths), burn_in)
+        rows = (row[:n] for row, n in zip(matrix, spec.lengths))
+    sequences = [
+        BinarySequence(bits=row, source_id=meta["source_id"]) for row, meta in zip(rows, provenance)
+    ]
     return ExperimentStream(kind=kind, sequences=sequences, provenance=provenance)
 
 

@@ -15,11 +15,12 @@ is asymptotically chi-square with 2**(nu - 2) degrees of freedom and
 asymptotically independent across nu, which makes it the quantity that
 downstream significance tests consume.
 
-Every window size comes from one counting pass: a bincount of each start
-position's max_nu-bit code keyed by its room, the bits left before its
-segment ends (capped at max_nu).  Size-nu windows are the starts with
-room >= nu, and their patterns are the codes' top nu bits, so each nu is
-a fold of that table; bits past a segment end are summed out.
+Every window size comes from one bincount per sequence.  One integer
+convolution gives each start position its max_nu-bit code; the start's
+key for window size nu is the code's top nu bits plus 2**nu - 2, so the
+levels nu = 1..max_nu tile one key range and W_nu and sum(n_i**2) are
+sums over each level.  A start with fewer than nu bits of room before its
+segment ends keys a dump bin instead, which is cut off.
 """
 
 from __future__ import annotations
@@ -123,14 +124,23 @@ class PsiProfile:
     @classmethod
     def from_psi(cls, psi: Mapping[int, float], n_bits: int) -> "PsiProfile":
         """Build a profile from raw psi2 values, deriving the differences."""
-        nus = sorted(psi)
-        if nus != list(range(1, len(nus) + 1)):
-            raise ValueError("psi must cover nu = 1..max_nu without gaps")
-        psi_f = {nu: float(psi[nu]) for nu in nus}
-        d1 = {nu: psi_f[nu] - psi_f[nu - 1] for nu in nus if nu >= 2}
-        d2 = {nu: psi_f[nu] - 2.0 * psi_f[nu - 1] + psi_f[nu - 2] for nu in nus if nu >= 3}
-        dof = {nu: 2 ** (nu - 2) for nu in nus if nu >= 3}
-        return cls(psi=psi_f, d1=d1, d2=d2, dof=dof, n_bits=int(n_bits))
+        try:
+            values = [float(psi[nu]) for nu in range(1, len(psi) + 1)]
+        except KeyError:
+            raise ValueError("psi must cover nu = 1..max_nu without gaps") from None
+        return cls._from_values(values, n_bits)
+
+    @classmethod
+    def _from_values(cls, p: list[float], n_bits: int) -> "PsiProfile":
+        # p[nu - 1] is the float psi2(nu), for nu = 1..len(p).
+        m = len(p)
+        return cls(
+            psi=dict(enumerate(p, start=1)),
+            d1={nu: p[nu - 1] - p[nu - 2] for nu in range(2, m + 1)},
+            d2={nu: p[nu - 1] - 2.0 * p[nu - 2] + p[nu - 3] for nu in range(3, m + 1)},
+            dof={nu: 2 ** (nu - 2) for nu in range(3, m + 1)},
+            n_bits=int(n_bits),
+        )
 
     @property
     def max_nu(self) -> int:
@@ -141,28 +151,48 @@ class PsiProfile:
         return np.array([self.d2[nu] for nu in sorted(self.d2)], dtype=float)
 
 
-def _window_table(seq: BinarySequence, max_nu: int, respect_boundaries: bool) -> np.ndarray:
-    """Room-keyed count table of every window start, shape (max_nu+1, 2**max_nu).
+@lru_cache(maxsize=None)
+def _key_layout(max_nu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only constants of the level keys for window sizes 1..max_nu.
 
-    ``table[r, c]`` counts the starts whose next ``max_nu`` bits spell
-    ``c`` (bits past the end of the array read as 0) and whose segment
-    leaves ``r = min(max_nu, segment_end - start)`` bits of room.
+    The code weights 2**k, as uint8: max_nu <= MAX_WINDOW = 8, so a code
+    fits a byte and the convolution cannot overflow.  Then, as columns
+    over nu = 1..max_nu, the window size, the shift to a code's top nu
+    bits, and the level's first key 2**nu - 2.  The levels tile the keys
+    0 .. 2**(max_nu+1) - 3.
     """
+    nus = np.arange(1, max_nu + 1)[:, None]
+    layout = (
+        (1 << np.arange(max_nu)).astype(np.uint8),
+        nus,
+        (max_nu - nus).astype(np.uint8),
+        ((1 << nus) - 2).astype(np.int16),
+    )
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
+def _level_counts(seq: BinarySequence, max_nu: int, respect_boundaries: bool) -> np.ndarray:
+    """Pattern counts of every window size 1..max_nu from one bincount.
+
+    Level nu holds the 2**nu counts of size-nu windows from key 2**nu - 2
+    on.  A start's key at level nu is the top nu bits of its max_nu-bit
+    code (bits past the end of the array read as 0); a start with fewer
+    than nu bits of room before its segment ends keys the dump bin, which
+    is cut off.  Small integer dtypes keep the (max_nu, n) key array cheap.
+    """
+    weights, nus, shifts, firsts = _key_layout(max_nu)
     n = len(seq)
-    padded = np.zeros(n + max_nu - 1, dtype=np.intp)
-    padded[:n] = seq.bits
-    code = padded[:n].copy()
-    for k in range(1, max_nu):
-        code <<= 1
-        code |= padded[k : k + n]
+    code = np.convolve(seq.bits, weights)[max_nu - 1 :]  # exact: distinct powers of 2 below 2**max_nu
     ends = n
     if respect_boundaries and seq.segment_bounds:
         edges = np.array((0, *seq.segment_bounds, n))
         ends = np.repeat(edges[1:], np.diff(edges))
-    room = np.minimum(ends - np.arange(n), max_nu)
-    code += room << max_nu
-    table = np.bincount(code, minlength=(max_nu + 1) << max_nu)
-    return table.reshape(max_nu + 1, 1 << max_nu)
+    keys = (code >> shifts) + firsts
+    dump = (2 << max_nu) - 2
+    keys[ends - np.arange(n) < nus] = dump
+    return np.bincount(keys.ravel(), minlength=dump + 1)[:dump]
 
 
 def count_overlapping_patterns(
@@ -181,8 +211,7 @@ def count_overlapping_patterns(
         skipped = sum(segment.size < nu for segment in seq.segments())
     elif nu > len(seq):
         raise ValueError(f"window size {nu} exceeds sequence length {len(seq)}")
-    # Starts with a full nu bits of room are exactly the counted windows.
-    counts = _window_table(seq, nu, respect_boundaries)[nu]
+    counts = _level_counts(seq, nu, respect_boundaries)[(1 << nu) - 2 :]
     return PatternCounts(nu, counts, int(counts.sum()), skipped)
 
 
@@ -203,15 +232,6 @@ def psi_square(counts: PatternCounts) -> float:
     return _psi(counts.nu, counts.total_windows, int(np.dot(counts.counts, counts.counts)))
 
 
-@lru_cache(maxsize=None)
-def _fold_starts(max_nu: int) -> tuple[np.ndarray, np.ndarray]:
-    # Row nu - 1 of the room >= nu table splits into 2**nu runs of codes
-    # sharing their top nu bits; level nu starts at 2**nu - 2 of the folds.
-    nus, width = range(1, max_nu + 1), 1 << max_nu
-    runs = [(nu - 1) * width + np.arange(0, width, width >> nu) for nu in nus]
-    return np.concatenate(runs), np.array([(1 << nu) - 2 for nu in nus])
-
-
 def psi_profile(
     seq: BinarySequence, max_nu: int = MAX_WINDOW, respect_boundaries: bool = False
 ) -> PsiProfile:
@@ -220,14 +240,11 @@ def psi_profile(
         raise ValueError(f"max_nu must be in 1..{MAX_WINDOW}, got {max_nu}")
     if len(seq) < max_nu:
         raise ValueError(f"sequence length {len(seq)} shorter than max_nu {max_nu}")
-    table = _window_table(seq, max_nu, respect_boundaries)
-    at_least = np.cumsum(table[:0:-1], axis=0)[::-1]  # row nu - 1: room >= nu
-    runs, levels = _fold_starts(max_nu)
-    counts = np.add.reduceat(at_least.ravel(), runs)
-    windows = at_least.sum(axis=1).tolist()
-    squares = np.add.reduceat(counts * counts, levels).tolist()
-    psi = {nu: _psi(nu, windows[nu - 1], squares[nu - 1]) for nu in range(1, max_nu + 1)}
-    return PsiProfile.from_psi(psi, n_bits=len(seq))
+    counts = _level_counts(seq, max_nu, respect_boundaries)
+    *_, firsts = _key_layout(max_nu)
+    windows = np.add.reduceat(counts, firsts.ravel()).tolist()
+    squares = np.add.reduceat(counts * counts, firsts.ravel()).tolist()
+    return PsiProfile._from_values(list(map(_psi, range(1, max_nu + 1), windows, squares)), len(seq))
 
 
 def complement(seq: BinarySequence) -> BinarySequence:

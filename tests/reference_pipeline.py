@@ -300,6 +300,7 @@ def build_stream(
         years = np.array([d.year for d in series.dates])
         for year in sorted(set(years.tolist())):
             segment = series.returns[years == year]
+            entries = per_year[year]  # a year with only short segments stays, empty
             if segment.size < 2:
                 audit.append(
                     {
@@ -310,7 +311,7 @@ def build_stream(
                 )
                 continue
             binarised = binarise_median(segment)
-            per_year[year].append(
+            entries.append(
                 (
                     instrument,
                     binarised.bits,

@@ -306,6 +306,31 @@ class TestSimulateCommand:
         assert report.kind == "year_separated"
         assert report.n_sequences == 4
 
+    @pytest.mark.parametrize("max_nu, mode", [(8, "ignore"), (5, "respect")])
+    def test_one_profile_call_per_sequence(self, tmp_path, monkeypatch, max_nu, mode):
+        # The benchmark's tracer wraps marketrng.cli.psi_profile and counts
+        # one call per sequence from (seq, max_nu=..., respect_boundaries=...);
+        # a batched kernel must change the tracer first.
+        import marketrng.cli
+
+        calls = []
+        real = marketrng.cli.psi_profile
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(marketrng.cli, "psi_profile", counting)
+        config_path = tmp_path / "config.json"
+        spec = {"kind": "firm_like", "count": 7, "length": 40, "generator": "pcg64"}
+        config_path.write_text(json.dumps({"synthetic": spec, "master_seed": 2}), encoding="utf-8")
+        args = ["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]
+        assert main(args + ["--max-nu", str(max_nu), "--boundary-mode", mode]) == 0
+        assert [len(a) for a, _ in calls] == [1] * 7
+        assert [a[0].source_id for a, _ in calls] == [f"sim{j:05d}" for j in range(7)]
+        assert all(isinstance(a[0], BinarySequence) and len(a[0]) == 40 for a, _ in calls)
+        assert all(k == {"max_nu": max_nu, "respect_boundaries": mode == "respect"} for _, k in calls)
+
     def test_lengths_file_count_mismatch_is_usage_error(self, tmp_path):
         lengths_path = tmp_path / "lengths.txt"
         lengths_path.write_text("24\n36\n", encoding="utf-8")

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from marketrng.pipeline import (
     FormatError,
@@ -342,6 +344,24 @@ class TestBuildStream:
         assert [s.source_id for s in stream.sequences] == ["2002"]
         assert stream.audit and stream.audit[0]["reason"] == "short_segment"
 
+    def test_year_of_short_segments_is_audited(self):
+        # Both firms list in November 2001 and delist in January 2003, so
+        # 2001 and 2003 hold one return per firm and no sequence.
+        records = []
+        for name in ("AAA", "BBB"):
+            records += monthly_records(name, 2001, 11, 100.0 + np.arange(15.0))
+        stream = build_stream(compute_return_series(panel_of(records)), "year_separated")
+        assert [s.source_id for s in stream.sequences] == ["2002"]
+        assert [(a["id"], a["reason"]) for a in stream.audit] == [
+            ("AAA", "short_segment"),
+            ("AAA", "short_segment"),
+            ("BBB", "short_segment"),
+            ("BBB", "short_segment"),
+            ("2001", "empty_year"),
+            ("2003", "empty_year"),
+        ]
+        assert stream.audit[-1]["detail"] == "no qualifying segment"
+
     def test_provenance_deterministic(self):
         a = build_stream(toy_series(seed=8), "year_separated")
         b = build_stream(toy_series(seed=8), "year_separated")
@@ -382,6 +402,30 @@ class TestMonthlyColumnSums:
         s = BinarySequence(bits=np.ones(5, dtype=np.uint8), source_id="y")
         with pytest.raises(ValueError):
             monthly_column_sums(s, 12)
+
+    @given(
+        st.lists(st.integers(1, 16), min_size=1, max_size=30),
+        st.integers(1, 13),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_segment_loop(self, sizes, months, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, size=sum(sizes)).astype(np.uint8)
+        s = BinarySequence(bits=bits, source_id="y", segment_bounds=tuple(np.cumsum(sizes)[:-1].tolist()))
+        # The per-segment loop that the vectorised version replaced.
+        rows = [seg for seg in s.segments() if seg.size == months]
+        if not rows:
+            with pytest.raises(ValueError, match="no segment of the requested length"):
+                monthly_column_sums(s, months)
+            return
+        result = monthly_column_sums(s, months)
+        expected = np.sum(np.vstack(rows).astype(np.int64), axis=0)
+        assert result.values.dtype == expected.dtype and result.values.tolist() == expected.tolist()
+        assert (result.rows_included, result.rows_excluded) == (len(rows), len(sizes) - len(rows))
+
+    def test_non_positive_months_is_error(self):
+        s = BinarySequence(bits=np.ones(12, dtype=np.uint8), source_id="y")
+        with pytest.raises(ValueError, match="months_per_row must be positive"):
+            monthly_column_sums(s, 0)
 
     def test_binomial_concentration(self):
         rng = np.random.default_rng(31)

@@ -242,7 +242,7 @@ def test_monthly_matches_reference():
     seen = run_differential("monthly", 200)
     # The generated inputs must reach every branch, or the check is vacuous.
     for tag in (
-        "kept", "drop:duplicate", "drop:gap", "drop:short", "audit:short_segment",
+        "kept", "drop:duplicate", "drop:gap", "drop:short", "audit:short_segment", "audit:empty_year",
         "odd segment", "even segment", "tied returns",
         "reject:empty id", "reject:non-positive close", "reject:non-positive adjfactor",
         "reject:non-positive retfactor", "reject:adjusted price out of range",

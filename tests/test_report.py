@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import reference_values as ref
 from marketrng.report import (
@@ -75,6 +77,44 @@ class TestSummarize:
         b = PsiProfile.from_psi({1: 0.0, 2: 0.0, 3: 1.0}, n_bits=100)
         with pytest.raises(ValueError):
             summarize_stream([a, b])
+
+
+D2_VALUES = st.sampled_from([-2.0, 0.0, 0.1, 1.0 / 3.0, 7.25]) | st.floats(-50.0, 500.0)
+
+
+@given(
+    st.lists(st.lists(D2_VALUES, min_size=6, max_size=6), min_size=1, max_size=80),
+    st.lists(st.floats(0.0, 0.49), min_size=1, max_size=6),
+    st.randoms(use_true_random=False),
+)
+def test_per_nu_ladder_matches_trim_top_contributors(rows, fractions, random):
+    # Few distinct d2 values force ties; shuffled ids make id order differ
+    # from position order, so a tie broken by position would show.
+    ids = [f"s{k:03d}" for k in range(len(rows))]
+    random.shuffle(ids)
+    nus = range(3, 9)
+    profiles = [
+        PsiProfile(
+            psi=dict.fromkeys(range(1, 9), 0.0),
+            d1=dict.fromkeys(range(2, 9), 0.0),
+            d2=dict(zip(nus, row)),
+            dof={nu: 2 ** (nu - 2) for nu in nus},
+            n_bits=100,
+        )
+        for row in rows
+    ]
+    report = summarize_stream(profiles, trim_fractions=fractions, sequence_ids=ids)
+    for j, nu in enumerate(nus):
+        column = [row[j] for row in rows]
+        for step, p in zip(report.trim_ladder[nu], fractions, strict=True):
+            expected = trim_top_contributors(column, p, 2 ** (nu - 2), ids=ids)
+            assert step.dropped == expected.dropped and step.dof == expected.dof
+            assert step.statistic == expected.statistic
+            assert step.p_value == expected.assessment.p_value
+            assert step.significant == expected.assessment.significant
+            # Largest values first, ties by ascending id.
+            ranked = sorted(zip((-v for v in column), ids))
+            assert expected.dropped_ids == tuple(i for _, i in ranked[: expected.dropped])
 
 
 class TestTrim:

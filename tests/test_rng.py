@@ -269,6 +269,19 @@ class TestShapeSynthetic:
             assert seq.bits.tolist() == expected.bits.tolist()
             assert stream.provenance[j]["stream"] == j
 
+    @given(
+        lengths=st.lists(st.integers(8, 300), min_size=1, max_size=6),
+        master_seed=st.integers(0, 2**32),
+    )
+    def test_year_like_pcg64_matches_per_sequence_draws(self, lengths, master_seed):
+        # All words are unpacked at once; each row must still be the head
+        # of its own stream's words, whatever the lengths before it.
+        spec = SyntheticSpec.year_like(len(lengths), lengths)
+        stream = shape_synthetic(spec, "pcg64", master_seed=master_seed)
+        for j, (seq, length) in enumerate(zip(stream.sequences, lengths, strict=True)):
+            expected = Pcg64.from_seed(master_seed, j).bit_array(length)
+            assert seq.bits.tolist() == expected.tolist()
+
     def test_logistic_provenance_records_seed(self):
         stream = shape_synthetic(
             SyntheticSpec.firm_like(2, 32), generator="logistic", master_seed=3

@@ -56,6 +56,24 @@ def oracle_counts(s, nu, respect):
     return counts, skipped
 
 
+def oracle_profile(s, max_nu, respect):
+    """The profile from brute-force counts, or None where a level has no window."""
+    tables = [oracle_counts(s, nu, respect)[0] for nu in range(1, max_nu + 1)]
+    if any(t.sum() == 0 for t in tables):
+        return None
+    # sum_i (n_i - lam)**2 / lam in exact integer form, lam = W / 2**nu
+    psi = {
+        nu: (2**nu * int(t @ t)) / int(t.sum()) - int(t.sum())
+        for nu, t in enumerate(tables, start=1)
+    }
+    return PsiProfile.from_psi(psi, n_bits=len(s))
+
+
+def assert_same_profile(got, expected):
+    assert got.psi == expected.psi and got.d1 == expected.d1 and got.d2 == expected.d2
+    assert got.dof == expected.dof and got.n_bits == expected.n_bits
+
+
 class TestDifferential:
     @given(segmented_sequences(), st.integers(1, 8), st.booleans())
     def test_counts_match_brute_force(self, s, nu, respect):
@@ -75,20 +93,50 @@ class TestDifferential:
             with pytest.raises(ValueError, match=f"sequence length {len(s)} shorter than max_nu {max_nu}"):
                 psi_profile(s, max_nu, respect)
             return
-        tables = [oracle_counts(s, nu, respect)[0] for nu in range(1, max_nu + 1)]
-        if any(t.sum() == 0 for t in tables):
+        expected = oracle_profile(s, max_nu, respect)
+        if expected is None:
             with pytest.raises(ValueError, match="pattern counts cover zero windows"):
                 psi_profile(s, max_nu, respect)
             return
-        # sum_i (n_i - lam)**2 / lam in exact integer form, lam = W / 2**nu
-        psi = {
-            nu: (2**nu * int(t @ t)) / int(t.sum()) - int(t.sum())
-            for nu, t in enumerate(tables, start=1)
-        }
-        expected = PsiProfile.from_psi(psi, n_bits=len(s))
-        got = psi_profile(s, max_nu, respect)
-        assert got.psi == expected.psi and got.d1 == expected.d1 and got.d2 == expected.d2
-        assert got.dof == expected.dof and got.n_bits == len(s)
+        assert_same_profile(psi_profile(s, max_nu, respect), expected)
+
+    @pytest.mark.parametrize("max_nu", range(1, 9))
+    @pytest.mark.parametrize("respect", [False, True])
+    def test_every_max_nu_matches_brute_force(self, max_nu, respect):
+        rng = np.random.default_rng(100 + max_nu)
+        checked = 0
+        for _ in range(25):
+            n = int(rng.integers(max_nu, 300))
+            cuts = rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(0, 6))), replace=False)
+            s = seq(rng.integers(0, 2, size=n), tuple(sorted(cuts.tolist())))
+            expected = oracle_profile(s, max_nu, respect)
+            if expected is not None:
+                assert_same_profile(psi_profile(s, max_nu, respect), expected)
+                checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("max_nu", range(1, 9))
+    def test_length_exactly_max_nu(self, max_nu):
+        # The size-max_nu level holds one window, every smaller level more.
+        rng = np.random.default_rng(200 + max_nu)
+        for bits in ([0] * max_nu, [1] * max_nu, rng.integers(0, 2, size=max_nu).tolist()):
+            for respect in (False, True):
+                s = seq(bits)
+                assert_same_profile(psi_profile(s, max_nu, respect), oracle_profile(s, max_nu, respect))
+            counts = count_overlapping_patterns(seq(bits), max_nu)
+            assert counts.total_windows == 1
+            assert counts.counts[int("".join(map(str, bits)), 2)] == 1
+
+    @given(segmented_sequences(), st.integers(1, 8))
+    def test_ignore_mode_equals_unsegmented(self, s, max_nu):
+        if len(s) < max_nu:
+            return
+        flat = seq(s.bits)
+        assert_same_profile(psi_profile(s, max_nu, False), psi_profile(flat, max_nu, False))
+        for nu in range(1, max_nu + 1):
+            assert count_overlapping_patterns(s, nu).counts.tolist() == (
+                count_overlapping_patterns(flat, nu).counts.tolist()
+            )
 
 
 class TestBinarySequence:
