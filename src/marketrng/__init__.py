@@ -24,7 +24,6 @@ from marketrng.pipeline import (
     build_stream,
     clean_panel,
     compute_return_series,
-    log_returns,
     monthly_column_sums,
     parse_prices,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "build_stream",
     "clean_panel",
     "compute_return_series",
-    "log_returns",
     "monthly_column_sums",
     "parse_prices",
     "Pcg64",

@@ -12,7 +12,7 @@ Wilson-Hilferty cube-root approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 _EPS = 1.0e-15
@@ -107,14 +107,7 @@ class ChiSquareAssessment:
     significant: bool
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "alpha": self.alpha,
-            "p_value": self.p_value,
-            "critical_value": self.critical_value,
-            "significant": self.significant,
-        }
+        return asdict(self)
 
 
 def chi2_sf(x: float, dof: int) -> float:

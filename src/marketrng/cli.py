@@ -52,6 +52,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _comma_list(convert):
+    def parse(text: str) -> tuple:
+        return tuple(convert(item) for item in text.split(","))
+
+    parse.__name__ = convert.__name__ + " list"  # argparse names the type in its error
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="marketrng", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,11 +71,17 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--stream",
             dest="stream_kinds",
+            type=_comma_list(str.strip),
             help="comma-separated subset of firm,year",
         )
         p.add_argument("--max-nu", dest="max_nu", type=int)
         p.add_argument("--alpha", type=float)
-        p.add_argument("--trim", dest="trim_fractions", help="comma-separated trim fractions")
+        p.add_argument(
+            "--trim",
+            dest="trim_fractions",
+            type=_comma_list(float),
+            help="comma-separated trim fractions",
+        )
         p.add_argument("--boundary-mode", dest="boundary_mode", choices=("ignore", "respect"))
         p.add_argument("--seed", dest="master_seed", type=int)
         p.add_argument("--jobs", type=int, help="accepted and ignored: runs are single-process")
@@ -85,21 +99,9 @@ def _build_parser() -> _Parser:
 
 def _config_from_args(args) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {
-        "input_path": args.input_path,
-        "frequency": args.frequency,
-        "max_nu": args.max_nu,
-        "alpha": args.alpha,
-        "boundary_mode": args.boundary_mode,
-        "master_seed": args.master_seed,
-        "jobs": args.jobs,
-        "output_dir": args.output_dir,
-    }
-    if args.stream_kinds:
-        overrides["stream_kinds"] = tuple(s.strip() for s in args.stream_kinds.split(","))
-    if args.trim_fractions:
-        overrides["trim_fractions"] = tuple(float(p) for p in args.trim_fractions.split(","))
-    return config.with_overrides(**overrides)
+    # A flag overrides the RunConfig field its dest names; --jobs names none.
+    fields = RunConfig.__dataclass_fields__
+    return config.with_overrides(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _read_panel(config: RunConfig):
@@ -157,10 +159,10 @@ def _profiles_for(stream: ExperimentStream, config: RunConfig):
     # psi_profile needs a window of every size up to max_nu; in respect
     # mode windows stay inside segments, so the longest segment must fit.
     respect = config.boundary_mode == "respect"
-    fits = []
-    for s in stream.sequences:
-        edges = (0, *(s.segment_bounds if respect else ()), len(s))
-        fits.append(max(hi - lo for lo, hi in zip(edges, edges[1:])) >= config.max_nu)
+    fits = [
+        (s.segment_lengths().max() if respect else len(s)) >= config.max_nu
+        for s in stream.sequences
+    ]
     usable = [s for s, ok in zip(stream.sequences, fits) if ok]
     skipped = [s.source_id for s, ok in zip(stream.sequences, fits) if not ok]
     profiles = [psi_profile(s, max_nu=config.max_nu, respect_boundaries=respect) for s in usable]
@@ -223,8 +225,7 @@ def _emit_figures(stream, returns, kept, config: RunConfig, out_dir: Path) -> No
                 values = kept.adjusted_prices()[kept.instrument == code[instrument]]
             else:
                 values = returns.values[returns.instrument == code[instrument]]
-            matrix = recurrence_matrix(values, axis_label=config.recurrence_source)
-            write_recurrence(matrix, figures / f"recurrence_{instrument}")
+            write_recurrence(recurrence_matrix(values), figures / f"recurrence_{instrument}")
     else:
         months = 12 if config.frequency == "monthly" else 252
         for seq in stream.sequences:

@@ -6,10 +6,15 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-VALID_FREQUENCIES = ("monthly", "daily")
 VALID_STREAMS = ("firm", "year")
-VALID_BOUNDARY_MODES = ("ignore", "respect")
-VALID_TRIM_MODES = ("per_nu", "joint")
+_CHOICES = {
+    "frequency": ("monthly", "daily"),
+    "boundary_mode": ("ignore", "respect"),
+    "trim_mode": ("per_nu", "joint"),
+    "gap_scope": ("life", "dataset"),
+    "recurrence_source": ("returns", "prices"),
+}
+_LIST_FIELDS = ("stream_kinds", "trim_fractions", "recurrence_ids")  # tuples here, lists in JSON
 
 DEFAULT_SYNTHETIC = {
     "kind": "firm_like",
@@ -29,6 +34,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_list_of(value, check) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(check, value))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     input_path: str | None = None
@@ -42,38 +55,36 @@ class RunConfig:
     gap_scope: str = "life"
     synthetic: dict | None = None
     master_seed: int = 0
-    jobs: int | None = None
     output_dir: str = "out"
     recurrence_ids: tuple[str, ...] = ()
     recurrence_source: str = "returns"
 
     def validate(self) -> "RunConfig":
-        if self.frequency not in VALID_FREQUENCIES:
-            raise ConfigError(f"frequency must be one of {VALID_FREQUENCIES}")
-        if not self.stream_kinds or any(s not in VALID_STREAMS for s in self.stream_kinds):
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}")
+        if not isinstance(self.input_path, (str, type(None))) or not isinstance(self.output_dir, str):
+            raise ConfigError("input_path and output_dir must be strings")
+        if not self.stream_kinds or not _is_list_of(self.stream_kinds, VALID_STREAMS.__contains__):
             raise ConfigError(f"stream kinds must be a non-empty subset of {VALID_STREAMS}")
-        if not 3 <= self.max_nu <= 8:
-            raise ConfigError("max_nu must lie in [3, 8]")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
-        if any(not 0.0 <= p < 0.5 for p in self.trim_fractions):
-            raise ConfigError("trim fractions must lie in [0, 0.5)")
-        if self.boundary_mode not in VALID_BOUNDARY_MODES:
-            raise ConfigError(f"boundary_mode must be one of {VALID_BOUNDARY_MODES}")
-        if self.trim_mode not in VALID_TRIM_MODES:
-            raise ConfigError(f"trim_mode must be one of {VALID_TRIM_MODES}")
-        if self.gap_scope not in ("life", "dataset"):
-            raise ConfigError("gap_scope must be 'life' or 'dataset'")
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigError("jobs must be positive")
-        if self.recurrence_source not in ("returns", "prices"):
-            raise ConfigError("recurrence_source must be 'returns' or 'prices'")
+        if not _is_int(self.max_nu) or not 3 <= self.max_nu <= 8:
+            raise ConfigError("max_nu must be an integer in [3, 8]")
+        if not _is_real(self.alpha) or not 0.0 < self.alpha < 1.0:
+            raise ConfigError("alpha must be a number in (0, 1)")
+        if not _is_list_of(self.trim_fractions, lambda p: _is_real(p) and 0.0 <= p < 0.5):
+            raise ConfigError("trim fractions must be a list of numbers in [0, 0.5)")
+        if not _is_int(self.master_seed):
+            raise ConfigError("master_seed must be an integer")
+        if not _is_list_of(self.recurrence_ids, lambda i: isinstance(i, str)):
+            raise ConfigError("recurrence_ids must be a list of strings")
         if self.synthetic is not None:
             self._validate_synthetic(self.synthetic)
         return self
 
     @staticmethod
     def _validate_synthetic(spec: dict) -> None:
+        if not isinstance(spec, dict):
+            raise ConfigError("synthetic must be a JSON object")
         if spec.get("kind", "firm_like") not in ("firm_like", "year_like"):
             raise ConfigError("synthetic kind must be 'firm_like' or 'year_like'")
         if spec.get("generator", "pcg64") not in ("pcg64", "logistic"):
@@ -84,6 +95,8 @@ class RunConfig:
         length = spec.get("length")
         if length is not None and (not _is_int(length) or length < 1):
             raise ConfigError("synthetic length must be a positive integer")
+        if not isinstance(spec.get("lengths_file", ""), str):
+            raise ConfigError("synthetic lengths_file must be a path string")
         if length is None and not spec.get("lengths_file"):
             raise ConfigError("synthetic spec needs 'length' or 'lengths_file'")
         burn_in = spec.get("burn_in", 100)
@@ -121,12 +134,13 @@ class RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
+        data.pop("jobs", None)  # a retired setting, still accepted and ignored
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        for key in ("stream_kinds", "trim_fractions", "recurrence_ids"):
-            if key in data and data[key] is not None:
+        for key in _LIST_FIELDS:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
         return cls(**data).validate()
 
@@ -137,19 +151,16 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         data = asdict(self)
-        data["stream_kinds"] = list(self.stream_kinds)
-        data["trim_fractions"] = list(self.trim_fractions)
-        data["recurrence_ids"] = list(self.recurrence_ids)
+        for key in _LIST_FIELDS:
+            data[key] = list(data[key])
         return data
 
     def echo_dict(self) -> dict:
         """Config as echoed into report.json.
 
-        Excludes fields that only describe where and how the run executed
-        (output location, the no-op jobs setting), so reports from identical
-        experiments are byte-identical wherever they are written.
+        Excludes the output location, so reports from identical experiments
+        are byte-identical wherever they are written.
         """
         data = self.to_dict()
         del data["output_dir"]
-        del data["jobs"]
         return data

@@ -237,16 +237,6 @@ def clean_panel(
     return panel.take(order[np.repeat(~drop, sizes)]), dropped
 
 
-def log_returns(prices) -> np.ndarray:
-    """Natural log of consecutive price ratios; output is one shorter."""
-    arr = np.asarray(prices, dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least two prices")
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("prices must be positive and finite")
-    return np.log(arr[1:] / arr[:-1])
-
-
 def compute_return_series(panel: Panel) -> Returns:
     """Adjusted log returns of every instrument of a cleaned panel.
 
@@ -377,8 +367,7 @@ def monthly_column_sums(year_seq: BinarySequence, months_per_row: int) -> Column
     """
     if months_per_row < 1:
         raise ValueError("months_per_row must be positive")
-    edges = np.array((0, *year_seq.segment_bounds, len(year_seq)))
-    sizes = np.diff(edges)
+    sizes = year_seq.segment_lengths()
     full = sizes == months_per_row
     rows = int(full.sum())
     if not rows:

@@ -10,7 +10,7 @@ the combined statistic after removing the largest contributors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -41,15 +41,7 @@ class TrimStep:
     significant: bool
 
     def to_dict(self) -> dict:
-        return {
-            "fraction": self.fraction,
-            "dropped": self.dropped,
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "critical_value": self.critical_value,
-            "significant": self.significant,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -194,6 +186,8 @@ def summarize_stream(
         raise ValueError("profiles must reach at least nu = 3")
     if trim_mode not in ("per_nu", "joint"):
         raise ValueError(f"unknown trim_mode {trim_mode!r}")
+    for p in trim_fractions:
+        _check_trim_fraction(p)
     n = len(profiles)
     ids = [str(i) for i in sequence_ids] if sequence_ids is not None else [
         str(i) for i in range(n)
@@ -221,10 +215,8 @@ def summarize_stream(
     ladder: dict[int, list[TrimStep]] = {}
 
     id_arr = np.array(ids)
-    joint_order_ids: tuple[str, ...] | None = None
     if trim_mode == "joint":
-        order = _contributor_order(d2_matrix.sum(axis=1), id_arr)
-        joint_order_ids = tuple(id_arr[order].tolist())
+        joint_order = _contributor_order(d2_matrix.sum(axis=1), id_arr)
 
     for j, nu in enumerate(d2_nus):
         xi = 2 ** (nu - 2)
@@ -240,11 +232,12 @@ def summarize_stream(
         for p in trim_fractions:
             k = int(np.floor(p * n))
             if trim_mode == "per_nu":
-                _check_trim_fraction(p)
                 stat = float(ranked[k:].sum())
             else:
-                drop = set(joint_order_ids[:k])
-                stat = float(column[np.array([i not in drop for i in ids])].sum())
+                # The mask keeps the remaining values in id order.
+                keep = np.ones(n, dtype=bool)
+                keep[joint_order[:k]] = False
+                stat = float(column[keep].sum())
             dof = (n - k) * xi
             result = assess(stat, dof, alpha)
             steps.append(
@@ -282,7 +275,6 @@ class RecurrenceMatrix:
     """Pairwise absolute differences of a scalar trajectory."""
 
     values: np.ndarray
-    axis_label: str = "returns"
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
@@ -293,14 +285,26 @@ class RecurrenceMatrix:
         object.__setattr__(self, "values", arr)
 
 
-def recurrence_matrix(series, axis_label: str = "returns") -> RecurrenceMatrix:
+def recurrence_matrix(series) -> RecurrenceMatrix:
     """Distance matrix values[n, m] = |v_n - v_m|."""
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a one-dimensional series of length >= 2")
-    return RecurrenceMatrix(
-        values=np.abs(arr[:, None] - arr[None, :]), axis_label=axis_label
-    )
+    return RecurrenceMatrix(values=np.abs(arr[:, None] - arr[None, :]))
+
+
+def _centred(samples, length: float | None) -> tuple[np.ndarray, float]:
+    """Samples divided by ``length`` (when given) and centred, with their sd."""
+    x = np.asarray(samples, dtype=float)
+    if x.size < 2:
+        raise ValueError("need at least two samples")
+    if length:
+        x = x / float(length)
+    x = x - x.mean()
+    sd = float(x.std(ddof=1))
+    if sd == 0.0:
+        raise ValueError("samples have zero spread")
+    return x, sd
 
 
 def kde_curve(samples, grid, length: float | None = None) -> np.ndarray:
@@ -312,33 +316,19 @@ def kde_curve(samples, grid, length: float | None = None) -> np.ndarray:
     0.9 * min(sd, IQR / 1.34) * n**(-1/5), falling back to the standard
     deviation when the interquartile range collapses to zero.
     """
-    samples = np.asarray(samples, dtype=float)
+    x, sd = _centred(samples, length)
     grid = np.asarray(grid, dtype=float)
-    n = samples.size
-    if n < 2:
-        raise ValueError("need at least two samples")
-    x = samples / float(length) if length else samples.astype(float)
-    x = x - x.mean()
-    sd = float(x.std(ddof=1))
-    if sd == 0.0:
-        raise ValueError("samples have zero spread")
     q75, q25 = np.percentile(x, [75.0, 25.0])
     iqr_scale = (q75 - q25) / 1.34
     width = min(sd, iqr_scale) if iqr_scale > 0.0 else sd
-    h = 0.9 * width * n ** (-0.2)
+    h = 0.9 * width * x.size ** (-0.2)
     z = (grid[:, None] - x[None, :]) / h
     return np.exp(-0.5 * z**2).mean(axis=1) / (h * np.sqrt(2.0 * np.pi))
 
 
 def default_kde_grid(samples, points: int = 512, span: float = 4.0, length: float | None = None) -> np.ndarray:
     """Evenly spaced grid over mean +- span * sd in transformed units."""
-    x = np.asarray(samples, dtype=float)
-    if length:
-        x = x / float(length)
-    x = x - x.mean()
-    sd = float(x.std(ddof=1))
-    if sd == 0.0:
-        raise ValueError("samples have zero spread")
+    _, sd = _centred(samples, length)
     return np.linspace(-span * sd, span * sd, points)
 
 

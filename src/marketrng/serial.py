@@ -79,6 +79,10 @@ class BinarySequence:
         """Yield the bit array split at the recorded segment joins."""
         yield from np.split(self.bits, list(self.segment_bounds))
 
+    def segment_lengths(self) -> np.ndarray:
+        """Length of each segment in order; one entry when there are no joins."""
+        return np.diff((0, *self.segment_bounds, len(self)))
+
 
 @dataclass(frozen=True)
 class PatternCounts:
@@ -187,8 +191,8 @@ def _level_counts(seq: BinarySequence, max_nu: int, respect_boundaries: bool) ->
     code = np.convolve(seq.bits, weights)[max_nu - 1 :]  # exact: distinct powers of 2 below 2**max_nu
     ends = n
     if respect_boundaries and seq.segment_bounds:
-        edges = np.array((0, *seq.segment_bounds, n))
-        ends = np.repeat(edges[1:], np.diff(edges))
+        sizes = seq.segment_lengths()
+        ends = np.repeat(np.cumsum(sizes), sizes)
     keys = (code >> shifts) + firsts
     dump = (2 << max_nu) - 2
     keys[ends - np.arange(n) < nus] = dump
@@ -208,7 +212,7 @@ def count_overlapping_patterns(
         raise ValueError(f"window size must be in 1..{MAX_WINDOW}, got {nu}")
     skipped = 0
     if respect_boundaries and seq.segment_bounds:
-        skipped = sum(segment.size < nu for segment in seq.segments())
+        skipped = int((seq.segment_lengths() < nu).sum())
     elif nu > len(seq):
         raise ValueError(f"window size {nu} exceeds sequence length {len(seq)}")
     counts = _level_counts(seq, nu, respect_boundaries)[(1 << nu) - 2 :]

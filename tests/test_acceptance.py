@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import reference_pipeline
 import reference_values as ref
 from marketrng.chi2 import chi2_critical
 from marketrng.cli import main
-from marketrng.pipeline import binarise_median, log_returns, parse_prices
+from marketrng.pipeline import binarise_median, compute_return_series, parse_prices
 from marketrng.report import summarize_stream, trim_top_contributors
 from marketrng.rng import SyntheticSpec, shape_synthetic
 from marketrng.serial import BinarySequence, PsiProfile, complement, count_overlapping_patterns, psi_profile
@@ -230,15 +231,25 @@ def test_invariance_suite():
             problems.append("monotone transform")
             break
 
-    for _ in range(1000):
+    header = "id,date,close,adjfactor,retfactor"
+    base_rows, scaled_rows, expected = [header], [header], []
+    for i in range(1000):
         n = int(rng.integers(2, 50))
         prices = rng.uniform(1.0, 300.0, size=n)
         c = 2.0 ** int(rng.integers(-20, 21))  # power-of-two: exact in binary fp
-        if log_returns(prices * c).tolist() != log_returns(prices).tolist():
+        for m, (p, q) in enumerate(zip(prices.tolist(), (prices * c).tolist())):
+            day = f"{2001 + m // 12}-{m % 12 + 1:02d}-01"
+            base_rows.append(f"P{i:04d},{day},{p!r},1.0,1.0")
+            scaled_rows.append(f"P{i:04d},{day},{q!r},1.0,1.0")
+        expected.append(reference_pipeline.log_returns(prices))
+        if reference_pipeline.log_returns(prices * c).tolist() != expected[-1].tolist():
             problems.append("price scaling")
-            break
+    a = compute_return_series(parse_prices(base_rows).records).values
+    b = compute_return_series(parse_prices(scaled_rows).records).values
+    if a.tolist() != b.tolist() or a.tolist() != np.concatenate(expected).tolist():
+        problems.append("price scaling")
 
-    base_rows, scaled_rows = ["id,date,close,adjfactor,retfactor"], ["id,date,close,adjfactor,retfactor"]
+    base_rows, scaled_rows = [header], [header]
     for i in range(1000):
         close = float(rng.uniform(0.5, 500.0))
         adj = float(rng.uniform(0.1, 10.0))

@@ -161,13 +161,23 @@ class TestTestCommand:
         assert list((out_a / "firm_separated" / "figures").glob("recurrence_*.pgm"))
         assert list((out_a / "year_separated" / "figures").glob("kde_*.csv"))
 
-    def test_worker_pool_matches_sequential(self, small_panel, tmp_path):
+    def test_jobs_flag_and_config_key_are_ignored(self, small_panel, tmp_path):
+        # Runs are single-process; --jobs and a "jobs" config key stay
+        # accepted for old scripts and config files, and change no byte.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"jobs": 2}), encoding="utf-8")
         args = ["test", "--input", str(small_panel), "--stream", "firm"]
-        assert main(args + ["--jobs", "1", "--out", str(tmp_path / "seq")]) == 0
-        assert main(args + ["--jobs", "2", "--out", str(tmp_path / "par")]) == 0
-        a = (tmp_path / "seq" / "firm_separated" / "report.json").read_bytes()
-        b = (tmp_path / "par" / "firm_separated" / "report.json").read_bytes()
-        assert a == b
+        variants = {
+            "plain": [],
+            "jobs-2": ["--jobs", "2"],
+            "jobs-0": ["--jobs", "0"],
+            "config": ["--config", str(config_path)],
+        }
+        reports = []
+        for name, extra in variants.items():
+            assert main(args + extra + ["--out", str(tmp_path / name)]) == 0
+            reports.append((tmp_path / name / "firm_separated" / "report.json").read_bytes())
+        assert reports == [reports[0]] * len(variants)
 
     def test_planted_periodic_firm_dominates(self, tmp_path):
         # One firm whose price strictly alternates produces a perfectly
@@ -357,6 +367,8 @@ class TestSimulateCommand:
             ({"count": True, "length": 20}, None, "count must be a positive integer"),
             ({"count": 2, "length": True}, None, "length must be a positive integer"),
             ({"count": 2, "length": 20.0}, None, "length must be a positive integer"),
+            ({"count": 2, "lengths_file": 5}, None, "lengths_file must be a path string"),
+            ([1], None, "synthetic must be a JSON object"),
         ],
         ids=[
             "length-7",
@@ -370,12 +382,14 @@ class TestSimulateCommand:
             "count-bool",
             "length-bool",
             "length-float",
+            "lengths-file-number",
+            "synthetic-list",
         ],
     )
     def test_bad_simulate_config_is_usage_error(
         self, tmp_path, capsys, synthetic, lengths_text, message
     ):
-        if "lengths_file" in synthetic:
+        if isinstance(synthetic, dict) and isinstance(synthetic.get("lengths_file"), str):
             if lengths_text is not None:
                 (tmp_path / synthetic["lengths_file"]).write_text(lengths_text, encoding="utf-8")
             synthetic = {**synthetic, "lengths_file": str(tmp_path / synthetic["lengths_file"])}
@@ -465,6 +479,55 @@ class TestExitCodes:
             )
             == 1
         )
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"max_nu": "8"}, "max_nu must be an integer"),
+            ({"max_nu": 7.5}, "max_nu must be an integer"),
+            ({"alpha": "0.05"}, "alpha must be a number"),
+            ({"trim_fractions": 0.05}, "trim fractions must be a list"),
+            ({"trim_fractions": ["0.05"]}, "trim fractions must be a list"),
+            ({"master_seed": 1.5}, "master_seed must be an integer"),
+            ({"stream_kinds": 5}, "stream kinds"),
+            ({"recurrence_ids": 5}, "recurrence_ids must be a list"),
+            ({"output_dir": 5}, "output_dir must be"),
+        ],
+        ids=[
+            "max-nu-string",
+            "max-nu-float",
+            "alpha-string",
+            "trim-number",
+            "trim-string-entry",
+            "seed-float",
+            "streams-number",
+            "recurrence-ids-number",
+            "output-dir-number",
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, setting, message):
+        config = {"synthetic": {"count": 3, "length": 20}, "output_dir": str(tmp_path / "o")}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**config, **setting}), encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--trim", "abc"),
+            ("--trim", "0.1,"),
+            ("--trim", ""),
+            ("--stream", ""),
+            ("--stream", "firm,"),
+        ],
+    )
+    def test_malformed_list_flag_is_usage_error(self, small_panel, tmp_path, capsys, flag, value):
+        args = ["test", "--input", str(small_panel), flag, value, "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o").exists()
 
     def test_unreadable_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_pipeline as ref
 from marketrng.pipeline import (
     FormatError,
     binarise_median,
     build_stream,
     clean_panel,
     compute_return_series,
-    log_returns,
     monthly_column_sums,
     parse_prices,
 )
@@ -51,6 +51,15 @@ def panel_of(records):
     result = parse_prices(rows)
     assert len(result.records) == len(records) and not result.rejects
     return result.records
+
+
+def returns_of(price_lists):
+    """compute_return_series values of one instrument per price list, in list order."""
+    records = []
+    for k, prices in enumerate(price_lists):
+        records += monthly_records(f"I{k:04d}", 2001, 1, prices)
+    values = compute_return_series(panel_of(records)).values
+    return np.split(values, np.cumsum([len(p) - 1 for p in price_lists])[:-1])
 
 
 def panel_rows(panel):
@@ -237,22 +246,31 @@ class TestPriceMath:
             assert scaled2 == pytest.approx(base, rel=1e-12)
 
     def test_log_returns_examples(self):
-        assert log_returns([1.0, math.e]).tolist() == pytest.approx([1.0])
-        assert log_returns([7.5] * 6).tolist() == [0.0] * 5
-        assert log_returns([100.0, 110.0])[0] == pytest.approx(math.log(1.1))
+        for log_returns in (ref.log_returns, lambda prices: returns_of([prices])[0]):
+            assert log_returns([1.0, math.e]).tolist() == pytest.approx([1.0])
+            assert log_returns([7.5] * 6).tolist() == [0.0] * 5
+            assert log_returns([100.0, 110.0])[0] == pytest.approx(math.log(1.1))
 
     def test_log_returns_errors(self):
         with pytest.raises(ValueError):
-            log_returns([1.0])
+            ref.log_returns([1.0])
         with pytest.raises(ValueError):
-            log_returns([1.0, -2.0])
+            ref.log_returns([1.0, -2.0])
+        with pytest.raises(ValueError):
+            compute_return_series(panel_of(monthly_records("A", 2001, 1, [1.0])))
+        panel = panel_of(monthly_records("A", 2001, 1, [1.0, 2.0]))
+        with pytest.raises(ValueError):
+            compute_return_series(dataclasses.replace(panel, close=np.array([1.0, -2.0])))
 
     def test_log_returns_scaling_invariance(self):
         rng = np.random.default_rng(22)
+        prices, scaled = [], []
         for _ in range(1000):
-            prices = rng.uniform(1.0, 200.0, size=int(rng.integers(2, 40)))
-            c = 2.0 ** int(rng.integers(-20, 21))
-            assert log_returns(prices * c).tolist() == log_returns(prices).tolist()
+            prices.append(rng.uniform(1.0, 200.0, size=int(rng.integers(2, 40))))
+            scaled.append(prices[-1] * 2.0 ** int(rng.integers(-20, 21)))
+        for p, c, got, got_scaled in zip(prices, scaled, returns_of(prices), returns_of(scaled)):
+            assert ref.log_returns(c).tolist() == ref.log_returns(p).tolist()
+            assert got_scaled.tolist() == got.tolist() == ref.log_returns(p).tolist()
 
 
 class TestBinarise:

@@ -79,30 +79,37 @@ class TestSummarize:
             summarize_stream([a, b])
 
 
+def profiles_of_d2_rows(rows):
+    """One max_nu = 8 profile per row of six d2 values (nu = 3..8), psi and d1 zero."""
+    return [
+        PsiProfile(
+            psi=dict.fromkeys(range(1, 9), 0.0),
+            d1=dict.fromkeys(range(2, 9), 0.0),
+            d2=dict(zip(range(3, 9), row)),
+            dof={nu: 2 ** (nu - 2) for nu in range(3, 9)},
+            n_bits=100,
+        )
+        for row in rows
+    ]
+
+
 D2_VALUES = st.sampled_from([-2.0, 0.0, 0.1, 1.0 / 3.0, 7.25]) | st.floats(-50.0, 500.0)
-
-
-@given(
+# Rows of d2 values, trim fractions, and a random source to shuffle ids with.
+LADDER_CASES = given(
     st.lists(st.lists(D2_VALUES, min_size=6, max_size=6), min_size=1, max_size=80),
     st.lists(st.floats(0.0, 0.49), min_size=1, max_size=6),
     st.randoms(use_true_random=False),
 )
+
+
+@LADDER_CASES
 def test_per_nu_ladder_matches_trim_top_contributors(rows, fractions, random):
     # Few distinct d2 values force ties; shuffled ids make id order differ
     # from position order, so a tie broken by position would show.
     ids = [f"s{k:03d}" for k in range(len(rows))]
     random.shuffle(ids)
     nus = range(3, 9)
-    profiles = [
-        PsiProfile(
-            psi=dict.fromkeys(range(1, 9), 0.0),
-            d1=dict.fromkeys(range(2, 9), 0.0),
-            d2=dict(zip(nus, row)),
-            dof={nu: 2 ** (nu - 2) for nu in nus},
-            n_bits=100,
-        )
-        for row in rows
-    ]
+    profiles = profiles_of_d2_rows(rows)
     report = summarize_stream(profiles, trim_fractions=fractions, sequence_ids=ids)
     for j, nu in enumerate(nus):
         column = [row[j] for row in rows]
@@ -115,6 +122,36 @@ def test_per_nu_ladder_matches_trim_top_contributors(rows, fractions, random):
             # Largest values first, ties by ascending id.
             ranked = sorted(zip((-v for v in column), ids))
             assert expected.dropped_ids == tuple(i for _, i in ranked[: expected.dropped])
+
+
+@LADDER_CASES
+def test_joint_ladder_matches_dropped_id_set(rows, fractions, random):
+    # Rank rows by total d2 (ties by ascending id), drop the top k ids,
+    # and sum what is left in position order as one numpy sum.
+    ids = [f"s{k:03d}" for k in range(len(rows))]
+    random.shuffle(ids)
+    nus = range(3, 9)
+    profiles = profiles_of_d2_rows(rows)
+    report = summarize_stream(
+        profiles, trim_fractions=fractions, sequence_ids=ids, trim_mode="joint"
+    )
+    totals = [float(np.array(row).sum()) for row in rows]
+    joint = sorted(range(len(rows)), key=lambda r: (-totals[r], ids[r]))
+    for j, nu in enumerate(nus):
+        for step, p in zip(report.trim_ladder[nu], fractions, strict=True):
+            k = int(np.floor(p * len(rows)))
+            drop = {ids[r] for r in joint[:k]}
+            kept = np.array([row[j] for row, i in zip(rows, ids) if i not in drop])
+            assert step.dropped == k and step.dof == (len(rows) - k) * 2 ** (nu - 2)
+            assert step.statistic == float(kept.sum())
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 1.5])
+def test_bad_trim_fraction_rejected_in_both_modes(fraction):
+    profiles, ids = year_profiles()
+    for mode in ("per_nu", "joint"):
+        with pytest.raises(ValueError, match=r"trim fraction must lie in \[0, 1\)"):
+            summarize_stream(profiles, sequence_ids=ids, trim_fractions=(fraction,), trim_mode=mode)
 
 
 class TestTrim:
@@ -254,6 +291,14 @@ class TestKde:
     def test_zero_spread_rejected(self):
         with pytest.raises(ValueError):
             kde_curve([1.0, 1.0, 1.0], np.linspace(-1, 1, 10))
+        with pytest.raises(ValueError, match="zero spread"):
+            default_kde_grid([4.0, 4.0], length=2.0)
+
+    def test_single_sample_rejected(self):
+        with pytest.raises(ValueError, match="at least two samples"):
+            kde_curve([1.0], np.linspace(-1, 1, 10))
+        with pytest.raises(ValueError, match="at least two samples"):
+            default_kde_grid([1.0])
 
     def test_iqr_collapse_falls_back_to_sd(self):
         samples = np.array([0.0] * 8 + [1.0])
