@@ -36,7 +36,6 @@ from marketrng.rng import (
     shape_synthetic,
 )
 from marketrng.report import (
-    RecurrenceMatrix,
     StreamReport,
     emit_tables,
     kde_curve,
@@ -74,7 +73,6 @@ __all__ = [
     "pcg64_bits",
     "rng_selftest",
     "shape_synthetic",
-    "RecurrenceMatrix",
     "StreamReport",
     "emit_tables",
     "kde_curve",

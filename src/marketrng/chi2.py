@@ -12,7 +12,7 @@ Wilson-Hilferty cube-root approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 _EPS = 1.0e-15
@@ -105,9 +105,6 @@ class ChiSquareAssessment:
     p_value: float
     critical_value: float
     significant: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def chi2_sf(x: float, dof: int) -> float:

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from marketrng.config import ConfigError, RunConfig
+from marketrng.config import DEFAULT_SYNTHETIC, ConfigError, RunConfig
 from marketrng.pipeline import (
     ExperimentStream,
     FormatError,
@@ -243,10 +243,9 @@ def _emit_figures(stream, returns, kept, config: RunConfig, out_dir: Path) -> No
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    spec_dict = dict(config.synthetic) if config.synthetic else {}
-    kind = spec_dict.get("kind", "firm_like")
-    generator = spec_dict.get("generator", "pcg64")
-    burn_in = int(spec_dict.get("burn_in", 100))
+    spec_dict = {**DEFAULT_SYNTHETIC, **(config.synthetic or {})}
+    kind, generator = spec_dict["kind"], spec_dict["generator"]
+    burn_in = int(spec_dict["burn_in"])
     lengths = config.synthetic_lengths()
     try:
         spec = SyntheticSpec(kind=kind, lengths=tuple(lengths))
@@ -289,7 +288,10 @@ def cmd_rng_selftest() -> int:
 
 
 def cmd_report(args) -> int:
-    report, _config = read_report_json(args.report_path)
+    try:
+        report, _config = read_report_json(args.report_path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"cannot read report: {type(exc).__name__}: {exc}") from exc
     out_dir = Path(args.output_dir) if args.output_dir else Path(args.report_path).parent
     paths = emit_tables(report, out_dir, fmt=args.table_format)
     for path in paths:

@@ -85,9 +85,9 @@ class RunConfig:
     def _validate_synthetic(spec: dict) -> None:
         if not isinstance(spec, dict):
             raise ConfigError("synthetic must be a JSON object")
-        if spec.get("kind", "firm_like") not in ("firm_like", "year_like"):
+        if spec.get("kind", DEFAULT_SYNTHETIC["kind"]) not in ("firm_like", "year_like"):
             raise ConfigError("synthetic kind must be 'firm_like' or 'year_like'")
-        if spec.get("generator", "pcg64") not in ("pcg64", "logistic"):
+        if spec.get("generator", DEFAULT_SYNTHETIC["generator"]) not in ("pcg64", "logistic"):
             raise ConfigError("synthetic generator must be 'pcg64' or 'logistic'")
         count = spec.get("count")
         if not _is_int(count) or count < 1:
@@ -99,7 +99,7 @@ class RunConfig:
             raise ConfigError("synthetic lengths_file must be a path string")
         if length is None and not spec.get("lengths_file"):
             raise ConfigError("synthetic spec needs 'length' or 'lengths_file'")
-        burn_in = spec.get("burn_in", 100)
+        burn_in = spec.get("burn_in", DEFAULT_SYNTHETIC["burn_in"])
         if not _is_int(burn_in) or burn_in < 0:
             raise ConfigError("synthetic burn_in must be a non-negative integer")
 

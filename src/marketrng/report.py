@@ -40,9 +40,6 @@ class TrimStep:
     critical_value: float
     significant: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class StreamReport:
@@ -68,52 +65,33 @@ class StreamReport:
         return len(self.sequence_ids)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "n_sequences": self.n_sequences,
-            "sequence_ids": list(self.sequence_ids),
-            "nus": list(self.nus),
-            "d2_nus": list(self.d2_nus),
-            "psi_summary": {str(nu): dict(v) for nu, v in self.psi_summary.items()},
-            "d2_summary": {str(nu): dict(v) for nu, v in self.d2_summary.items()},
-            "per_sequence_d2": self.per_sequence_d2.tolist(),
-            "combined": {str(nu): a.to_dict() for nu, a in self.combined.items()},
-            "significant_fraction": {
-                str(nu): f for nu, f in self.significant_fraction.items()
-            },
-            "trim_fractions": list(self.trim_fractions),
-            "trim_mode": self.trim_mode,
-            "trim_ladder": {
-                str(nu): [step.to_dict() for step in steps]
-                for nu, steps in self.trim_ladder.items()
-            },
-            "extras": self.extras,
-        }
+        # The nu keys stay ints.  json.dumps(sort_keys=True) writes them as
+        # strings, in the order str keys would sort, only while every nu is
+        # one digit; psi_profile caps nu at MAX_WINDOW = 8.
+        data = asdict(self)
+        data["n_sequences"] = self.n_sequences
+        data["per_sequence_d2"] = self.per_sequence_d2.tolist()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "StreamReport":
+        def by_nu(key: str, convert) -> dict:
+            return {int(nu): convert(v) for nu, v in data[key].items()}
+
         return cls(
             kind=data["kind"],
             alpha=data["alpha"],
             sequence_ids=list(data["sequence_ids"]),
             nus=[int(nu) for nu in data["nus"]],
             d2_nus=[int(nu) for nu in data["d2_nus"]],
-            psi_summary={int(nu): dict(v) for nu, v in data["psi_summary"].items()},
-            d2_summary={int(nu): dict(v) for nu, v in data["d2_summary"].items()},
+            psi_summary=by_nu("psi_summary", dict),
+            d2_summary=by_nu("d2_summary", dict),
             per_sequence_d2=np.array(data["per_sequence_d2"], dtype=float),
-            combined={
-                int(nu): ChiSquareAssessment(**v) for nu, v in data["combined"].items()
-            },
-            significant_fraction={
-                int(nu): float(f) for nu, f in data["significant_fraction"].items()
-            },
+            combined=by_nu("combined", lambda v: ChiSquareAssessment(**v)),
+            significant_fraction=by_nu("significant_fraction", float),
             trim_fractions=tuple(data["trim_fractions"]),
             trim_mode=data["trim_mode"],
-            trim_ladder={
-                int(nu): [TrimStep(**step) for step in steps]
-                for nu, steps in data["trim_ladder"].items()
-            },
+            trim_ladder=by_nu("trim_ladder", lambda steps: [TrimStep(**step) for step in steps]),
             extras=dict(data.get("extras", {})),
         )
 
@@ -270,27 +248,12 @@ def summarize_stream(
     )
 
 
-@dataclass(frozen=True)
-class RecurrenceMatrix:
-    """Pairwise absolute differences of a scalar trajectory."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("recurrence matrix must be square")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
-def recurrence_matrix(series) -> RecurrenceMatrix:
-    """Distance matrix values[n, m] = |v_n - v_m|."""
+def recurrence_matrix(series) -> np.ndarray:
+    """Distance matrix values[n, m] = |v_n - v_m| of a scalar trajectory."""
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a one-dimensional series of length >= 2")
-    return RecurrenceMatrix(values=np.abs(arr[:, None] - arr[None, :]))
+    return np.abs(arr[:, None] - arr[None, :])
 
 
 def _centred(samples, length: float | None) -> tuple[np.ndarray, float]:
@@ -332,118 +295,79 @@ def default_kde_grid(samples, points: int = 512, span: float = 4.0, length: floa
     return np.linspace(-span * sd, span * sd, points)
 
 
-def _fmt(nu: int, value: float) -> str:
+def _cell(nu: int, value: float, fmt: str, retained: bool) -> str:
     # Window size 1 values are near machine zero for balanced inputs and
     # only readable in scientific notation; everything else gets 2 dp.
-    return f"{value:.2e}" if nu == 1 else f"{value:.2f}"
-
-
-def _null_mark(value: float, nu: int, alpha: float) -> str:
+    text = f"{value:.2e}" if nu == 1 else f"{value:.2f}"
     # '*' plays the role of the bold convention: it marks results that do
     # NOT discard the null hypothesis of uniform randomness.
-    return "*" if value <= chi2_critical(alpha, 2 ** (nu - 2)) else ""
+    return text + "*" if retained and fmt == "csv" else text
 
 
 def emit_tables(report: StreamReport, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
     """Write the summary, second-difference, and trim-ladder tables.
 
-    CSV tables carry a ``mark_<nu>`` column holding ``*`` wherever the
-    value fails significance at the report's alpha (the null of uniform
-    randomness is retained).  Markdown tables show the same values with
-    one label column plus one column per window size.
+    Each table has one label column plus one column per window size.  In
+    CSV, a ``*`` appended to a value marks a result that fails
+    significance at the report's alpha (the null of uniform randomness is
+    retained): the combined statistics, the per-year second differences
+    of a year-separated report, and the trim-ladder statistics.  The psi
+    summary is never marked, and Markdown tables show the values unmarked.
     """
     if fmt not in ("csv", "markdown"):
         raise ValueError(f"unknown table format {fmt!r}")
     out = Path(out_dir) / "tables"
     out.mkdir(parents=True, exist_ok=True)
     ext = "csv" if fmt == "csv" else "md"
-    paths = []
+    nus, d2_nus = report.nus, report.d2_nus
 
-    psi_rows = [
-        (label, [report.psi_summary[nu][key] for nu in report.nus])
-        for label, key in (("mean", "mean"), ("sd", "sd"), ("max", "max"))
-    ]
-    paths.append(
-        _write_table(
-            out / f"psi_summary.{ext}",
-            fmt,
-            ["statistic"] + [f"nu_{nu}" for nu in report.nus],
-            [(label, [_fmt(nu, v) for nu, v in zip(report.nus, values)]) for label, values in psi_rows],
-        )
-    )
+    def row(label: str, values, retained=None, labels=d2_nus) -> tuple[str, list[str]]:
+        if retained is None:
+            retained = [False] * len(labels)
+        return (label, [_cell(nu, v, fmt, r) for nu, v, r in zip(labels, values, retained)])
 
-    d2_rows: list[tuple[str, list[str]]] = []
-    for label, key in (("mean", "mean"), ("sd", "sd"), ("max", "max")):
-        d2_rows.append((label, [f"{report.d2_summary[nu][key]:.2f}" for nu in report.d2_nus]))
+    stats = ("mean", "sd", "max")
+    psi_rows = [row(key, [report.psi_summary[nu][key] for nu in nus], labels=nus) for key in stats]
+    d2_rows = [row(key, [report.d2_summary[nu][key] for nu in d2_nus]) for key in stats]
+    combined = [report.combined[nu] for nu in d2_nus]
     d2_rows.append(
-        (
-            "combined_chi2",
-            [
-                f"{report.combined[nu].statistic:.2f}"
-                + ("" if report.combined[nu].significant else "*" if fmt == "csv" else "")
-                for nu in report.d2_nus
-            ],
-        )
+        row("combined_chi2", [a.statistic for a in combined], [not a.significant for a in combined])
     )
-    d2_rows.append(("combined_dof", [str(report.combined[nu].dof) for nu in report.d2_nus]))
-    d2_rows.append(
-        ("significant_fraction", [f"{report.significant_fraction[nu]:.2f}" for nu in report.d2_nus])
-    )
+    d2_rows.append(("combined_dof", [str(a.dof) for a in combined]))
+    d2_rows.append(row("significant_fraction", [report.significant_fraction[nu] for nu in d2_nus]))
     if report.kind == "year_separated":
-        for i, seq_id in enumerate(report.sequence_ids):
-            values = report.per_sequence_d2[i]
-            d2_rows.append(
-                (
-                    seq_id,
-                    [
-                        f"{v:.2f}" + (_null_mark(v, nu, report.alpha) if fmt == "csv" else "")
-                        for nu, v in zip(report.d2_nus, values)
-                    ],
-                )
-            )
-    paths.append(
-        _write_table(
-            out / f"d2_summary.{ext}",
-            fmt,
-            ["statistic"] + [f"nu_{nu}" for nu in report.d2_nus],
-            d2_rows,
-        )
-    )
+        crit = [chi2_critical(report.alpha, 2 ** (nu - 2)) for nu in d2_nus]
+        for seq_id, values in zip(report.sequence_ids, report.per_sequence_d2):
+            d2_rows.append(row(seq_id, values, [v <= c for v, c in zip(values, crit)]))
 
     ladder_rows = []
-    for step_idx, p in enumerate(report.trim_fractions):
-        cells = []
-        dropped = None
-        for nu in report.d2_nus:
-            step = report.trim_ladder[nu][step_idx]
-            dropped = step.dropped
-            cells.append(f"{step.statistic:.2f}" + ("" if step.significant else "*" if fmt == "csv" else ""))
-        ladder_rows.append((f"trim_{p:.2f}_drop_{dropped}", cells))
-    paths.append(
-        _write_table(
-            out / f"trim_ladder.{ext}",
-            fmt,
-            ["trim"] + [f"nu_{nu}" for nu in report.d2_nus],
-            ladder_rows,
+    for i, p in enumerate(report.trim_fractions):
+        steps = [report.trim_ladder[nu][i] for nu in d2_nus]
+        ladder_rows.append(
+            row(
+                f"trim_{p:.2f}_drop_{steps[-1].dropped}",
+                [step.statistic for step in steps],
+                [not step.significant for step in steps],
+            )
         )
-    )
-    return paths
+
+    return [
+        _write_table(out / f"psi_summary.{ext}", fmt, "statistic", nus, psi_rows),
+        _write_table(out / f"d2_summary.{ext}", fmt, "statistic", d2_nus, d2_rows),
+        _write_table(out / f"trim_ladder.{ext}", fmt, "trim", d2_nus, ladder_rows),
+    ]
 
 
 def _write_table(
-    path: Path, fmt: str, header: list[str], rows: list[tuple[str, list[str]]]
+    path: Path, fmt: str, corner: str, nus: list[int], rows: list[tuple[str, list[str]]]
 ) -> Path:
-    lines = []
+    lines = [[corner] + [f"nu_{nu}" for nu in nus]] + [[label] + cells for label, cells in rows]
     if fmt == "csv":
-        lines.append(",".join(header))
-        for label, cells in rows:
-            lines.append(",".join([label] + list(cells)))
+        text = [",".join(line) for line in lines]
     else:
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "|".join(["---"] * len(header)) + "|")
-        for label, cells in rows:
-            lines.append("| " + " | ".join([label] + list(cells)) + " |")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = ["| " + " | ".join(line) + " |" for line in lines]
+        text.insert(1, "|" + "|".join(["---"] * (len(nus) + 1)) + "|")
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
     return path
 
 
@@ -467,20 +391,23 @@ def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
     return StreamReport.from_dict(payload["report"]), payload.get("config")
 
 
-def write_recurrence(matrix: RecurrenceMatrix, base_path: str | Path) -> list[Path]:
-    """Dump a recurrence matrix as CSV and as an 8-bit binary graymap."""
+def write_recurrence(matrix, base_path: str | Path) -> list[Path]:
+    """Dump a square recurrence matrix as CSV and as an 8-bit binary graymap."""
+    values = np.asarray(matrix, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValueError("recurrence matrix must be square")
     base = Path(base_path)
     base.parent.mkdir(parents=True, exist_ok=True)
     csv_path = base.with_suffix(".csv")
-    lines = [",".join(f"{v:.6g}" for v in row) for row in matrix.values]
+    lines = [",".join(f"{v:.6g}" for v in row) for row in values]
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     pgm_path = base.with_suffix(".pgm")
-    peak = float(matrix.values.max())
+    peak = float(values.max())
     scaled = (
-        np.zeros_like(matrix.values, dtype=np.uint8)
+        np.zeros_like(values, dtype=np.uint8)
         if peak == 0.0
-        else np.round(matrix.values * (255.0 / peak)).astype(np.uint8)
+        else np.round(values * (255.0 / peak)).astype(np.uint8)
     )
     n = scaled.shape[0]
     with pgm_path.open("wb") as handle:

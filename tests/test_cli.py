@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from marketrng.cli import main
-from marketrng.report import read_report_json
+from marketrng.report import read_report_json, write_report_json
 from marketrng.serial import BinarySequence, psi_profile
 
 HEADER = "id,date,close,adjfactor,retfactor"
+REPORT_KEYS = {
+    "kind", "alpha", "n_sequences", "sequence_ids", "nus", "d2_nus", "psi_summary", "d2_summary",
+    "per_sequence_d2", "combined", "significant_fraction", "trim_fractions", "trim_mode",
+    "trim_ladder", "extras",
+}
 
 
 def month_end(year, month):
@@ -247,7 +252,10 @@ class TestSimulateCommand:
         assert report_path.read_bytes() == (out_b / "firm_separated" / "report.json").read_bytes()
         report, echo = read_report_json(report_path)
         assert echo["master_seed"] == 0
-        assert echo["synthetic_resolved"]["generator"] == "pcg64"
+        # burn_in is absent from the config: its default is echoed.
+        assert echo["synthetic_resolved"] == {
+            "kind": "firm_like", "generator": "pcg64", "count": 800, "burn_in": 100, "master_seed": 0,
+        }
         for nu in (5, 6, 7, 8):
             xi = 2 ** (nu - 2)
             assert abs(report.d2_summary[nu]["mean"] / xi - 1.0) < 0.05
@@ -429,10 +437,12 @@ class TestSelftestCommand:
 
 
 class TestReportCommand:
-    def test_reemits_identical_tables(self, small_panel, tmp_path):
+    # Only the year stream's d2 table has per-sequence rows, each cell marked on its own.
+    @pytest.mark.parametrize("stream", ["firm", "year"])
+    def test_reemits_identical_tables(self, small_panel, tmp_path, stream):
         out = tmp_path / "out"
-        assert main(["test", "--input", str(small_panel), "--stream", "firm", "--out", str(out)]) == 0
-        produced = out / "firm_separated"
+        assert main(["test", "--input", str(small_panel), "--stream", stream, "--out", str(out)]) == 0
+        produced = out / f"{stream}_separated"
         re_out = tmp_path / "re"
         assert main(
             ["report", "--report", str(produced / "report.json"), "--out", str(re_out)]
@@ -458,6 +468,25 @@ class TestReportCommand:
             ]
         ) == 0
         assert (re_out / "tables" / "psi_summary.md").exists()
+
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_report_json_reads_back_to_the_same_bytes(self, small_panel, tmp_path, command):
+        out = tmp_path / "out"
+        if command == "test":
+            args = ["test", "--input", str(small_panel), "--stream", "firm,year",
+                    "--boundary-mode", "respect"]
+        else:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"synthetic": {"count": 40, "length": 60}}))
+            args = ["simulate", "--config", str(config_path)]
+        assert main(args + ["--out", str(out)]) == 0
+        paths = sorted(out.glob("*/report.json"))
+        assert len(paths) == (2 if command == "test" else 1)
+        for path in paths:
+            assert set(json.loads(path.read_text())["report"]) == REPORT_KEYS
+            report, config = read_report_json(path)
+            again = write_report_json(report, tmp_path / "again.json", config=config)
+            assert again.read_bytes() == path.read_bytes()
 
 
 class TestExitCodes:
@@ -528,6 +557,28 @@ class TestExitCodes:
         assert main(args) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "directory", "not json", "[]", '{"report": {}}', "combined-key-removed"],
+        ids=["missing", "directory", "not-json", "list", "empty-report", "combined-key-removed"],
+    )
+    def test_unreadable_report_is_data_error(self, tmp_path, capsys, content):
+        path = tmp_path / "report.json"
+        if content == "directory":
+            path.mkdir()
+        elif content == "combined-key-removed":
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"synthetic": {"count": 3, "length": 20}}))
+            assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "s")]) == 0
+            payload = json.loads((tmp_path / "s" / "firm_separated" / "report.json").read_text())
+            del payload["report"]["combined"]["5"]["p_value"]
+            path.write_text(json.dumps(payload))
+        elif content is not None:
+            path.write_text(content)
+        capsys.readouterr()
+        assert main(["report", "--report", str(path), "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err.startswith("data error: cannot read report")
 
     def test_unreadable_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -239,16 +239,16 @@ class TestNullBehaviourDeskScale:
 class TestRecurrence:
     def test_constant_series_is_zero(self):
         m = recurrence_matrix([3.0, 3.0, 3.0])
-        assert not m.values.any()
+        assert not m.any()
 
     def test_two_point_example(self):
         m = recurrence_matrix([1.0, 3.0])
-        assert m.values.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        assert m.tolist() == [[0.0, 2.0], [2.0, 0.0]]
 
     def test_symmetry_and_zero_diagonal(self):
         rng = np.random.default_rng(50)
         series = rng.standard_normal(40)
-        m = recurrence_matrix(series).values
+        m = recurrence_matrix(series)
         assert np.array_equal(m, m.T)
         assert not np.diag(m).any()
 
@@ -353,6 +353,22 @@ class TestEmission:
         # 2002's nu=3 value 4.24 retains the null (below 5.991): marked.
         assert rows["2002"][0].endswith("*")
         assert not rows["2001"][0].endswith("*")
+        # Five equal profiles retain the null at small nu only, so the
+        # combined and ladder rows mix marked and unmarked cells.
+        mixed = summarize_stream([profile_with_d2([1.0, 2.0, 4.0, 8.0, 16.0, 200.0])] * 5)
+        assert len({a.significant for a in mixed.combined.values()}) == 2
+        for rep, out in ((report, tmp_path), (mixed, tmp_path / "mixed")):
+            emit_tables(rep, out)
+            tables = out / "tables"
+            combined = (tables / "d2_summary.csv").read_text().splitlines()[4].split(",")
+            assert combined[0] == "combined_chi2"
+            for cell, nu in zip(combined[1:], rep.d2_nus):
+                assert cell.endswith("*") == (not rep.combined[nu].significant)
+            ladder = (tables / "trim_ladder.csv").read_text().splitlines()[1:]
+            for i, line in enumerate(ladder):
+                for cell, nu in zip(line.split(",")[1:], rep.d2_nus):
+                    assert cell.endswith("*") == (not rep.trim_ladder[nu][i].significant)
+            assert "*" not in (tables / "psi_summary.csv").read_text()
 
     def test_markdown_column_count(self, tmp_path):
         report = self._report()
@@ -363,6 +379,7 @@ class TestEmission:
             assert line.count("|") == expected_columns + 1
         d2_lines = (tmp_path / "tables" / "d2_summary.md").read_text().splitlines()
         assert d2_lines[0].count("|") == len(report.d2_nus) + 1 + 1
+        assert not any("*" in line for line in d2_lines)  # the mark is CSV-only
 
     def test_report_json_round_trip(self, tmp_path):
         report = self._report()
@@ -387,3 +404,9 @@ class TestEmission:
         assert pgm.startswith(b"P5\n3 3\n255\n")
         assert len(pgm) == len(b"P5\n3 3\n255\n") + 9
         assert pgm[-9:][0] == 0  # zero diagonal start
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+    def test_recurrence_rejects_non_square(self, tmp_path, shape):
+        with pytest.raises(ValueError, match="square"):
+            write_recurrence(np.zeros(shape), tmp_path / "recurrence_X")
+        assert not any(tmp_path.iterdir())
