@@ -9,6 +9,7 @@ problem, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -110,7 +111,7 @@ def _read_panel(config: RunConfig):
     try:
         with open(config.input_path, "r", encoding="utf-8", newline="") as handle:
             parsed = parse_prices(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"cannot read input: {exc}") from exc
     return parsed
 

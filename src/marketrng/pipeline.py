@@ -7,15 +7,19 @@ too short a history, are dropped with an audit trail.  Surviving price
 paths are adjusted, turned into log returns, binarised against a median,
 and arranged into the two experiment streams: one binary sequence per
 instrument, or one per calendar year with instruments concatenated
-firm-major.  Every stage after the CSV row loop works on whole columns.
+firm-major.  The CSV is parsed in blocks by numpy passes over its bytes,
+with per-row rules only for the lines those passes cannot prove; every
+later stage works on whole columns.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 from dataclasses import dataclass, field
-from typing import IO, Iterable, NamedTuple
+from itertools import chain
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,6 +28,10 @@ from marketrng.serial import BinarySequence
 MIN_OBS = {"monthly": 12, "daily": 252}
 REQUIRED_COLUMNS = ("id", "date", "close", "adjfactor", "retfactor")
 _INF = float("inf")
+# Text per numpy pass.  At 1 << 20 the ingest and year-respect commands
+# peaked 6-8 MB higher, because freed pass buffers stay in the heap.
+_BLOCK_CHARS = 1 << 18
+_POW10 = np.array([float(10**k) for k in range(19)])  # exact doubles
 
 
 class FormatError(ValueError):
@@ -109,6 +117,252 @@ class BinariseResult(NamedTuple):
     degenerate: bool
 
 
+def _row_values(row: list[str], index: tuple[int, ...], width: int, dates: dict):
+    """The id, date and prices of one CSV row, or None for a blank row.
+
+    These are the row rules, the only code that rejects a row and names
+    why; the numpy pass of ``_PanelBuilder.read_block`` accepts only
+    lines they are sure to accept with the same values.  Short rows read
+    as missing fields.  Raises ValueError or TypeError, whose message is
+    the reject reason, unless the id is non-empty after stripping, the
+    date parses as ISO, and close, adjfactor, retfactor and the adjusted
+    price are finite and positive.  ``dates`` caches parsed date texts.
+    """
+    if not row:
+        return None
+    if len(row) < width:  # missing fields read as None, as csv.DictReader pads them
+        row = row + [None] * (width - len(row))
+    i_id, i_date, i_close, i_adj, i_ret = index
+    name = (row[i_id] or "").strip()
+    if not name:
+        raise ValueError("empty id")
+    text = row[i_date]
+    day = dates.get(text)
+    if day is None:
+        day = dates[text] = dt.date.fromisoformat((text or "").strip())
+    c, a, r = float(row[i_close]), float(row[i_adj]), float(row[i_ret])
+    if not 0.0 < c < _INF:
+        raise ValueError("non-positive close")
+    if not 0.0 < a < _INF:
+        raise ValueError("non-positive adjfactor")
+    if not 0.0 < r < _INF:
+        raise ValueError("non-positive retfactor")
+    if not 0.0 < c * a / r < _INF:
+        raise ValueError("adjusted price out of range")
+    return name, day, c, a, r
+
+
+def _blocks(stream: IO[str]) -> Iterator[str]:
+    """The text of ``stream`` in pieces of about ``_BLOCK_CHARS``, each ending at a line end or EOF."""
+    while block := stream.read(_BLOCK_CHARS):
+        yield block + stream.readline()  # also completes a \r\n split by the read
+
+
+def _line_spans(buf: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r"""Start and stop offsets of the lines of ``buf``, whose \r and \n bytes sit at ``ends``.
+
+    \r\n, a lone \r and a lone \n each end one line, as ``csv.reader``
+    counts lines of a file opened with newline="".
+    """
+    cr = buf[ends] == 13
+    second = np.zeros(ends.size, dtype=bool)  # the \n of a \r\n
+    second[1:] = cr[:-1] & ~cr[1:] & (ends[1:] == ends[:-1] + 1)
+    closing = np.ones(ends.size, dtype=bool)  # the last byte of a line end
+    closing[:-1] = ~second[1:]
+    starts = np.r_[0, ends[closing] + 1]
+    stops = ends[~second]
+    if starts[-1] < buf.size:  # the last line has no terminator
+        return starts, np.r_[stops, buf.size]
+    return starts[:-1], stops
+
+
+def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the plain decimal fields, and which fields those are.
+
+    A plain decimal has at most 19 characters, all digits but at most
+    one '.', so it is an integer mantissa M over 10**k with k <= 18.
+    While M <= 2**53 both are exact doubles, and one division gives the
+    correctly rounded value that ``float`` returns (Clinger 1990).  M is
+    built with Horner's rule, one character column of all fields at a time.
+    """
+    size = hi - lo
+    mantissa = np.zeros(size.size, dtype=np.uint64)  # 19 digits fit; int64 could wrap
+    n_digit, n_dot, before_dot = (np.zeros(size.size, dtype=np.int64) for _ in range(3))
+    for j in range(int(np.clip(size.max(initial=0), 0, 19))):
+        inside = size > j
+        char = buf.take(lo + j, mode="clip")
+        value = char - np.uint8(48)  # wraps below '0'
+        digit = inside & (value < 10)
+        dot = inside & (char == 46)
+        mantissa = np.where(digit, mantissa * 10 + value, mantissa)
+        n_digit += digit
+        n_dot += dot
+        before_dot = np.where(dot, n_digit, before_dot)
+    ok = (n_digit >= 1) & (n_dot <= 1) & (n_digit + n_dot == size)
+    ok &= mantissa <= 2**53
+    scale = np.where(ok & (n_dot > 0), n_digit - before_dot, 0)
+    return mantissa.astype(np.float64) / _POW10[scale], ok
+
+
+def _iso_date_keys(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """yyyymmdd keys of the fields of the form dddd-dd-dd, and which fields those are."""
+    ok = hi - lo == 10
+    key = np.zeros(lo.size, dtype=np.int64)
+    for j in range(10):
+        char = buf.take(lo + j, mode="clip")
+        if j in (4, 7):
+            ok &= char == 45
+        else:
+            ok &= (char >= 48) & (char <= 57)
+            key = key * 10 + (char - 48)
+    return key, ok
+
+
+def _codes(values: np.ndarray, code_of) -> np.ndarray:
+    """``code_of(v)`` of each value, called once per distinct value."""
+    head = np.ones(values.size, dtype=bool)
+    head[1:] = values[1:] != values[:-1]  # panels list a firm's rows together
+    table, inverse = np.unique(values[head], return_inverse=True)
+    codes = np.array([code_of(v) for v in table.tolist()], dtype=np.int64)
+    return codes[inverse][np.cumsum(head) - 1]
+
+
+def _new_columns() -> tuple:
+    """Empty growable columns: line, id code, date code, close, adjfactor, retfactor."""
+    from array import array  # here, so commands that read no CSV never load it
+
+    return tuple(array(code) for code in "qqqddd")
+
+
+class _PanelBuilder:
+    """Accepted rows and rejects of one price CSV, gathered in input order."""
+
+    def __init__(self, header: list[str] | None):
+        if header is None:
+            raise FormatError("empty input: no header row")
+        column = {name.strip().lower(): j for j, name in enumerate(header) if name}
+        missing = [col for col in REQUIRED_COLUMNS if col not in column]
+        if missing:
+            raise FormatError(f"missing required column(s): {', '.join(missing)}")
+        self.index = tuple(column[col] for col in REQUIRED_COLUMNS)
+        self.width = max(self.index) + 1
+        self.n_fields = len(header)
+        self.ids: dict[str, int] = {}  # id -> code, in order of first use
+        self.days: dict[dt.date, int] = {}  # date -> code, in order of first use
+        self.day_keys: dict[int, int] = {}  # yyyymmdd key -> day code, -1 if no date
+        self.texts: dict[str | None, dt.date] = {}  # the row rules' date cache
+        self.columns = _new_columns()
+        self.rejects: list[RowReject] = []
+
+    def read_csv(self, reader, offset: int) -> None:
+        """Apply the row rules to every row of a ``csv.reader``."""
+        self._rows(((offset + reader.line_num, row) for row in reader), self.columns)
+
+    def _rows(self, numbered_rows, columns) -> None:
+        """Apply the row rules to (line number, row) pairs, appending accepted rows to ``columns``."""
+        line, instrument, date, close, adjfactor, retfactor = columns
+        for number, row in numbered_rows:
+            try:
+                values = _row_values(row, self.index, self.width, self.texts)
+            except (TypeError, ValueError) as exc:
+                self.rejects.append(RowReject(line=number, reason=str(exc)))
+                continue
+            if values is None:  # blank line
+                continue
+            name, day, c, a, r = values
+            instrument.append(self.ids.setdefault(name, len(self.ids)))
+            date.append(self.days.setdefault(day, len(self.days)))
+            line.append(number)
+            close.append(c)
+            adjfactor.append(a)
+            retfactor.append(r)
+
+    def _day_code(self, key: int) -> int:
+        code = self.day_keys.get(key)
+        if code is None:
+            try:
+                day = dt.date(key // 10000, key // 100 % 100, key % 100)
+            except ValueError:
+                code = -1
+            else:
+                code = self.days.setdefault(day, len(self.days))
+            self.day_keys[key] = code
+        return code
+
+    def read_block(self, text: str, offset: int) -> int:
+        """Parse a block without quotes whose first line is line ``offset + 1``; return its line count.
+
+        A line is accepted here only when the row rules are sure to accept
+        it with the same values: exactly one field per header column, only
+        printable ASCII, a 1-32 byte id without spaces, a dddd-dd-dd date
+        that exists, plain decimal prices (``_decimals``) and in-range
+        values.  Every other line goes through the row rules.
+        """
+        raw = text.encode("utf-8", "surrogatepass")
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        odd = np.flatnonzero(buf - np.uint8(0x20) > 0x7E - 0x20)  # not printable ASCII
+        newline = (buf[odd] == 10) | (buf[odd] == 13)
+        starts, stops = _line_spans(buf, odd[newline])
+        odd = odd[~newline]
+        commas = np.r_[np.flatnonzero(buf == 44), buf.size + 1]
+        first = np.searchsorted(commas, starts)
+        last = first + self.n_fields - 1  # the first comma past a fitting line's last field
+        fit = (commas.take(last - 1, mode="clip") < stops) & (commas.take(last, mode="clip") > stops)
+        fit &= np.searchsorted(odd, starts) == np.searchsorted(odd, stops)
+        fit &= stops - starts <= csv.field_size_limit()  # csv.reader raises past it
+        rows = np.flatnonzero(fit)
+
+        def field(j: int) -> tuple[np.ndarray, np.ndarray]:
+            lo = starts[rows] if j == 0 else commas[first[rows] + j - 1] + 1
+            hi = stops[rows] if j == self.n_fields - 1 else commas[first[rows] + j]
+            return lo, hi
+
+        i_id, i_date, *i_prices = self.index
+        (c, ok_c), (a, ok_a), (r, ok_r) = (_decimals(buf, *field(j)) for j in i_prices)
+        key, ok = _iso_date_keys(buf, *field(i_date))
+        ok &= ok_c & (0.0 < c) & (c < _INF) & ok_a & (0.0 < a) & (a < _INF)
+        ok &= ok_r & (0.0 < r) & (r < _INF)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            adjusted = c * a / r
+        ok &= (0.0 < adjusted) & (adjusted < _INF)
+        id_lo, id_hi = field(i_id)
+        size = id_hi - id_lo
+        names = np.zeros((size.size, np.clip(size.max(initial=1), 1, 32)), dtype=np.uint8)
+        for j in range(names.shape[1]):
+            names[:, j] = np.where(size > j, buf.take(id_lo + j, mode="clip"), np.uint8(0))
+        ok &= (size >= 1) & (size <= 32) & ~np.any(names == 32, axis=1)
+
+        day = _codes(key[ok], self._day_code)
+        ok[ok] = day >= 0
+        names = np.ascontiguousarray(names[ok]).view(f"S{names.shape[1]}")[:, 0]
+        instrument = _codes(names, lambda name: self.ids.setdefault(name.decode("ascii"), len(self.ids)))
+        accepted = rows[ok]
+        chunk = (offset + 1 + accepted, instrument, day[day >= 0], c[ok], a[ok], r[ok])
+
+        rest = np.ones(starts.size, dtype=bool)
+        rest[accepted] = False
+        rest = np.flatnonzero(rest)
+        if rest.size:
+            texts = [
+                raw[s:e].decode("utf-8", "surrogatepass")
+                for s, e in zip(starts[rest].tolist(), stops[rest].tolist())
+            ]
+            other = _new_columns()
+            self._rows(zip((offset + 1 + rest).tolist(), csv.reader(texts)), other)
+            at = np.searchsorted(chunk[0], other[0])
+            chunk = tuple(np.insert(x, at, y) for x, y in zip(chunk, other))
+        for column, values in zip(self.columns, chunk):
+            column.frombytes(values.tobytes())
+        return int(starts.size)
+
+    def result(self) -> ParseResult:
+        line, instrument, date = (np.frombuffer(col, dtype=np.int64) for col in self.columns[:3])
+        prices = (np.frombuffer(col, dtype=np.float64) for col in self.columns[3:])
+        codes, ids = _sorted_codes(instrument, list(self.ids))
+        days, dates = _sorted_codes(date, list(self.days))
+        return ParseResult(Panel(ids, dates, codes, days, *prices, line), self.rejects)
+
+
 def parse_prices(stream: IO[str] | Iterable[str]) -> ParseResult:
     """Parse a price CSV, collecting unparsable rows instead of dropping them.
 
@@ -119,61 +373,36 @@ def parse_prices(stream: IO[str] | Iterable[str]) -> ParseResult:
     id is non-empty, its date parses, and close, adjfactor, retfactor and
     the adjusted price are finite and positive.  Each reject carries the
     1-based physical line number of the offending row.
+
+    A file-like ``stream`` is read in blocks of about ``_BLOCK_CHARS``,
+    split into lines at CR LF, CR and LF as from a file opened with
+    ``newline=""``, and each block is parsed by one numpy pass over its
+    bytes (``_PanelBuilder.read_block``).  The lines that pass cannot
+    prove, such as blank, short or long lines, signed, exponent or
+    non-finite prices, padded or non-ASCII fields and rejects, go through
+    the row rules (``_row_values``) one at a time.  From the first block
+    holding a ``"`` on, a quoted field may span lines, so the rest of the
+    stream goes to ``csv.reader``, as an iterable of lines always does.
     """
-    from array import array  # here, so commands that read no CSV never load it
-
+    builder, offset = None, 0
+    if hasattr(stream, "read"):
+        blocks = _blocks(stream)
+        block = next(blocks, "")
+        if block and '"' not in block:
+            head = io.StringIO(block, newline="").readline()
+            builder = _PanelBuilder(next(csv.reader([head])))
+            block, offset = block[len(head) :], 1
+            while '"' not in block:
+                offset += builder.read_block(block, offset)
+                block = next(blocks, None)
+                if block is None:
+                    return builder.result()
+        stream = (line for text in chain([block], blocks) for line in io.StringIO(text, newline=""))
     reader = csv.reader(stream)
-    fieldnames = next(reader, None)
-    if fieldnames is None:
-        raise FormatError("empty input: no header row")
-    column = {name.strip().lower(): j for j, name in enumerate(fieldnames) if name}
-    missing = [col for col in REQUIRED_COLUMNS if col not in column]
-    if missing:
-        raise FormatError(f"missing required column(s): {', '.join(missing)}")
-    i_id, i_date, i_close, i_adj, i_ret = (column[col] for col in REQUIRED_COLUMNS)
-    width = max(column[col] for col in REQUIRED_COLUMNS) + 1
-
-    id_codes: dict[str, int] = {}
-    date_codes: dict[str | None, int] = {}  # date text -> index into parsed_dates
-    parsed_dates: list[dt.date] = []
-    instrument, date, line, prices = array("q"), array("q"), array("q"), array("d")
-    rejects: list[RowReject] = []
-    for row in reader:
-        if not row:  # blank line
-            continue
-        if len(row) < width:  # missing fields read as None, as csv.DictReader pads them
-            row += [None] * (width - len(row))
-        try:
-            name = (row[i_id] or "").strip()
-            if not name:
-                raise ValueError("empty id")
-            text = row[i_date]
-            day = date_codes.get(text)
-            if day is None:
-                parsed_dates.append(dt.date.fromisoformat((text or "").strip()))
-                day = date_codes[text] = len(parsed_dates) - 1
-            c, a, r = float(row[i_close]), float(row[i_adj]), float(row[i_ret])
-            if not 0.0 < c < _INF:
-                raise ValueError("non-positive close")
-            if not 0.0 < a < _INF:
-                raise ValueError("non-positive adjfactor")
-            if not 0.0 < r < _INF:
-                raise ValueError("non-positive retfactor")
-            if not 0.0 < c * a / r < _INF:
-                raise ValueError("adjusted price out of range")
-        except (TypeError, ValueError) as exc:
-            rejects.append(RowReject(line=reader.line_num, reason=str(exc)))
-            continue
-        instrument.append(id_codes.setdefault(name, len(id_codes)))
-        date.append(day)
-        line.append(reader.line_num)
-        prices.extend((c, a, r))
-
-    codes, ids = _sorted_codes(np.frombuffer(instrument, dtype=np.int64), list(id_codes))
-    days, dates = _sorted_codes(np.frombuffer(date, dtype=np.int64), parsed_dates)
-    close, adj, ret = np.frombuffer(prices, dtype=np.float64).reshape(-1, 3).T.copy()
-    panel = Panel(ids, dates, codes, days, close, adj, ret, np.frombuffer(line, dtype=np.int64))
-    return ParseResult(records=panel, rejects=rejects)
+    if builder is None:
+        builder = _PanelBuilder(next(reader, None))
+    builder.read_csv(reader, offset)
+    return builder.result()
 
 
 def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

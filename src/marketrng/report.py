@@ -387,8 +387,29 @@ def write_report_json(
 
 
 def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
+    """The report and run configuration of a ``report.json``.
+
+    Raises ValueError unless the window sizes, the keys of every
+    nu-keyed map, the trim ladder and the shape of ``per_sequence_d2``
+    agree, so that tables can be emitted from the report.
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return StreamReport.from_dict(payload["report"]), payload.get("config")
+    report = StreamReport.from_dict(payload["report"])
+    for name, nus in (
+        ("psi_summary", report.nus),
+        ("d2_summary", report.d2_nus),
+        ("combined", report.d2_nus),
+        ("significant_fraction", report.d2_nus),
+        ("trim_ladder", report.d2_nus),
+    ):
+        if sorted(getattr(report, name)) != sorted(nus):
+            raise ValueError(f"{name} is keyed by {sorted(getattr(report, name))}, not {nus}")
+    if any(len(steps) != len(report.trim_fractions) for steps in report.trim_ladder.values()):
+        raise ValueError("trim_ladder needs one step per trim fraction")
+    shape = (report.n_sequences, len(report.d2_nus))
+    if report.per_sequence_d2.shape != shape:
+        raise ValueError(f"per_sequence_d2 has shape {report.per_sequence_d2.shape}, not {shape}")
+    return report, payload.get("config")
 
 
 def write_recurrence(matrix, base_path: str | Path) -> list[Path]:

@@ -580,7 +580,49 @@ class TestExitCodes:
         assert main(["report", "--report", str(path), "--out", str(tmp_path / "t")]) == 2
         assert capsys.readouterr().err.startswith("data error: cannot read report")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r["d2_nus"].append(9),
+            lambda r: r["nus"].remove(1),
+            lambda r: r["psi_summary"].pop("2"),
+            lambda r: r["d2_summary"].pop("5"),
+            lambda r: r["combined"].pop("4"),
+            lambda r: r["significant_fraction"].update({"9": 0.0}),
+            lambda r: r["trim_ladder"].pop("3"),
+            lambda r: r["trim_ladder"]["6"].pop(),
+            lambda r: [row.pop() for row in r["per_sequence_d2"]],
+            lambda r: r["per_sequence_d2"].pop(),
+        ],
+        ids=[
+            "d2-nus", "nus", "psi-summary", "d2-summary", "combined", "significant-fraction",
+            "trim-ladder-keys", "trim-ladder-steps", "per-sequence-d2-width", "per-sequence-d2-rows",
+        ],
+    )
+    def test_inconsistent_report_is_data_error(self, tmp_path, capsys, edit):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"synthetic": {"count": 3, "length": 20}}))
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "s")]) == 0
+        path = tmp_path / "s" / "firm_separated" / "report.json"
+        payload = json.loads(path.read_text())
+        edit(payload["report"])
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["report", "--report", str(path), "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err.startswith("data error: cannot read report: ValueError")
+
     def test_unreadable_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("", encoding="utf-8")
         assert main(["test", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"A,2001-01-31,1\xff0,1,1\n", b'A,2001-01-31,"' + b"1" * 131_073 + b'",1,1\n'],
+        ids=["invalid-utf8", "field-over-csv-limit"],
+    )
+    def test_csv_that_cannot_be_decoded_or_split_is_data_error(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"id,date,close,adjfactor,retfactor\n" + body)
+        assert main(["test", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("data error: cannot read input")

@@ -14,10 +14,12 @@ import json
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_pipeline as ref
+from marketrng import pipeline
 from marketrng.pipeline import (
     binarise_median,
     build_stream,
@@ -276,3 +278,151 @@ def test_binarise_median_matches_numpy_median(values):
     median = float(np.median(np.asarray(values)))
     assert result.median == median
     assert result.bits.tolist() == [int(v > median) for v in values]
+
+
+# Unquoted CSVs reach the numpy pass of parse_prices.  Each pool mixes
+# fields that pass can prove with fields it must leave to the row rules.
+BULK_IDS = (
+    "A", "F0001", "ab", "1", "z" * 32, "y" * 33, "a\tb", "x\x00", "\u00e9", " A", "A ", "A B", "", "\x7f",
+)
+BULK_DATES = (
+    "2001-01-31", "2001-12-31", "2004-02-29", "2001-1-31", "20010131", "2001-02-30",
+    "0000-01-01", "2001-13-01", " 2001-01-31", "2001/01/31", "",
+)
+BULK_PRICES = (
+    "5.", ".5", "007.5", "1e5", "+1", "1_0", " 1.5", "Infinity", "0", "0.000", "nan", "",
+    ".", "1.2.3", "-1", "12.5", "1.02", "9007199254740992", "9007199254740993",
+    "90071992547409.93", "0.9007199254740993", "123456789012345678", "1234567890123456789",
+)
+
+
+def digit_strings(min_digits=1, max_digits=20):
+    """Digit strings, some with a '.' somewhere, mantissas near 2**53 included."""
+    digits = st.text("0123456789", min_size=min_digits, max_size=max_digits) | st.integers(
+        2**53 - 50, 2**53 + 50
+    ).map(str) | st.integers(10**15, 10**19 - 1).map(str)
+
+    def place_dot(text, at):
+        return text if at is None else text[: at % (len(text) + 1)] + "." + text[at % (len(text) + 1) :]
+
+    return st.builds(place_dot, digits, st.none() | st.integers(0, 20))
+
+
+@st.composite
+def unquoted_csv(draw):
+    """A price CSV without quotes, in mixed line endings, and the block size to read it in."""
+    names = list(REQUIRED)
+    if draw(st.booleans()):
+        names.insert(draw(st.integers(0, len(names))), "volume")
+    draw(st.randoms(use_true_random=False)).shuffle(names)
+    price = st.sampled_from(BULK_PRICES) | digit_strings()
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "space", "short", "long"]))
+        values = {
+            "id": draw(st.sampled_from(BULK_IDS[:5]) | st.sampled_from(BULK_IDS)),
+            "date": draw(st.sampled_from(BULK_DATES[:3]) | st.sampled_from(BULK_DATES)),
+            "close": draw(price),
+            "adjfactor": draw(st.sampled_from(["1", "2", "0.5"]) | price),
+            "retfactor": draw(st.sampled_from(["1", "1.02"]) | price),
+            "volume": draw(st.sampled_from(["7", "", "\u00e9", "a\tb"])),
+        }
+        fields = [values[name] for name in names]
+        if kind == "short":
+            fields = fields[: draw(st.integers(1, len(fields) - 1))]
+        elif kind == "long":
+            fields.append("9")
+        lines.append({"blank": "", "space": " "}.get(kind, ",".join(fields)))
+    if draw(st.integers(0, 9)) == 0:  # a quoted field over two lines: csv.reader from there on
+        at = draw(st.integers(1, len(lines)))
+        lines[at:at] = ['A,2001-01-31,"1', '0",1,1' + ",7" * (len(names) - 5)]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    block = draw(st.integers(1, 64) | st.just(1 << 20))
+    return "".join(line + end for line, end in zip(lines, ends)), block
+
+
+def panel_view(result):
+    panel = result.records
+    columns = [panel.instrument, panel.date, panel.close, panel.adjfactor, panel.retfactor, panel.line]
+    return panel.ids, panel.dates, [(c.dtype.str, c.tobytes()) for c in columns], result.rejects
+
+
+def check_numpy_pass(text, block):
+    """Assert the block-wise parse agrees with the row rules and the reference; return tags."""
+    accepted_by_rules = []
+
+    def counted(*args):
+        values = row_values(*args)
+        accepted_by_rules.append(values is not None)
+        return values
+
+    row_values = pipeline._row_values
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_BLOCK_CHARS", block)
+        patch.setattr(pipeline, "_row_values", counted)
+        got = parse_prices(io.StringIO(text, newline=""))
+        bulk = len(got.records) - sum(accepted_by_rules)
+        by_rows = parse_prices(list(io.StringIO(text, newline="")))  # csv.reader and row rules only
+    assert panel_view(got) == panel_view(by_rows)  # codes, floats and line numbers, bit for bit
+
+    expected = ref.parse_prices(io.StringIO(text, newline=""))
+    assert got.rejects == expected.rejects
+    panel = got.records
+    rows = zip(
+        [panel.ids[k] for k in panel.instrument.tolist()],
+        [panel.dates[k] for k in panel.date.tolist()],
+        map(float.hex, panel.close.tolist()),
+        map(float.hex, panel.adjfactor.tolist()),
+        map(float.hex, panel.retfactor.tolist()),
+    )
+    assert list(rows) == [
+        (r.instrument_id, r.date, r.close_unadjusted.hex(), r.adj_factor.hex(), r.ret_factor.hex())
+        for r in expected.records
+    ]
+    tags = {f"reject:{r.reason.split(':')[0]}" for r in got.rejects}
+    tags |= {"numpy pass"} if bulk else set()
+    tags |= {"row rules"} if bulk < len(got.records) else set()
+    tags |= {"several blocks"} if block < len(text) // 2 else set()
+    tags |= {"quoted"} if '"' in text else set()
+    tags |= {name for name, end in (("crlf", "\r\n"), ("cr", "\r")) if end in text}
+    return tags
+
+
+def test_numpy_pass_matches_row_rules_and_reference():
+    seen = Counter()
+
+    @settings(max_examples=200)
+    @given(unquoted_csv())
+    def check(case):
+        seen.update(check_numpy_pass(*case))
+
+    check()
+    for tag in (
+        "numpy pass", "row rules", "several blocks", "quoted", "crlf", "cr",
+        "reject:empty id", "reject:non-positive close", "reject:non-positive adjfactor",
+        "reject:non-positive retfactor", "reject:could not convert string to float",
+        "reject:float() argument must be a string or a real number, not 'NoneType'",
+        "reject:day is out of range for month", "reject:Invalid isoformat string",
+        "reject:year 0 is out of range", "reject:month must be in 1..12",
+    ):
+        assert seen[tag], tag
+
+
+@settings(max_examples=500)
+@given(
+    st.lists(
+        digit_strings(0, 21) | st.sampled_from(BULK_PRICES + ("0" * 18 + "7",)), min_size=1, max_size=30
+    )
+)
+def test_decimal_kernel_matches_float(texts):
+    raw = ",".join(texts).encode("utf-8")
+    bounds = np.cumsum([0] + [len(t.encode("utf-8")) + 1 for t in texts])
+    values, ok = pipeline._decimals(np.frombuffer(raw, dtype=np.uint8), bounds[:-1], bounds[1:] - 1)
+    for text, value, proven in zip(texts, values.tolist(), ok.tolist()):
+        digits = text.replace(".", "", 1)
+        plain = len(text) <= 19 and len(digits) > 0 and set(digits) <= set("0123456789")
+        assert proven == (plain and int(digits) <= 2**53), text
+        if proven:
+            assert value.hex() == float(text).hex(), text
