@@ -13,6 +13,8 @@ import csv
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from marketrng.config import DEFAULT_SYNTHETIC, ConfigError, RunConfig
 from marketrng.pipeline import (
     ExperimentStream,
@@ -116,12 +118,39 @@ def _read_panel(config: RunConfig):
     return parsed
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted as ``csv.QUOTE_MINIMAL`` quotes it."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def _write_audit(path: Path, rows) -> None:
     lines = ["id,reason,detail"]
     for row in rows:
         detail = str(row.get("detail", "")).replace(",", ";")
-        lines.append(f"{row['id']},{row['reason']},{detail}")
+        lines.append(f"{_csv_field(row['id'])},{row['reason']},{detail}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each float, made once per run of bit-identical neighbours."""
+    bits = values.view(np.int64)  # unlike ==, keeps -0.0 and NaNs apart
+    head = np.r_[True, bits[1:] != bits[:-1]]
+    texts = np.array(list(map(repr, values[head].tolist())), dtype=object)
+    return texts[np.cumsum(head) - 1].tolist()
+
+
+def _write_cleaned(path: Path, panel) -> None:
+    """Write a panel as ``id,date,close,adjfactor,retfactor`` lines, one per row."""
+    ids = np.array([_csv_field(name) for name in panel.ids], dtype=object)
+    iso = np.array([d.isoformat() for d in panel.dates], dtype=object)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("id,date,close,adjfactor,retfactor\n")
+        # Formatted in blocks, so the panel is never held whole as Python text.
+        for lo in range(0, len(panel), _ROWS_PER_WRITE):
+            rows = slice(lo, lo + _ROWS_PER_WRITE)
+            fields = [ids[panel.instrument[rows]].tolist(), iso[panel.date[rows]].tolist()]
+            fields += [_reprs(col[rows]) for col in (panel.close, panel.adjfactor, panel.retfactor)]
+            handle.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def cmd_ingest(config: RunConfig) -> int:
@@ -129,16 +158,7 @@ def cmd_ingest(config: RunConfig) -> int:
     kept, dropped = clean_panel(parsed.records, config.frequency, config.gap_scope)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    # Formatted in blocks, so the panel is never held whole as Python text.
-    ids, iso = kept.ids, [d.isoformat() for d in kept.dates]
-    columns = (kept.instrument, kept.date, kept.close, kept.adjfactor, kept.retfactor)
-    with open(out / "cleaned.csv", "w", encoding="utf-8") as handle:
-        handle.write("id,date,close,adjfactor,retfactor\n")
-        for lo in range(0, len(kept), _ROWS_PER_WRITE):
-            block = zip(*(col[lo : lo + _ROWS_PER_WRITE].tolist() for col in columns))
-            lines = (f"{ids[i]},{iso[d]},{c!r},{a!r},{r!r}\n" for i, d, c, a, r in block)
-            handle.write("".join(lines))
+    _write_cleaned(out / "cleaned.csv", kept)
 
     audit_rows = [
         {"id": f"line:{rej.line}", "reason": "reject", "detail": rej.reason}

@@ -434,7 +434,7 @@ def clean_panel(
     if gap_scope not in ("life", "dataset"):
         raise ValueError(f"gap_scope must be 'life' or 'dataset', got {gap_scope!r}")
 
-    order = np.lexsort((panel.date, panel.instrument))
+    order = np.argsort(panel.instrument * len(panel.dates) + panel.date, kind="stable")
     instrument, period = panel.instrument[order], panel.date[order]  # daily: trading-day index
     if frequency == "monthly":
         period = np.array([d.year * 12 + d.month - 1 for d in panel.dates], dtype=np.int64)[period]
@@ -486,18 +486,34 @@ def compute_return_series(panel: Panel) -> Returns:
     return Returns(panel.ids, panel.dates, instrument[1:][same], date[1:][same], values)
 
 
+def _run_order(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort((values, run))`` gives, for values without NaN.
+
+    Two one-key sorts: dense value ranks, in which equal values such as
+    0.0 and -0.0 share one, then a stable sort of ``run * n + rank``.
+    """
+    order = np.argsort(values)
+    ranked = values[order]
+    new = np.r_[False, ranked[1:] != ranked[:-1]]
+    del ranked  # each temporary goes once used, so the sorts add little to peak memory
+    key = np.empty(values.size, dtype=np.int64)
+    key[order] = np.cumsum(new)
+    del order, new
+    key += np.repeat(np.arange(starts.size) * values.size, sizes)
+    return np.argsort(key, kind="stable")
+
+
 def _binarise_runs(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
     """Bits, medians and degenerate flags of every run of ``values``.
 
     Medians are read by position from one sort by (run, value): the middle
     element of an odd run, the midpoint of the central pair of an even one.
     """
-    run = np.repeat(np.arange(starts.size), sizes)
-    ranked = values[np.lexsort((values, run))]
+    ranked = values[_run_order(values, starts, sizes)]
     median = ranked[starts + (sizes - 1) // 2]
     even = sizes % 2 == 0
     median[even] = (median[even] + ranked[(starts + sizes // 2)[even]]) / 2
-    bits = (values > median[run]).astype(np.uint8)
+    bits = (values > np.repeat(median, sizes)).astype(np.uint8)
     ones = np.add.reduceat(bits, starts, dtype=np.int64) if starts.size else starts
     return bits, median.tolist(), (ones == 0).tolist()
 

@@ -420,7 +420,8 @@ def write_recurrence(matrix, base_path: str | Path) -> list[Path]:
     base = Path(base_path)
     base.parent.mkdir(parents=True, exist_ok=True)
     csv_path = base.with_suffix(".csv")
-    lines = [",".join(f"{v:.6g}" for v in row) for row in values]
+    row_format = ",".join(["%.6g"] * values.shape[1])
+    lines = [row_format % tuple(row) for row in values.tolist()]
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     pgm_path = base.with_suffix(".pgm")

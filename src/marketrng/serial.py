@@ -61,10 +61,9 @@ class BinarySequence:
             raise ValueError("empty sequence")
         if arr.max(initial=0) > 1:
             raise ValueError("bits must contain only 0 and 1")
-        bounds = tuple(int(b) for b in self.segment_bounds)
-        for prev, cur in zip((0,) + bounds, bounds):
-            if cur <= prev:
-                raise ValueError("segment_bounds must be strictly increasing and positive")
+        bounds = tuple(map(int, self.segment_bounds))
+        if bounds and np.diff((0,) + bounds).min() <= 0:
+            raise ValueError("segment_bounds must be strictly increasing and positive")
         if bounds and bounds[-1] >= arr.size:
             raise ValueError("segment_bounds must be smaller than the sequence length")
         arr = arr.copy()

@@ -8,6 +8,10 @@ computed one instrument at a time and every median is one ``np.median``
 call.  The differential tests require the columnar pipeline to agree
 with it exactly.  The one rule added since the copy was taken is the
 reject of rows whose adjusted price is not finite and positive.
+
+The end of the file keeps two later forms the columnar path replaced:
+the run medians read from one ``np.lexsort``, and the per-row f-string
+writer of ``cleaned.csv``.
 """
 
 from __future__ import annotations
@@ -351,3 +355,25 @@ def build_stream(
     return ExperimentStream(kind=kind, sequences=sequences, provenance=provenance, audit=audit)
 
 
+def binarise_runs_lexsort(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+    """Bits, medians and degenerate flags of every run, from one sort by (run, value)."""
+    run = np.repeat(np.arange(starts.size), sizes)
+    ranked = values[np.lexsort((values, run))]
+    median = ranked[starts + (sizes - 1) // 2]
+    even = sizes % 2 == 0
+    median[even] = (median[even] + ranked[(starts + sizes // 2)[even]]) / 2
+    bits = (values > median[run]).astype(np.uint8)
+    ones = np.add.reduceat(bits, starts, dtype=np.int64) if starts.size else starts
+    return bits, median.tolist(), (ones == 0).tolist()
+
+
+def write_cleaned(path, panel, rows_per_write: int = 1 << 16) -> None:
+    """``cleaned.csv`` as ``ingest`` wrote it, one f-string per row and ids unquoted."""
+    ids, iso = panel.ids, [d.isoformat() for d in panel.dates]
+    columns = (panel.instrument, panel.date, panel.close, panel.adjfactor, panel.retfactor)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("id,date,close,adjfactor,retfactor\n")
+        for lo in range(0, len(panel), rows_per_write):
+            block = zip(*(col[lo : lo + rows_per_write].tolist() for col in columns))
+            lines = (f"{ids[i]},{iso[d]},{c!r},{a!r},{r!r}\n" for i, d, c, a, r in block)
+            handle.write("".join(lines))

@@ -1,12 +1,22 @@
 """End-to-end command line behaviour, exit codes, and determinism."""
 
+import csv
 import datetime as dt
+import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_pipeline as ref
+from marketrng import cli
 from marketrng.cli import main
+from marketrng.pipeline import Panel
 from marketrng.report import read_report_json, write_report_json
 from marketrng.serial import BinarySequence, psi_profile
 
@@ -78,11 +88,15 @@ class TestIngest:
         assert any(line.startswith("BBB,gap") for line in audit)
 
     def test_rerun_on_own_output_is_idempotent(self, tmp_path):
+        # The last three ids need CSV quoting: a comma, a quote, a newline.
         panel = write_panel(
             tmp_path / "p.csv",
             [
                 ("AAA", random_walk_closes(24, 1), {}),
                 ("BBB", random_walk_closes(24, 2), {"skip_months": ((2001, 7),)}),
+                ('"A,B"', random_walk_closes(13, 3), {}),
+                ('"""Q"', random_walk_closes(13, 4), {}),
+                ('"x\ny"', random_walk_closes(13, 5), {}),
             ],
         )
         first = tmp_path / "first"
@@ -92,6 +106,43 @@ class TestIngest:
         audit = (second / "audit.csv").read_text().splitlines()
         assert audit == ["id,reason,detail"]
         assert (first / "cleaned.csv").read_bytes() == (second / "cleaned.csv").read_bytes()
+        with open(first / "cleaned.csv", newline="", encoding="utf-8") as handle:
+            ids = {row[0] for row in list(csv.reader(handle))[1:]}
+        assert ids == {"AAA", "A,B", '"Q', "x\ny"}
+
+    def test_ids_that_need_quoting_survive_ingest_and_test(self, tmp_path):
+        # Written raw, "A,B" would split into an id "A" and a date "B", and
+        # re-ingesting would reject all 13 of its rows.
+        names = ["A,B", '"Q', "x\ny", "plain"]
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(HEADER.split(","))
+        for k, name in enumerate(names):
+            for row in firm_rows("?", random_walk_closes(13, k)):
+                writer.writerow([name, *row.split(",")[1:]])
+        for row in firm_rows("?", random_walk_closes(13, 9), skip_months=((2001, 5),)):
+            writer.writerow(['gap,"id"', *row.split(",")[1:]])
+        panel = tmp_path / "p.csv"
+        panel.write_text(text.getvalue(), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(panel), "--out", str(out)]) == 0
+        with open(out / "audit.csv", newline="", encoding="utf-8") as handle:
+            audit = list(csv.reader(handle))
+        assert audit[1:] == [['gap,"id"', "gap", "missing period index 24016 in span 24012..24024"]]
+        assert main(["ingest", "--input", str(out / "cleaned.csv"), "--out", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "audit.csv").read_text() == "id,reason,detail\n"
+        test_out = tmp_path / "test"
+        argv = ["test", "--input", str(out / "cleaned.csv"), "--stream", "firm", "--max-nu", "3"]
+        assert main([*argv, "--trim", "0", "--out", str(test_out)]) == 0
+        report, _ = read_report_json(test_out / "firm_separated" / "report.json")
+        assert sorted(report.sequence_ids) == sorted(names)
+
+    @settings(max_examples=200)
+    @given(st.text(alphabet=st.sampled_from('ab ,"\r\n\t\u00e9'), min_size=1, max_size=6))
+    def test_id_field_quoting_matches_csv_writer(self, name):
+        text = io.StringIO()
+        csv.writer(text).writerow([name, "x"])  # the default "\r\n" terminator: \r and \n quote
+        assert cli._csv_field(name) + ",x\r\n" == text.getvalue()
 
     def test_drop_shares_match_engineered_proportions(self, tmp_path, capsys):
         # 1000 firms: 85 with a one-month hole (8.5%) and 59 with only
@@ -147,6 +198,39 @@ class TestIngest:
     def test_empty_result_is_data_error(self, tmp_path):
         panel = write_panel(tmp_path / "p.csv", [("AAA", random_walk_closes(5, 1), {})])
         assert main(["ingest", "--input", str(panel), "--out", str(tmp_path / "o")]) == 2
+
+
+# Floats whose repr takes each form: repeats, subnormals, exponent form
+# from 1e16 up and below 1e-4, zeros of both signs and non-finite values.
+WRITER_FLOATS = st.sampled_from(
+    [1.0, 1.0, 0.1, 2.5, 5e-324, 2.2250738585072014e-308, 1e16, 1.2345678901234567e17, 9999999999999998.0,
+     1e-4, 9.99e-5, 3e-7, 0.0, -0.0, float("inf"), float("nan")]
+) | st.floats(allow_subnormal=True)
+
+
+@st.composite
+def cleaned_panels(draw):
+    n = draw(st.integers(0, 40))
+    column = st.lists(WRITER_FLOATS, min_size=n, max_size=n)
+    close, adjfactor, retfactor = (np.array(draw(column), dtype=np.float64) for _ in range(3))
+    ids = ["A", "F0001", "\u00e9t\u00e9", "a b"]
+    dates = [dt.date(2001, 1, 31), dt.date(2001, 2, 28), dt.date(1999, 12, 31)]
+    codes = (draw(st.lists(st.integers(0, k), min_size=n, max_size=n)) for k in (3, 2))
+    instrument, date = (np.array(c, dtype=np.int64) for c in codes)
+    line = np.arange(n, dtype=np.int64)
+    return Panel(ids, dates, instrument, date, close, adjfactor, retfactor, line)
+
+
+@settings(max_examples=200)
+@given(cleaned_panels(), st.sampled_from([1, 2, 3, 5, 64]))
+def test_cleaned_writer_matches_per_row_writer(panel, rows_per_write):
+    # Small blocks make runs of equal prices straddle block edges.
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        with mock.patch.object(cli, "_ROWS_PER_WRITE", rows_per_write):
+            cli._write_cleaned(new, panel)
+        ref.write_cleaned(old, panel)
+        assert new.read_bytes() == old.read_bytes()
 
 
 class TestTestCommand:

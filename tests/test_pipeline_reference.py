@@ -15,7 +15,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_pipeline as ref
@@ -278,6 +278,68 @@ def test_binarise_median_matches_numpy_median(values):
     median = float(np.median(np.asarray(values)))
     assert result.median == median
     assert result.bits.tolist() == [int(v > median) for v in values]
+
+
+# Heavy ties, both zeros and both infinities: the cases where a sort by
+# (run, value) must keep ties in index order to pick the same median bits.
+TIE_VALUES = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.5, -1.5, 2.0, float("inf"), -float("inf")])
+
+
+@st.composite
+def runs_of_values(draw):
+    sizes = draw(st.lists(st.integers(1, 3) | st.integers(4, 12), min_size=1, max_size=30))
+    values = draw(st.lists(TIE_VALUES | st.floats(allow_nan=False), min_size=sum(sizes), max_size=sum(sizes)))
+    return np.array(values, dtype=np.float64), np.array(sizes)
+
+
+@settings(max_examples=300)
+@given(runs_of_values())
+@example((np.array([-0.0, 0.0, -0.0]), np.array([3])))
+@example((np.array([0.0, -0.0, 0.0, -0.0, 7.0]), np.array([1, 4])))
+@example((np.array([-np.inf, np.inf, 1.0]), np.array([2, 1])))
+def test_binarise_runs_matches_lexsort_form(case):
+    values, sizes = case
+    starts = np.r_[0, np.cumsum(sizes)[:-1]]
+    run = np.repeat(np.arange(sizes.size), sizes)
+    assert np.array_equal(pipeline._run_order(values, starts, sizes), np.lexsort((values, run)))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and 2 * max in midpoints
+        bits, median, degenerate = pipeline._binarise_runs(values, starts, sizes)
+        want_bits, want_median, want_degenerate = ref.binarise_runs_lexsort(values, starts, sizes)
+    assert bits.dtype == want_bits.dtype and np.array_equal(bits, want_bits)
+    assert np.array(median).view(np.int64).tolist() == np.array(want_median).view(np.int64).tolist()
+    assert degenerate == want_degenerate
+
+
+@st.composite
+def panels_with_duplicates(draw):
+    """Up to four instruments over 15 months, rows shuffled; some spans complete, some with repeats."""
+    rows = []
+    for code in range(draw(st.integers(1, 4))):
+        first = draw(st.integers(0, 3))
+        months = list(range(first, draw(st.integers(first + 1, 15))))
+        months += draw(st.lists(st.sampled_from(months), max_size=2))  # repeated periods
+        rows += [(code, m) for m in months]
+    rows = draw(st.permutations(rows))
+    instrument, date = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    dates = [dt.date(2001 + m // 12, m % 12 + 1, 28) for m in range(15)]
+    ones = np.ones(len(rows))
+    line = np.arange(2, len(rows) + 2, dtype=np.int64)
+    return pipeline.Panel(["A", "B", "C", "D"], dates, instrument, date, ones, ones, ones, line)
+
+
+@settings(max_examples=200)
+@given(panels_with_duplicates())
+def test_clean_panel_orders_rows_as_lexsort(panel):
+    # Kept rows come out in np.lexsort((date, instrument)) order, and the
+    # instruments with a repeated (instrument, date) pair are the ones
+    # dropped as duplicates.
+    kept, dropped = clean_panel(panel)
+    order = np.lexsort((panel.date, panel.instrument))
+    keep = np.isin(np.array(panel.ids)[panel.instrument[order]], kept.ids)
+    assert kept.line.tolist() == panel.line[order][keep].tolist()
+    pairs = Counter(zip(panel.instrument.tolist(), panel.date.tolist()))
+    repeated = {panel.ids[i] for (i, _), n in pairs.items() if n > 1}
+    assert {d["id"] for d in dropped if d["reason"] == "duplicate"} == repeated
 
 
 # Unquoted CSVs reach the numpy pass of parse_prices.  Each pool mixes

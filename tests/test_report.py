@@ -1,5 +1,8 @@
 """Reports: summaries, combined chi-square, trimming, KDE, recurrence."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -255,6 +258,22 @@ class TestRecurrence:
     def test_too_short(self):
         with pytest.raises(ValueError):
             recurrence_matrix([1.0])
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.lists(
+                st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-5])
+                | st.floats(allow_subnormal=True),
+                min_size=n * n,
+                max_size=n * n,
+            ).map(lambda values: np.array(values).reshape(n, n))
+        )
+    )
+    def test_csv_rows_match_per_value_format(self, matrix):
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(invalid="ignore", over="ignore"):
+            csv_path, _ = write_recurrence(matrix, Path(tmp) / "m")
+            text = csv_path.read_text(encoding="utf-8")
+        assert text == "".join(",".join(f"{v:.6g}" for v in row) + "\n" for row in matrix)
 
 
 class TestKde:
