@@ -55,16 +55,16 @@ print(f"{series.values.size} monthly log returns")
 
 firm_stream = build_stream(series, "firm_separated")
 print("\nfirm-separated stream:")
-for seq, meta in zip(firm_stream.sequences, firm_stream.provenance):
+for seq in firm_stream.sequences:
     profile = psi_profile(seq, max_nu=8)
-    print(f"  {meta['source_id']}: {meta['n_bits']} bits, median {meta['median']:+.5f}, "
+    print(f"  {seq.source_id}: {len(seq)} bits, {int(seq.bits.sum())} above the median, "
           f"psi2(1)={profile.psi[1]:.2e}, d2(8)={profile.d2[8]:.2f}")
 
 year_stream = build_stream(series, "year_separated")
 print("\nyear-separated stream:")
-for seq, meta in zip(year_stream.sequences, year_stream.provenance):
-    print(f"  {meta['source_id']}: {meta['n_bits']} bits from "
-          f"{len(meta['segments'])} firm segments, joins at {seq.segment_bounds}")
+for seq in year_stream.sequences:
+    print(f"  {seq.source_id}: {len(seq)} bits from "
+          f"{len(seq.segment_lengths())} firm segments, joins at {seq.segment_bounds}")
 
 # Reshaping a year into its per-firm rows and summing the columns counts
 # the ones per month; near-uniform data concentrates around firms / 2.

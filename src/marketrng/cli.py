@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from pathlib import Path
 
@@ -44,6 +45,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 _ROWS_PER_WRITE = 1 << 16
+_NAME_BYTES = 255 - len(".csv")  # the usual file-name limit, less the suffix
 
 
 class _UsageError(Exception):
@@ -235,6 +237,22 @@ def cmd_test(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _file_stem(prefix: str, name: str) -> str:
+    """``prefix + name`` as one file name's stem, distinct for every ``name``.
+
+    Each UTF-8 byte of a character outside ``[A-Za-z0-9_-]`` is written
+    ``%XX``, so plain names stay as they are; a stem past ``_NAME_BYTES``
+    is cut and ends in ``~``, which the escaping never writes, and the
+    sha256 of the name.
+    """
+    stem = prefix + re.sub(r"[^A-Za-z0-9_-]", lambda m: "%" + m[0].encode().hex("%").upper(), name)
+    if len(stem) > _NAME_BYTES:
+        import hashlib  # here, as only such long names need it
+
+        stem = f"{stem[: _NAME_BYTES - 65]}~{hashlib.sha256(name.encode()).hexdigest()}"
+    return stem
+
+
 def _emit_figures(stream, returns, kept, config: RunConfig, out_dir: Path) -> None:
     figures = out_dir / "figures"
     if stream.kind == "firm_separated":
@@ -246,7 +264,7 @@ def _emit_figures(stream, returns, kept, config: RunConfig, out_dir: Path) -> No
                 values = kept.adjusted_prices()[kept.instrument == code[instrument]]
             else:
                 values = returns.values[returns.instrument == code[instrument]]
-            write_recurrence(recurrence_matrix(values), figures / f"recurrence_{instrument}")
+            write_recurrence(recurrence_matrix(values), figures / _file_stem("recurrence_", instrument))
     else:
         months = 12 if config.frequency == "monthly" else 252
         for seq in stream.sequences:

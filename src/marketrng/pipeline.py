@@ -93,11 +93,10 @@ class Returns:
 
 @dataclass(frozen=True)
 class ExperimentStream:
-    """Binary sequences for one experiment plus per-sequence provenance."""
+    """The binary sequences of one experiment, and audit entries for what building them skipped."""
 
     kind: str
     sequences: list[BinarySequence]
-    provenance: list[dict]
     audit: list[dict] = field(default_factory=list)
 
 
@@ -504,7 +503,7 @@ def _run_order(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.
 
 
 def _binarise_runs(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
-    """Bits, medians and degenerate flags of every run of ``values``.
+    """Bits and medians of every run of ``values``.
 
     Medians are read by position from one sort by (run, value): the middle
     element of an odd run, the midpoint of the central pair of an even one.
@@ -513,9 +512,7 @@ def _binarise_runs(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
     median = ranked[starts + (sizes - 1) // 2]
     even = sizes % 2 == 0
     median[even] = (median[even] + ranked[(starts + sizes // 2)[even]]) / 2
-    bits = (values > np.repeat(median, sizes)).astype(np.uint8)
-    ones = np.add.reduceat(bits, starts, dtype=np.int64) if starts.size else starts
-    return bits, median.tolist(), (ones == 0).tolist()
+    return (values > np.repeat(median, sizes)).astype(np.uint8), median
 
 
 def binarise_median(returns) -> BinariseResult:
@@ -529,21 +526,22 @@ def binarise_median(returns) -> BinariseResult:
     arr = np.asarray(returns, dtype=float)
     if arr.size < 2:
         raise ValueError("need at least two returns to binarise")
-    bits, median, degenerate = _binarise_runs(arr, np.array([0]), np.array([arr.size]))
-    return BinariseResult(bits=bits, median=median[0], degenerate=degenerate[0])
+    bits, median = _binarise_runs(arr, np.array([0]), np.array([arr.size]))
+    return BinariseResult(bits=bits, median=float(median[0]), degenerate=not bits.any())
 
 
 def build_stream(returns: Returns, kind: str) -> ExperimentStream:
     """Arrange binarised returns into firm- or year-separated sequences.
 
-    Firm-separated: one sequence per instrument, binarised against its
-    full-history median.  Year-separated: each instrument-year segment is
-    binarised against that segment's own median; segments are then
-    concatenated in ascending instrument order into one sequence per
-    year, with joins recorded in ``segment_bounds``.  Segments with fewer
-    than two returns cannot be binarised and are skipped with an audit
-    entry; a year left with no qualifying segment yields no sequence and
-    an ``empty_year`` audit entry, after the segment entries.
+    Firm-separated: one sequence per instrument, named by its id and
+    binarised against its full-history median.  Year-separated: each
+    instrument-year segment is binarised against that segment's own
+    median; segments are then concatenated in ascending instrument order
+    into one sequence per year, named by the year, with joins recorded in
+    ``segment_bounds``.  Segments with fewer than two returns cannot be
+    binarised and are skipped with an audit entry; a year left with no
+    qualifying segment yields no sequence and an ``empty_year`` audit
+    entry, after the segment entries.  The medians are not kept.
     """
     if kind not in ("firm_separated", "year_separated"):
         raise ValueError(f"unknown stream kind {kind!r}")
@@ -552,49 +550,30 @@ def build_stream(returns: Returns, kind: str) -> ExperimentStream:
     starts, sizes = _runs(returns.instrument) if firm else _runs(returns.instrument, years)
     if firm and np.any(sizes < 2):
         raise ValueError("need at least two returns to binarise")
-    bits, median, degenerate = _binarise_runs(returns.values, starts, sizes)
-    names = [returns.ids[k] for k in returns.instrument[starts].tolist()]
-    lengths = sizes.tolist()
-    meta = [
-        {"source_id": name, "n_bits": n, "median": m, "degenerate": d}
-        for name, n, m, d in zip(names, lengths, median, degenerate)
-    ]
-
+    bits, _ = _binarise_runs(returns.values, starts, sizes)
     if firm:
-        iso = [d.isoformat() for d in returns.dates]
-        ends = zip(returns.date[starts].tolist(), returns.date[starts + sizes - 1].tolist())
-        sequences, provenance = [], []
-        for a, (first, last), m in zip(starts.tolist(), ends, meta):
-            sequences.append(BinarySequence(bits[a : a + m["n_bits"]], m["source_id"]))
-            dates = {"first_date": iso[first], "last_date": iso[last]}
-            provenance.append({"source_id": m["source_id"], **dates, **m})
-        return ExperimentStream(kind=kind, sequences=sequences, provenance=provenance)
+        names = [returns.ids[k] for k in returns.instrument[starts].tolist()]
+        spans = zip(starts.tolist(), (starts + sizes).tolist(), names)
+        return ExperimentStream(kind, [BinarySequence(bits[a:b], name) for a, b, name in spans])
 
     segment_year = years[starts]
+    short = (x[sizes < 2].tolist() for x in (returns.instrument[starts], sizes, segment_year))
     audit = [
-        {"id": names[k], "reason": "short_segment", "detail": f"{n} return(s) in {segment_year[k]}"}
-        for k, n in enumerate(lengths)
-        if n < 2
+        {"id": returns.ids[i], "reason": "short_segment", "detail": f"{n} return(s) in {y}"}
+        for i, n, y in zip(*short)
     ]
     empty = np.setdiff1d(segment_year, segment_year[sizes >= 2]).tolist()
     audit += [{"id": str(y), "reason": "empty_year", "detail": "no qualifying segment"} for y in empty]
-    # Usable segments and their bits in year-major order; the stable sorts
-    # keep instruments ascending within a year and dates within a segment.
-    usable = np.flatnonzero(sizes >= 2)
-    usable = usable[np.argsort(segment_year[usable], kind="stable")]
+    # Rows of usable segments in year-major order; the stable sort keeps
+    # instruments ascending within a year and dates within a segment.
     rows = np.flatnonzero(np.repeat(sizes >= 2, sizes))
-    year_bits = bits[rows[np.argsort(years[rows], kind="stable")]]
-    sequences, provenance, offset = [], [], 0
-    for a, n in zip(*(x.tolist() for x in _runs(segment_year[usable]))):
-        members = usable[a : a + n].tolist()
-        year, widths = int(segment_year[members[0]]), [lengths[k] for k in members]
-        total = sum(widths)
-        bounds = tuple(np.cumsum(widths)[:-1].tolist())
-        sequences.append(BinarySequence(year_bits[offset : offset + total], str(year), bounds))
-        segments = [meta[k] for k in members]
-        provenance.append({"source_id": str(year), "year": year, "n_bits": total, "segments": segments})
-        offset += total
-    return ExperimentStream(kind=kind, sequences=sequences, provenance=provenance, audit=audit)
+    rows = rows[np.argsort(years[rows], kind="stable")]
+    year_of, firm_of = years[rows], returns.instrument[rows]
+    sequences = []
+    for a, n in zip(*(x.tolist() for x in _runs(year_of))):
+        joins = _runs(firm_of[a : a + n])[0][1:].tolist()
+        sequences.append(BinarySequence(bits[rows[a : a + n]], str(year_of[a]), joins))
+    return ExperimentStream(kind, sequences, audit)
 
 
 class ColumnSums(NamedTuple):

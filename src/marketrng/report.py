@@ -441,6 +441,7 @@ def write_recurrence(matrix, base_path: str | Path) -> list[Path]:
 def write_kde(grid, density, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["x,density"] + [f"{x:.8g},{d:.8g}" for x, d in zip(grid, density)]
+    rows = zip(np.asarray(grid).tolist(), np.asarray(density).tolist())
+    lines = ["x,density", *map("%.8g,%.8g".__mod__, rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -196,17 +196,9 @@ def shape_synthetic(
     if generator not in ("pcg64", "logistic"):
         raise ValueError(f"unknown generator {generator!r}")
     kind = "firm_separated" if spec.kind == "firm_like" else "year_separated"
-    provenance: list[dict] = []
     draws: list = []  # pcg64: every sequence's words in turn; logistic: one seed each
     for j, length in enumerate(spec.lengths):
         gen = Pcg64.from_seed(master_seed, j)
-        meta = {
-            "source_id": f"sim{j:05d}",
-            "generator": generator,
-            "master_seed": int(master_seed),
-            "stream": j,
-            "n_bits": int(length),
-        }
         if generator == "pcg64":
             draws.extend(gen.next_u64() for _ in range((length + 63) // 64))
         else:
@@ -214,9 +206,6 @@ def shape_synthetic(
             while not 0.0 < seed < 1.0 or seed in LOGISTIC_FORBIDDEN:
                 seed = gen.next_uniform()
             draws.append(seed)
-            meta["seed"] = seed
-            meta["burn_in"] = int(burn_in)
-        provenance.append(meta)
     if generator == "pcg64":
         # Each sequence is the head of its own whole words, as Pcg64.bit_array cuts it.
         bits = _unpack_words(draws)
@@ -225,10 +214,8 @@ def shape_synthetic(
     else:
         matrix = logistic_bit_matrix(np.array(draws), max(spec.lengths), burn_in)
         rows = (row[:n] for row, n in zip(matrix, spec.lengths))
-    sequences = [
-        BinarySequence(bits=row, source_id=meta["source_id"]) for row, meta in zip(rows, provenance)
-    ]
-    return ExperimentStream(kind=kind, sequences=sequences, provenance=provenance)
+    sequences = [BinarySequence(bits=row, source_id=f"sim{j:05d}") for j, row in enumerate(rows)]
+    return ExperimentStream(kind=kind, sequences=sequences)
 
 
 class SelftestResult(NamedTuple):

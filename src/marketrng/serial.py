@@ -34,16 +34,9 @@ import numpy as np
 MAX_WINDOW = 8
 
 
-def _as_bit_array(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
-    return arr
-
-
 @dataclass(frozen=True)
 class BinarySequence:
-    """An immutable 0/1 array with provenance and optional segment joins.
+    """An immutable 0/1 array with a source id and optional segment joins.
 
     ``segment_bounds`` marks the start indices of follow-on segments when
     the sequence was concatenated from independent pieces (e.g. one firm
@@ -56,7 +49,9 @@ class BinarySequence:
     segment_bounds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        arr = _as_bit_array(self.bits)
+        arr = np.asarray(self.bits, dtype=np.uint8)
+        if arr.ndim != 1:
+            raise ValueError("bits must be one-dimensional")
         if arr.size < 1:
             raise ValueError("empty sequence")
         if arr.max(initial=0) > 1:
@@ -126,16 +121,11 @@ class PsiProfile:
 
     @classmethod
     def from_psi(cls, psi: Mapping[int, float], n_bits: int) -> "PsiProfile":
-        """Build a profile from raw psi2 values, deriving the differences."""
+        """Build a profile from raw psi2 values for nu = 1..len(psi), deriving the differences."""
         try:
-            values = [float(psi[nu]) for nu in range(1, len(psi) + 1)]
+            p = [float(psi[nu]) for nu in range(1, len(psi) + 1)]  # p[nu - 1] is psi2(nu)
         except KeyError:
             raise ValueError("psi must cover nu = 1..max_nu without gaps") from None
-        return cls._from_values(values, n_bits)
-
-    @classmethod
-    def _from_values(cls, p: list[float], n_bits: int) -> "PsiProfile":
-        # p[nu - 1] is the float psi2(nu), for nu = 1..len(p).
         m = len(p)
         return cls(
             psi=dict(enumerate(p, start=1)),
@@ -148,10 +138,6 @@ class PsiProfile:
     @property
     def max_nu(self) -> int:
         return max(self.psi)
-
-    def d2_values(self) -> np.ndarray:
-        """Second differences as an array ordered by nu (3..max_nu)."""
-        return np.array([self.d2[nu] for nu in sorted(self.d2)], dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -247,11 +233,12 @@ def psi_profile(
     *_, firsts = _key_layout(max_nu)
     windows = np.add.reduceat(counts, firsts.ravel()).tolist()
     squares = np.add.reduceat(counts * counts, firsts.ravel()).tolist()
-    return PsiProfile._from_values(list(map(_psi, range(1, max_nu + 1), windows, squares)), len(seq))
+    nus = range(1, max_nu + 1)
+    return PsiProfile.from_psi(dict(zip(nus, map(_psi, nus, windows, squares))), len(seq))
 
 
 def complement(seq: BinarySequence) -> BinarySequence:
-    """Flip every bit, preserving provenance and segment joins."""
+    """Flip every bit, preserving the source id and segment joins."""
     return BinarySequence(
         bits=1 - seq.bits,
         source_id=seq.source_id,

@@ -280,25 +280,13 @@ def build_stream(
     audit: list[dict] = []
 
     if kind == "firm_separated":
-        sequences = []
-        provenance = []
-        for instrument in sorted(series_by_id):
-            series = series_by_id[instrument]
-            binarised = binarise_median(series.returns)
-            sequences.append(BinarySequence(bits=binarised.bits, source_id=instrument))
-            provenance.append(
-                {
-                    "source_id": instrument,
-                    "first_date": series.dates[0].isoformat(),
-                    "last_date": series.dates[-1].isoformat(),
-                    "n_bits": int(binarised.bits.size),
-                    "median": binarised.median,
-                    "degenerate": binarised.degenerate,
-                }
-            )
-        return ExperimentStream(kind=kind, sequences=sequences, provenance=provenance, audit=audit)
+        sequences = [
+            BinarySequence(bits=binarise_median(series_by_id[name].returns).bits, source_id=name)
+            for name in sorted(series_by_id)
+        ]
+        return ExperimentStream(kind=kind, sequences=sequences, audit=audit)
 
-    per_year: dict[int, list[tuple[str, np.ndarray, dict]]] = defaultdict(list)
+    per_year: dict[int, list[np.ndarray]] = defaultdict(list)
     for instrument in sorted(series_by_id):
         series = series_by_id[instrument]
         years = np.array([d.year for d in series.dates])
@@ -314,29 +302,16 @@ def build_stream(
                     }
                 )
                 continue
-            binarised = binarise_median(segment)
-            entries.append(
-                (
-                    instrument,
-                    binarised.bits,
-                    {
-                        "source_id": instrument,
-                        "n_bits": int(binarised.bits.size),
-                        "median": binarised.median,
-                        "degenerate": binarised.degenerate,
-                    },
-                )
-            )
+            entries.append(binarise_median(segment).bits)
 
     sequences = []
-    provenance = []
     for year in sorted(per_year):
         entries = per_year[year]
         if not entries:
             audit.append({"id": str(year), "reason": "empty_year", "detail": "no qualifying segment"})
             continue
-        bits = np.concatenate([bits for _, bits, _ in entries])
-        bounds = np.cumsum([b.size for _, b, _ in entries])[:-1]
+        bits = np.concatenate(entries)
+        bounds = np.cumsum([b.size for b in entries])[:-1]
         sequences.append(
             BinarySequence(
                 bits=bits,
@@ -344,15 +319,7 @@ def build_stream(
                 segment_bounds=tuple(int(b) for b in bounds),
             )
         )
-        provenance.append(
-            {
-                "source_id": str(year),
-                "year": year,
-                "n_bits": int(bits.size),
-                "segments": [meta for _, _, meta in entries],
-            }
-        )
-    return ExperimentStream(kind=kind, sequences=sequences, provenance=provenance, audit=audit)
+    return ExperimentStream(kind=kind, sequences=sequences, audit=audit)
 
 
 def binarise_runs_lexsort(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray):

@@ -4,13 +4,14 @@ import csv
 import datetime as dt
 import io
 import json
+import string
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_pipeline as ref
@@ -318,6 +319,54 @@ class TestTestCommand:
 
     def test_missing_input_is_usage_error(self):
         assert main(["test"]) == 1
+
+    @staticmethod
+    def _figures(tmp_path, firms):
+        """Run ``test --stream firm`` on (id, months) firms; return the figure files by name.
+
+        Every file the run writes, other than its report, tables and audit,
+        must lie directly in the firm stream's figures directory.
+        """
+        rows = [(name, random_walk_closes(n, k), {}) for k, (name, n) in enumerate(firms)]
+        panel = write_panel(tmp_path / "p.csv", rows)
+        out = tmp_path / "out"
+        assert main(["test", "--input", str(panel), "--stream", "firm", "--out", str(out)]) == 0
+        written = [f for f in tmp_path.rglob("*") if f.is_file() and f != panel]
+        rest = [f for f in written if "tables" not in f.parts and f.name not in ("report.json", "audit.csv")]
+        assert {f.parent for f in rest} == {out / "firm_separated" / "figures"}
+        return {f.name: f for f in rest}
+
+    def test_figure_of_a_path_like_id_stays_under_figures(self, tmp_path):
+        # Used raw, the id named figures/recurrence_../../../../../esc: esc.csv beside --out.
+        figures = self._figures(tmp_path, [("../../../../../esc", 24), ("AAA", 24)])
+        stem = "recurrence_" + "%2E%2E%2F" * 5 + "esc"
+        assert sorted(figures) == [f"{stem}.csv", f"{stem}.pgm", "recurrence_AAA.csv", "recurrence_AAA.pgm"]
+
+    def test_ids_differing_after_a_dot_get_their_own_figures(self, tmp_path):
+        # Path.with_suffix once cut both ids to recurrence_BRK, so B overwrote A.
+        figures = self._figures(tmp_path, [("BRK.A", 24), ("BRK.B", 30)])
+        assert sorted(figures) == [f"recurrence_BRK%2E{c}.{ext}" for c in "AB" for ext in ("csv", "pgm")]
+        assert len(figures["recurrence_BRK%2EA.csv"].read_text().splitlines()) == 23  # one row per return
+        assert len(figures["recurrence_BRK%2EB.csv"].read_text().splitlines()) == 29
+
+    def test_figures_of_ids_too_long_for_a_file_name(self, tmp_path):
+        # A 300-character id once ended the run with exit 3: "File name too long".
+        ids = ["L" * 299 + "1", "L" * 299 + "2"]
+        figures = self._figures(tmp_path, [(name, 24) for name in ids])
+        assert len(figures) == 4 and all(len(name.encode()) <= 255 for name in figures)
+        assert len({name[:-4] for name in figures}) == 2  # one stem per id
+
+    @settings(max_examples=300)
+    @given(st.text(), st.text())
+    @example("L" * 300, "L" * 299 + "M")
+    @example("\u00e9" * 90, "\u00e9" * 89 + "e")
+    def test_file_stems_are_distinct_plain_names(self, a, b):
+        plain = set(string.ascii_letters + string.digits + "_-")
+        stem = cli._file_stem("recurrence_", a)
+        assert len(stem.encode()) <= 255 - len(".csv") and not set(stem) - plain - set("%~")
+        assert (stem == cli._file_stem("recurrence_", b)) == (a == b)
+        if len("recurrence_" + a) <= 251 and not set(a) - plain:
+            assert stem == "recurrence_" + a  # plain ids keep their plain names
 
 
 class TestSimulateCommand:

@@ -3,7 +3,6 @@
 import dataclasses
 import datetime as dt
 import io
-import json
 import math
 
 import numpy as np
@@ -337,22 +336,26 @@ class TestBuildStream:
     def test_year_sequences_near_balanced(self):
         series = toy_series(n_firms=5, years=3, seed=6)
         stream = build_stream(series, "year_separated")
-        for s, meta in zip(stream.sequences, stream.provenance):
+        for s in stream.sequences:
             ones = int(s.bits.sum())
             zeros = len(s) - ones
-            odd_segments = sum(1 for seg in meta["segments"] if seg["n_bits"] % 2 == 1)
+            odd_segments = int((s.segment_lengths() % 2 == 1).sum())
             assert abs(ones - zeros) <= odd_segments
 
     def test_year_segment_bounds_firm_major(self):
         series = toy_series(n_firms=3, years=2, seed=7)
         stream = build_stream(series, "year_separated")
-        first_year = stream.sequences[0]
-        meta = stream.provenance[0]
-        sizes = [seg["n_bits"] for seg in meta["segments"]]
-        assert list(first_year.segment_bounds) == list(np.cumsum(sizes)[:-1])
-        assert [seg["source_id"] for seg in meta["segments"]] == sorted(
-            seg["source_id"] for seg in meta["segments"]
-        )
+        years = np.array([d.year for d in series.dates])[series.date]
+        assert [s.source_id for s in stream.sequences] == ["2001", "2002"]  # 2003: one return a firm
+        for seq in stream.sequences:
+            # One segment per firm with two or more returns that year, in
+            # ascending id order, each binarised against its own median.
+            in_year = years == int(seq.source_id)
+            segments = [series.values[(series.instrument == k) & in_year] for k in range(len(series.ids))]
+            segments = [v for v in segments if v.size >= 2]
+            assert seq.segment_bounds == tuple(np.cumsum([v.size for v in segments])[:-1].tolist())
+            want = [binarise_median(v).bits.tolist() for v in segments]
+            assert [b.tolist() for b in seq.segments()] == want
 
     def test_single_return_segments_skipped_and_audited(self):
         # Firm listed in November: December is its only return that year.
@@ -380,12 +383,13 @@ class TestBuildStream:
         ]
         assert stream.audit[-1]["detail"] == "no qualifying segment"
 
-    def test_provenance_deterministic(self):
-        a = build_stream(toy_series(seed=8), "year_separated")
-        b = build_stream(toy_series(seed=8), "year_separated")
-        assert json.dumps(a.provenance, sort_keys=True) == json.dumps(
-            b.provenance, sort_keys=True
-        )
+    def test_stream_deterministic(self):
+        def view(kind):
+            stream = build_stream(toy_series(seed=8), kind)
+            return [(s.source_id, s.bits.tolist(), s.segment_bounds) for s in stream.sequences], stream.audit
+
+        for kind in ("firm_separated", "year_separated"):
+            assert view(kind) == view(kind)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

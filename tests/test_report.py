@@ -18,6 +18,7 @@ from marketrng.report import (
     recurrence_matrix,
     summarize_stream,
     trim_top_contributors,
+    write_kde,
     write_recurrence,
     write_report_json,
 )
@@ -324,6 +325,15 @@ class TestKde:
         grid = np.linspace(-1.0, 2.0, 101)
         density = kde_curve(samples, grid)
         assert np.all(np.isfinite(density))
+
+    ODD_FLOATS = st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-5])
+
+    @given(st.lists(st.tuples(*[ODD_FLOATS | st.floats(allow_subnormal=True)] * 2), max_size=20))
+    def test_rows_match_per_value_format(self, points):
+        grid, density = np.array([x for x, _ in points]), np.array([d for _, d in points])
+        with tempfile.TemporaryDirectory() as tmp:
+            text = write_kde(grid, density, Path(tmp) / "kde.csv").read_text(encoding="utf-8")
+        assert text == "x,density\n" + "".join(f"{x:.8g},{d:.8g}\n" for x, d in zip(grid, density))
 
 
 class TestEmission:

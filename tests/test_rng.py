@@ -37,6 +37,16 @@ def reference_pcg64(initstate, initseq, count):
     return out
 
 
+def stream_seed(master_seed, j):
+    """The logistic seed of synthetic sequence j: the first uniform of PCG64
+    stream j that is not an absorbing point of the map."""
+    gen = Pcg64.from_seed(master_seed, j)
+    seed = gen.next_uniform()
+    while seed in (0.0, 0.25, 0.5, 0.75):  # uniforms lie in [0, 1)
+        seed = gen.next_uniform()
+    return seed
+
+
 def reference_logistic(seed, n_bits, burn_in):
     """Scalar per-step logistic map with the seed-ladder re-seeding.
 
@@ -258,7 +268,7 @@ class TestShapeSynthetic:
         assert all(
             x.bits.tolist() == y.bits.tolist() for x, y in zip(a.sequences, b.sequences)
         )
-        assert json.dumps(a.provenance) == json.dumps(b.provenance)
+        assert [s.source_id for s in a.sequences] == [s.source_id for s in b.sequences]
 
     def test_streams_fan_out_from_master_seed(self):
         # Sequence j runs on PCG stream j, i.e. increment 2j + 1.
@@ -267,7 +277,7 @@ class TestShapeSynthetic:
         for j, seq in enumerate(stream.sequences):
             expected = pcg64_bits(Pcg64.from_seed(7, j), 64)
             assert seq.bits.tolist() == expected.bits.tolist()
-            assert stream.provenance[j]["stream"] == j
+            assert seq.source_id == f"sim{j:05d}"
 
     @given(
         lengths=st.lists(st.integers(8, 300), min_size=1, max_size=6),
@@ -282,13 +292,14 @@ class TestShapeSynthetic:
             expected = Pcg64.from_seed(master_seed, j).bit_array(length)
             assert seq.bits.tolist() == expected.tolist()
 
-    def test_logistic_provenance_records_seed(self):
+    def test_logistic_seeds_from_streams_with_default_burn_in(self):
         stream = shape_synthetic(
             SyntheticSpec.firm_like(2, 32), generator="logistic", master_seed=3
         )
-        for meta in stream.provenance:
-            assert 0.0 < meta["seed"] < 1.0
-            assert meta["burn_in"] == 100
+        for j, seq in enumerate(stream.sequences):
+            seed = stream_seed(3, j)
+            assert 0.0 < seed < 1.0
+            assert seq.bits.tolist() == reference_logistic(seed, 32, 100)[0]
 
     @given(
         lengths=st.lists(st.integers(8, 300), min_size=1, max_size=6),
@@ -298,8 +309,8 @@ class TestShapeSynthetic:
     def test_year_like_logistic_matches_scalar_reference(self, lengths, master_seed, burn_in):
         spec = SyntheticSpec.year_like(len(lengths), lengths)
         stream = shape_synthetic(spec, "logistic", master_seed=master_seed, burn_in=burn_in)
-        for seq, meta, length in zip(stream.sequences, stream.provenance, lengths):
-            assert seq.bits.tolist() == reference_logistic(meta["seed"], length, burn_in)[0]
+        for j, (seq, length) in enumerate(zip(stream.sequences, lengths, strict=True)):
+            assert seq.bits.tolist() == reference_logistic(stream_seed(master_seed, j), length, burn_in)[0]
 
     def test_minimum_length(self):
         with pytest.raises(ValueError):

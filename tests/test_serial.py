@@ -326,7 +326,7 @@ class TestNullDistribution:
         for j in range(n_seqs):
             bits = Pcg64.from_seed(2024, j).bit_array(length)
             profile = psi_profile(BinarySequence(bits=bits, source_id=str(j)), max_nu=8)
-            d2[j] = profile.d2_values()
+            d2[j] = [profile.d2[nu] for nu in range(3, 9)]
         xi = np.array([2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
         mean = d2.mean(axis=0)
         var = d2.var(axis=0, ddof=1)
