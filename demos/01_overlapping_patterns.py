@@ -9,14 +9,9 @@ counting, the statistic, and two exact symmetries.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from marketrng import (
-    BinarySequence,
-    complement,
-    count_overlapping_patterns,
-    psi_profile,
-    psi_square,
-)
+from marketrng import BinarySequence, psi_profile
 
 bits = BinarySequence(
     bits=np.array([0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0], dtype=np.uint8),
@@ -24,21 +19,23 @@ bits = BinarySequence(
 )
 print(f"sequence: {''.join(map(str, bits.bits))}  (N = {len(bits)})")
 
-for nu in (1, 2, 3):
-    counts = count_overlapping_patterns(bits, nu)
-    table = {f"{p:0{nu}b}": int(c) for p, c in enumerate(counts.counts) if c}
-    print(f"nu={nu}: windows={counts.total_windows} counts={table} "
-          f"psi2={psi_square(counts):.4f}")
-
+# The counts are tallied here for display only; psi_profile counts every
+# window size in one pass and keeps just the statistics.
 profile = psi_profile(bits, max_nu=8)
+for nu in (1, 2, 3):
+    windows = sliding_window_view(bits.bits, nu)
+    labels, counts = np.unique(windows @ (1 << np.arange(nu)[::-1]), return_counts=True)
+    table = {f"{p:0{nu}b}": int(c) for p, c in zip(labels.tolist(), counts)}
+    print(f"nu={nu}: windows={len(windows)} counts={table} psi2={profile.psi[nu]:.4f}")
+
 print("\nfull profile:")
 print("  psi2 :", {nu: round(v, 3) for nu, v in profile.psi.items()})
 print("  d2   :", {nu: round(v, 3) for nu, v in profile.d2.items()})
-print("  dof  :", profile.dof)
+print("  dof  :", {nu: 2 ** (nu - 2) for nu in profile.d2})
 
 # Flipping every bit permutes the pattern labels bijectively, so every
 # statistic is unchanged, exactly.  The same holds for reversal.
-flipped = psi_profile(complement(bits), max_nu=8)
+flipped = psi_profile(BinarySequence(bits=1 - bits.bits, source_id="demo-flip"), max_nu=8)
 reversed_profile = psi_profile(
     BinarySequence(bits=bits.bits[::-1].copy(), source_id="demo-rev"), max_nu=8
 )
@@ -53,7 +50,8 @@ joined = BinarySequence(
     source_id="joined",
     segment_bounds=(4,),
 )
-flat = count_overlapping_patterns(joined, 3, respect_boundaries=False)
-split = count_overlapping_patterns(joined, 3, respect_boundaries=True)
-print(f"\nconcatenated sequence, nu=3: flat windows={flat.total_windows}, "
-      f"boundary-respecting windows={split.total_windows}")
+flat = psi_profile(joined, 3, respect_boundaries=False)
+split = psi_profile(joined, 3, respect_boundaries=True)
+print(f"\nconcatenated sequence, nu=3: flat windows={len(joined) - 2}, "
+      f"boundary-respecting windows={sum(len(s) - 2 for s in joined.segments())}")
+print(f"psi2(3) over all windows {flat.psi[3]:.4f}, within segments {split.psi[3]:.4f}")

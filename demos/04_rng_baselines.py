@@ -12,13 +12,12 @@ import numpy as np
 from marketrng import (
     Pcg64,
     SyntheticSpec,
-    logistic_bits,
-    pcg64_bits,
     psi_profile,
     rng_selftest,
     shape_synthetic,
     summarize_stream,
 )
+from marketrng.rng import logistic_bit_matrix
 
 print("stored reference vectors:", rng_selftest().message)
 
@@ -26,8 +25,10 @@ gen = Pcg64.from_seed(42, 54)
 print("first outputs for seed 42, stream 54:",
       " ".join(f"{gen.next_u64():#018x}" for _ in range(3)))
 
-seq = pcg64_bits(Pcg64.from_seed(42, 54), 40, source_id="demo")
-print("first 40 bits, MSB first:", "".join(map(str, seq.bits)))
+# Bits are the words MSB first; sequence j of a synthetic run takes them
+# from stream j, so stream 54 of seed 42 is sequence 54 here.
+demo = shape_synthetic(SyntheticSpec.firm_like(55, 40), master_seed=42)
+print("first 40 bits, MSB first:", "".join(map(str, demo.sequences[54].bits)))
 
 # A firm-like synthetic dataset: second-difference means should land on
 # the degrees of freedom 2, 4, 8, 16, 32, 64.
@@ -46,7 +47,7 @@ for nu in report.d2_nus:
 # The logistic map x <- 4x(1-x), thresholded at 0.5, is the simplistic
 # baseline; it re-seeds deterministically if it ever lands on an
 # absorbing point.
-bits = logistic_bits(0.37251, 60, burn_in=100)
-print("\nlogistic-map bits:", "".join(map(str, bits.bits)))
-ones = logistic_bits(0.37251, 20_000).bits.mean()
+bits = logistic_bit_matrix(np.array([0.37251]), 60, burn_in=100)[0]
+print("\nlogistic-map bits:", "".join(map(str, bits)))
+ones = logistic_bit_matrix(np.array([0.37251]), 20_000)[0].mean()
 print(f"ones fraction over 20k bits: {ones:.4f}")

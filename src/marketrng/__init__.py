@@ -6,54 +6,33 @@ serial) test, with chi-square significance assessment, a bit-exact
 PCG64 baseline, and batch reporting utilities.
 """
 
-from marketrng.serial import (
-    BinarySequence,
-    PatternCounts,
-    PsiProfile,
-    complement,
-    count_overlapping_patterns,
-    psi_profile,
-    psi_square,
-)
+from marketrng.serial import BinarySequence, PsiProfile, psi_profile
 from marketrng.chi2 import ChiSquareAssessment, assess, chi2_critical, chi2_sf
 from marketrng.pipeline import (
     ExperimentStream,
     Panel,
     Returns,
-    binarise_median,
     build_stream,
     clean_panel,
     compute_return_series,
     monthly_column_sums,
     parse_prices,
 )
-from marketrng.rng import (
-    Pcg64,
-    SyntheticSpec,
-    logistic_bits,
-    pcg64_bits,
-    rng_selftest,
-    shape_synthetic,
-)
+from marketrng.rng import Pcg64, SyntheticSpec, rng_selftest, shape_synthetic
 from marketrng.report import (
     StreamReport,
     emit_tables,
     kde_curve,
     recurrence_matrix,
     summarize_stream,
-    trim_top_contributors,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BinarySequence",
-    "PatternCounts",
     "PsiProfile",
-    "complement",
-    "count_overlapping_patterns",
     "psi_profile",
-    "psi_square",
     "ChiSquareAssessment",
     "assess",
     "chi2_critical",
@@ -61,7 +40,6 @@ __all__ = [
     "Panel",
     "Returns",
     "ExperimentStream",
-    "binarise_median",
     "build_stream",
     "clean_panel",
     "compute_return_series",
@@ -69,8 +47,6 @@ __all__ = [
     "parse_prices",
     "Pcg64",
     "SyntheticSpec",
-    "logistic_bits",
-    "pcg64_bits",
     "rng_selftest",
     "shape_synthetic",
     "StreamReport",
@@ -78,6 +54,5 @@ __all__ = [
     "kde_curve",
     "recurrence_matrix",
     "summarize_stream",
-    "trim_top_contributors",
     "__version__",
 ]

@@ -254,11 +254,13 @@ def _file_stem(prefix: str, name: str) -> str:
 
 
 def _emit_figures(stream, returns, kept, config: RunConfig, out_dir: Path) -> None:
+    """Write the stream's figures; each one skipped gets a stderr line with its reason."""
     figures = out_dir / "figures"
     if stream.kind == "firm_separated":
         code = {name: k for k, name in enumerate(returns.ids)}
         for instrument in list(config.recurrence_ids) or returns.ids[:2]:
             if instrument not in code:
+                print(f"no recurrence figure for {instrument!r}: not in the firm stream", file=sys.stderr)
                 continue
             if config.recurrence_source == "prices":
                 values = kept.adjusted_prices()[kept.instrument == code[instrument]]
@@ -271,12 +273,14 @@ def _emit_figures(stream, returns, kept, config: RunConfig, out_dir: Path) -> No
             try:
                 sums = monthly_column_sums(seq, months)
             except ValueError:
+                print(f"no kde figure for year {seq.source_id}: no segment of {months} returns", file=sys.stderr)
                 continue
             total_bits = sums.rows_included * months
             try:
                 grid = default_kde_grid(sums.values, length=total_bits)
                 density = kde_curve(sums.values, grid, length=total_bits)
-            except ValueError:
+            except ValueError as exc:
+                print(f"no kde figure for year {seq.source_id}: {exc}", file=sys.stderr)
                 continue
             write_kde(grid, density, figures / f"kde_{seq.source_id}.csv")
 

@@ -110,12 +110,6 @@ class ParseResult(NamedTuple):
     rejects: list[RowReject]
 
 
-class BinariseResult(NamedTuple):
-    bits: np.ndarray
-    median: float
-    degenerate: bool
-
-
 def _row_values(row: list[str], index: tuple[int, ...], width: int, dates: dict):
     """The id, date and prices of one CSV row, or None for a blank row.
 
@@ -513,21 +507,6 @@ def _binarise_runs(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
     even = sizes % 2 == 0
     median[even] = (median[even] + ranked[(starts + sizes // 2)[even]]) / 2
     return (values > np.repeat(median, sizes)).astype(np.uint8), median
-
-
-def binarise_median(returns) -> BinariseResult:
-    """1 where a return strictly exceeds the array median, else 0.
-
-    Even-length medians are the midpoint of the central pair, so inputs
-    with distinct values come out balanced up to an offset of one.  Ties
-    at the median map to 0; an all-zero outcome (constant or tie-heavy
-    input) raises the ``degenerate`` flag.
-    """
-    arr = np.asarray(returns, dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least two returns to binarise")
-    bits, median = _binarise_runs(arr, np.array([0]), np.array([arr.size]))
-    return BinariseResult(bits=bits, median=float(median[0]), degenerate=not bits.any())
 
 
 def build_stream(returns: Returns, kind: str) -> ExperimentStream:

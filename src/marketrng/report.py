@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,14 +20,6 @@ from marketrng.chi2 import ChiSquareAssessment, assess, chi2_critical
 from marketrng.serial import PsiProfile
 
 DEFAULT_TRIM_FRACTIONS = (0.01, 0.02, 0.03, 0.04, 0.05)
-
-
-class TrimResult(NamedTuple):
-    statistic: float
-    dof: int
-    dropped: int
-    assessment: ChiSquareAssessment
-    dropped_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -96,47 +88,9 @@ class StreamReport:
         )
 
 
-def _check_trim_fraction(trim_fraction: float) -> None:
-    if not 0.0 <= trim_fraction < 1.0:
-        raise ValueError(f"trim fraction must lie in [0, 1), got {trim_fraction}")
-
-
 def _contributor_order(values: np.ndarray, id_arr: np.ndarray) -> np.ndarray:
     """Indices of ``values`` from largest to smallest, ties by ascending id."""
     return np.lexsort((id_arr, -values))  # lexsort: primary key last
-
-
-def trim_top_contributors(
-    values,
-    trim_fraction: float,
-    xi: int,
-    alpha: float = 0.05,
-    ids: Sequence[str] | None = None,
-) -> TrimResult:
-    """Drop the floor(p*|A|) largest values and re-assess the sum.
-
-    Ties at the cut are broken by ascending sequence id.  Degrees of
-    freedom shrink to (|A| - dropped) * xi.
-    """
-    _check_trim_fraction(trim_fraction)
-    arr = np.asarray(values, dtype=float)
-    n = arr.size
-    if n == 0:
-        raise ValueError("no values to trim")
-    id_arr = np.array([str(i) for i in ids] if ids is not None else np.arange(n).astype(str))
-    if id_arr.size != n:
-        raise ValueError("ids must match values in length")
-    k = int(np.floor(trim_fraction * n))
-    order = _contributor_order(arr, id_arr)
-    statistic = float(arr[order[k:]].sum())
-    dof = (n - k) * int(xi)
-    return TrimResult(
-        statistic=statistic,
-        dof=dof,
-        dropped=k,
-        assessment=assess(statistic, dof, alpha),
-        dropped_ids=tuple(id_arr[order[:k]].tolist()),
-    )
 
 
 def summarize_stream(
@@ -151,9 +105,12 @@ def summarize_stream(
 
     The combined statistic for window size nu sums the second differences
     over all sequences and is assessed at |A| * 2**(nu-2) degrees of
-    freedom.  ``trim_mode="per_nu"`` ranks contributors independently per
-    window size; ``"joint"`` drops the same sequences everywhere, ranked
-    by their total contribution across window sizes.
+    freedom.  Each trim fraction p drops the floor(p * |A|) largest
+    contributors, ties broken by ascending sequence id, and re-assesses
+    the rest at (|A| - dropped) * 2**(nu-2) degrees of freedom.
+    ``trim_mode="per_nu"`` ranks contributors independently per window
+    size; ``"joint"`` drops the same sequences everywhere, ranked by their
+    total contribution across window sizes.
     """
     if not profiles:
         raise ValueError("need at least one profile")
@@ -165,7 +122,8 @@ def summarize_stream(
     if trim_mode not in ("per_nu", "joint"):
         raise ValueError(f"unknown trim_mode {trim_mode!r}")
     for p in trim_fractions:
-        _check_trim_fraction(p)
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"trim fraction must lie in [0, 1), got {p}")
     n = len(profiles)
     ids = [str(i) for i in sequence_ids] if sequence_ids is not None else [
         str(i) for i in range(n)
@@ -413,18 +371,22 @@ def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
 
 
 def write_recurrence(matrix, base_path: str | Path) -> list[Path]:
-    """Dump a square recurrence matrix as CSV and as an 8-bit binary graymap."""
+    """Dump a square recurrence matrix as CSV and as an 8-bit binary graymap.
+
+    The two files are ``base_path`` with ``.csv`` and ``.pgm`` appended,
+    so a dot in the base name is kept.
+    """
     values = np.asarray(matrix, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("recurrence matrix must be square")
     base = Path(base_path)
     base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = base.with_suffix(".csv")
+    csv_path = base.with_name(base.name + ".csv")
     row_format = ",".join(["%.6g"] * values.shape[1])
     lines = [row_format % tuple(row) for row in values.tolist()]
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    pgm_path = base.with_suffix(".pgm")
+    pgm_path = base.with_name(base.name + ".pgm")
     peak = float(values.max())
     scaled = (
         np.zeros_like(values, dtype=np.uint8)

@@ -75,22 +75,6 @@ class Pcg64:
         """Uniform double in [0, 1) from the top 53 bits of one word."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def bit_array(self, n_bits: int) -> np.ndarray:
-        """MSB-first bits of successive words, final word truncated."""
-        if n_bits < 1:
-            raise ValueError("n_bits must be positive")
-        return _unpack_words([self.next_u64() for _ in range((n_bits + 63) // 64)])[:n_bits]
-
-
-def _unpack_words(words: list[int]) -> np.ndarray:
-    """MSB-first bits of 64-bit words, word after word."""
-    return np.unpackbits(np.array(words, dtype=">u8").view(np.uint8))
-
-
-def pcg64_bits(gen: Pcg64, n_bits: int, source_id: str = "") -> BinarySequence:
-    """Draw a binary sequence, advancing ``gen`` past the words it used."""
-    return BinarySequence(bits=gen.bit_array(n_bits), source_id=source_id)
-
 
 def _absorbing(x: np.ndarray) -> np.ndarray:
     return (x <= 0.0) | (x >= 1.0) | (x == 0.25) | (x == 0.5) | (x == 0.75)
@@ -129,16 +113,6 @@ def logistic_bit_matrix(seeds: np.ndarray, n_bits: int, burn_in: int = 100) -> n
         if step >= burn_in:
             out[:, step - burn_in] = x > 0.5
     return out
-
-
-def logistic_bits(
-    seed: float, n_bits: int, burn_in: int = 100, source_id: str = ""
-) -> BinarySequence:
-    """Binary sequence from one logistic trajectory after burn-in."""
-    if not 0.0 < seed < 1.0 or seed in LOGISTIC_FORBIDDEN:
-        raise ValueError(f"invalid logistic seed {seed!r}")
-    bits = logistic_bit_matrix(np.array([seed]), n_bits, burn_in)[0]
-    return BinarySequence(bits=bits, source_id=source_id)
 
 
 @dataclass(frozen=True)
@@ -207,8 +181,9 @@ def shape_synthetic(
                 seed = gen.next_uniform()
             draws.append(seed)
     if generator == "pcg64":
-        # Each sequence is the head of its own whole words, as Pcg64.bit_array cuts it.
-        bits = _unpack_words(draws)
+        # MSB-first bits of every word in turn; each sequence is the head
+        # of its own whole words.
+        bits = np.unpackbits(np.array(draws, dtype=">u8").view(np.uint8))
         starts = np.cumsum([0, *((n + 63) // 64 * 64 for n in spec.lengths)]).tolist()
         rows = (bits[a : a + n] for a, n in zip(starts, spec.lengths))
     else:

@@ -79,49 +79,20 @@ class BinarySequence:
 
 
 @dataclass(frozen=True)
-class PatternCounts:
-    """Frequencies of all 2**nu overlapping windows of one sequence.
-
-    ``counts[p]`` is the number of windows whose bits, most significant
-    bit first (earliest bit first), spell the integer ``p``.
-    ``skipped_segments`` records segments too short to hold a single
-    window in boundary-respecting mode.
-    """
-
-    nu: int
-    counts: np.ndarray
-    total_windows: int
-    skipped_segments: int = 0
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (2**self.nu,):
-            raise ValueError("counts must have length 2**nu")
-        if int(counts.sum()) != self.total_windows:
-            raise ValueError("counts must sum to total_windows")
-        counts = counts.copy()
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-
-@dataclass(frozen=True)
 class PsiProfile:
-    """psi2, its first and second differences, and degrees of freedom.
+    """psi2 and its second differences.
 
-    ``psi`` covers nu = 1..max_nu, ``d1`` nu >= 2, ``d2`` nu >= 3.  The
-    second difference at nu = 2 would need a psi2(0) term and is never
-    exposed.  ``dof[nu] == 2**(nu - 2)``.
+    ``psi`` covers nu = 1..max_nu and ``d2`` nu >= 3.  The second
+    difference at nu = 2 would need a psi2(0) term and is never exposed.
     """
 
     psi: dict[int, float]
-    d1: dict[int, float]
     d2: dict[int, float]
-    dof: dict[int, int]
     n_bits: int
 
     @classmethod
     def from_psi(cls, psi: Mapping[int, float], n_bits: int) -> "PsiProfile":
-        """Build a profile from raw psi2 values for nu = 1..len(psi), deriving the differences."""
+        """Build a profile from raw psi2 values for nu = 1..len(psi), deriving the second differences."""
         try:
             p = [float(psi[nu]) for nu in range(1, len(psi) + 1)]  # p[nu - 1] is psi2(nu)
         except KeyError:
@@ -129,9 +100,7 @@ class PsiProfile:
         m = len(p)
         return cls(
             psi=dict(enumerate(p, start=1)),
-            d1={nu: p[nu - 1] - p[nu - 2] for nu in range(2, m + 1)},
             d2={nu: p[nu - 1] - 2.0 * p[nu - 2] + p[nu - 3] for nu in range(3, m + 1)},
-            dof={nu: 2 ** (nu - 2) for nu in range(3, m + 1)},
             n_bits=int(n_bits),
         )
 
@@ -184,47 +153,16 @@ def _level_counts(seq: BinarySequence, max_nu: int, respect_boundaries: bool) ->
     return np.bincount(keys.ravel(), minlength=dump + 1)[:dump]
 
 
-def count_overlapping_patterns(
-    seq: BinarySequence, nu: int, respect_boundaries: bool = False
-) -> PatternCounts:
-    """Count overlapping length-nu windows, optionally per segment.
-
-    In boundary-respecting mode windows never straddle a segment join;
-    segments shorter than nu contribute no windows and are tallied in
-    ``skipped_segments``.
-    """
-    if not 1 <= nu <= MAX_WINDOW:
-        raise ValueError(f"window size must be in 1..{MAX_WINDOW}, got {nu}")
-    skipped = 0
-    if respect_boundaries and seq.segment_bounds:
-        skipped = int((seq.segment_lengths() < nu).sum())
-    elif nu > len(seq):
-        raise ValueError(f"window size {nu} exceeds sequence length {len(seq)}")
-    counts = _level_counts(seq, nu, respect_boundaries)[(1 << nu) - 2 :]
-    return PatternCounts(nu, counts, int(counts.sum()), skipped)
-
-
-def _psi(nu: int, w: int, ssq: int) -> float:
-    if w <= 0:
-        raise ValueError("pattern counts cover zero windows")
-    return (2**nu * ssq) / w - w
-
-
-def psi_square(counts: PatternCounts) -> float:
-    """Uniformity statistic of one pattern-count table.
-
-    Equals sum_i (n_i - lam)**2 / lam with lam = W / 2**nu for W total
-    windows, evaluated through the identity 2**nu * sum_i n_i**2 / W - W
-    so that the result depends only on the integer sum of squares and is
-    invariant under any permutation of the pattern labels.
-    """
-    return _psi(counts.nu, counts.total_windows, int(np.dot(counts.counts, counts.counts)))
-
-
 def psi_profile(
     seq: BinarySequence, max_nu: int = MAX_WINDOW, respect_boundaries: bool = False
 ) -> PsiProfile:
-    """psi2 for nu = 1..max_nu plus first/second differences."""
+    """psi2 for nu = 1..max_nu plus second differences.
+
+    psi2(nu) is evaluated as 2**nu * sum_i n_i**2 / W - W for W windows,
+    which equals sum_i (n_i - lam)**2 / lam with lam = W / 2**nu and
+    depends only on integer sums, so it is invariant under any
+    permutation of the pattern labels.
+    """
     if not 1 <= max_nu <= MAX_WINDOW:
         raise ValueError(f"max_nu must be in 1..{MAX_WINDOW}, got {max_nu}")
     if len(seq) < max_nu:
@@ -233,14 +171,8 @@ def psi_profile(
     *_, firsts = _key_layout(max_nu)
     windows = np.add.reduceat(counts, firsts.ravel()).tolist()
     squares = np.add.reduceat(counts * counts, firsts.ravel()).tolist()
-    nus = range(1, max_nu + 1)
-    return PsiProfile.from_psi(dict(zip(nus, map(_psi, nus, windows, squares))), len(seq))
+    if min(windows) <= 0:
+        raise ValueError("pattern counts cover zero windows")
+    psi = {nu: (2**nu * ssq) / w - w for nu, w, ssq in zip(range(1, max_nu + 1), windows, squares)}
+    return PsiProfile.from_psi(psi, len(seq))
 
-
-def complement(seq: BinarySequence) -> BinarySequence:
-    """Flip every bit, preserving the source id and segment joins."""
-    return BinarySequence(
-        bits=1 - seq.bits,
-        source_id=seq.source_id,
-        segment_bounds=seq.segment_bounds,
-    )

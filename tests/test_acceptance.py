@@ -7,6 +7,7 @@ exact invariances; the empirical Nasdaq panel itself is proprietary and
 is not required by any test here.
 """
 
+import datetime as dt
 import json
 import math
 import time
@@ -19,10 +20,10 @@ import reference_pipeline
 import reference_values as ref
 from marketrng.chi2 import chi2_critical
 from marketrng.cli import main
-from marketrng.pipeline import binarise_median, compute_return_series, parse_prices
-from marketrng.report import summarize_stream, trim_top_contributors
+from marketrng.pipeline import Returns, build_stream, compute_return_series, parse_prices
+from marketrng.report import summarize_stream
 from marketrng.rng import SyntheticSpec, shape_synthetic
-from marketrng.serial import BinarySequence, PsiProfile, complement, count_overlapping_patterns, psi_profile
+from marketrng.serial import BinarySequence, PsiProfile, psi_profile
 
 NULL_RUN_MASTER_SEED = 42
 NULL_RUN_COUNT = 4225
@@ -60,8 +61,8 @@ def test_counting_oracle():
         n = int(rng.integers(4, 65))
         bits = rng.integers(0, 2, size=n)
         seq = BinarySequence(bits=bits.astype(np.uint8), source_id="oracle")
+        profile = psi_profile(seq, max_nu=4)
         for nu in range(1, 5):
-            counts = count_overlapping_patterns(seq, nu).counts
             brute = {}
             for i in range(n - nu + 1):
                 key = tuple(int(b) for b in bits[i : i + nu])
@@ -69,7 +70,8 @@ def test_counting_oracle():
             expected = np.zeros(2**nu, dtype=np.int64)
             for key, value in brute.items():
                 expected[int("".join(map(str, key)), 2)] = value
-            if not np.array_equal(counts, expected):
+            windows = n - nu + 1  # psi2 from the counts in exact integer form
+            if profile.psi[nu] != (2**nu * int(expected @ expected)) / windows - windows:
                 mismatches += 1
     elapsed = time.perf_counter() - start
     _report(
@@ -181,15 +183,13 @@ def test_inefficient_subset_mechanism(null_run):
     ids = [f"sim{i:05d}" for i in range(NULL_RUN_COUNT - n_plants)] + [
         f"plant{i:02d}" for i in range(n_plants)
     ]
+    report = summarize_stream(mixed, sequence_ids=ids, trim_fractions=(0.0, 0.01))
     problems = []
     for nu in range(3, 9):
-        xi = 2 ** (nu - 2)
-        column = np.array([p.d2[nu] for p in mixed])
-        untrimmed = trim_top_contributors(column, 0.0, xi, ids=ids)
-        trimmed = trim_top_contributors(column, 0.01, xi, ids=ids)
-        if not untrimmed.assessment.significant:
+        untrimmed, trimmed = report.trim_ladder[nu]
+        if not untrimmed.significant:
             problems.append(f"nu={nu} not significant before trimming")
-        if trimmed.assessment.significant:
+        if trimmed.significant:
             problems.append(f"nu={nu} still significant after 1% trim")
     _report(
         "inefficient subset: planted 1% flips the verdict, 1% trim restores it",
@@ -207,7 +207,7 @@ def test_invariance_suite():
         n = int(rng.integers(8, 96))
         seq = BinarySequence(bits=rng.integers(0, 2, size=n).astype(np.uint8))
         base = psi_profile(seq, max_nu=8)
-        flipped = psi_profile(complement(seq), max_nu=8)
+        flipped = psi_profile(BinarySequence(bits=1 - seq.bits), max_nu=8)
         if base.psi != flipped.psi or base.d2 != flipped.d2:
             problems.append("complement")
             break
@@ -221,13 +221,18 @@ def test_invariance_suite():
             problems.append("reversal")
             break
 
+    def median_bits(values):
+        code = np.zeros(values.size, dtype=np.int64)
+        returns = Returns(["X"], [dt.date(2001, 1, 31)], code, code, values)
+        return build_stream(returns, "firm_separated").sequences[0].bits
+
     transforms = [np.exp, lambda x: 5.0 * x + 2.0, lambda x: x**3, np.arctan]
     for _ in range(1000):
         n = int(rng.integers(2, 80))
         returns = rng.uniform(-4.0, 4.0, size=n)
-        reference = binarise_median(returns).bits
+        reference = median_bits(returns)
         transform = transforms[int(rng.integers(0, len(transforms)))]
-        if binarise_median(transform(returns)).bits.tolist() != reference.tolist():
+        if median_bits(transform(returns)).tolist() != reference.tolist():
             problems.append("monotone transform")
             break
 

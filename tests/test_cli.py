@@ -356,6 +356,38 @@ class TestTestCommand:
         assert len(figures) == 4 and all(len(name.encode()) <= 255 for name in figures)
         assert len({name[:-4] for name in figures}) == 2  # one stem per id
 
+    def test_unknown_recurrence_id_is_reported(self, small_panel, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"recurrence_ids": ["F01", "NOPE\n"]}), encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["test", "--input", str(small_panel), "--stream", "firm", "--config", str(config)]
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == "no recurrence figure for 'NOPE\\n': not in the firm stream\n"
+        figures = sorted(f.name for f in (out / "firm_separated" / "figures").iterdir())
+        assert figures == ["recurrence_F01.csv", "recurrence_F01.pgm"]
+
+    def test_year_without_a_full_segment_is_reported(self, small_panel, tmp_path, capsys):
+        # 37 month-end prices from January 2001: 11 returns a firm in 2001,
+        # 12 in 2002 and 2003, and one in 2004, which makes no sequence.
+        out = tmp_path / "out"
+        assert main(["test", "--input", str(small_panel), "--stream", "year", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "no kde figure for year 2001: no segment of 12 returns\n"
+        figures = sorted(f.name for f in (out / "year_separated" / "figures").iterdir())
+        assert figures == ["kde_2002.csv", "kde_2003.csv"]
+
+    def test_kde_error_is_reported(self, tmp_path, capsys):
+        # B's prices are the reciprocals of A's, so B's bits are A's flipped
+        # and every month's column sum is 1: the samples have no spread.
+        closes = random_walk_closes(25, seed=500)
+        start = {"start_year": 2000, "start_month": 12}
+        panel = write_panel(tmp_path / "p.csv", [("A", closes, start), ("B", [1e4 / x for x in closes], start)])
+        out = tmp_path / "out"
+        assert main(["test", "--input", str(panel), "--stream", "year", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"no kde figure for year {year}: samples have zero spread\n" for year in (2001, 2002)
+        )
+        assert not (out / "year_separated" / "figures").exists()
+
     @settings(max_examples=300)
     @given(st.text(), st.text())
     @example("L" * 300, "L" * 299 + "M")

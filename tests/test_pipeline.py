@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import reference_pipeline as ref
 from marketrng.pipeline import (
     FormatError,
-    binarise_median,
+    Returns,
     build_stream,
     clean_panel,
     compute_return_series,
@@ -272,24 +272,27 @@ class TestPriceMath:
             assert got_scaled.tolist() == got.tolist() == ref.log_returns(p).tolist()
 
 
+def median_bits(values):
+    """The bits build_stream gives one instrument whose returns are ``values``, in order."""
+    n = len(values)
+    code = np.zeros(n, dtype=np.int64)
+    returns = Returns(["X"], [dt.date(2001, 1, 31)], code, code, np.asarray(values, dtype=float))
+    return build_stream(returns, "firm_separated").sequences[0].bits
+
+
 class TestBinarise:
     def test_hand_example(self):
-        result = binarise_median([0.1, -0.2, 0.3, 0.05])
-        assert result.bits.tolist() == [1, 0, 1, 0]
-        assert result.median == pytest.approx(0.075)
-        assert not result.degenerate
+        assert median_bits([0.1, -0.2, 0.3, 0.05]).tolist() == [1, 0, 1, 0]
 
     def test_constant_input_degenerate(self):
-        result = binarise_median([0.5, 0.5, 0.5])
-        assert result.bits.tolist() == [0, 0, 0]
-        assert result.degenerate
+        assert median_bits([0.5, 0.5, 0.5]).tolist() == [0, 0, 0]
 
     def test_balance_property(self):
         rng = np.random.default_rng(23)
         for _ in range(1000):
             n = int(rng.integers(2, 200))
             returns = rng.standard_normal(n)
-            bits = binarise_median(returns).bits
+            bits = median_bits(returns)
             ones = int(bits.sum())
             assert abs(ones - (n - ones)) <= 1
 
@@ -299,13 +302,13 @@ class TestBinarise:
         for _ in range(1000):
             n = int(rng.integers(2, 60))
             returns = rng.uniform(-3.0, 3.0, size=n)
-            reference = binarise_median(returns).bits
+            reference = median_bits(returns)
             transform = transforms[int(rng.integers(0, len(transforms)))]
-            assert binarise_median(transform(returns)).bits.tolist() == reference.tolist()
+            assert median_bits(transform(returns)).tolist() == reference.tolist()
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            binarise_median([0.1])
+            median_bits([0.1])
 
 
 def toy_series(n_firms=3, start=2001, years=2, seed=0):
@@ -354,7 +357,7 @@ class TestBuildStream:
             segments = [series.values[(series.instrument == k) & in_year] for k in range(len(series.ids))]
             segments = [v for v in segments if v.size >= 2]
             assert seq.segment_bounds == tuple(np.cumsum([v.size for v in segments])[:-1].tolist())
-            want = [binarise_median(v).bits.tolist() for v in segments]
+            want = [ref.binarise_median(v).bits.tolist() for v in segments]
             assert [b.tolist() for b in seq.segments()] == want
 
     def test_single_return_segments_skipped_and_audited(self):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import reference_pipeline as ref
 from marketrng import pipeline
 from marketrng.pipeline import (
-    binarise_median,
+    Returns,
     build_stream,
     clean_panel,
     compute_return_series,
@@ -269,10 +269,13 @@ def test_binarise_median_matches_numpy_median(values):
     # even lengths included; equal non-zero floats have equal bits.  Only
     # the sign of a zero median can differ, which log returns never hit
     # (np.log gives +0.0, never -0.0).
-    result = binarise_median(values)
-    median = float(np.median(np.asarray(values)))
-    assert result.median == median
-    assert result.bits.tolist() == [int(v > median) for v in values]
+    arr = np.asarray(values)
+    _, (got_median,) = pipeline._binarise_runs(arr, np.array([0]), np.array([arr.size]))
+    median = float(np.median(arr))
+    assert got_median == median
+    code = np.zeros(arr.size, dtype=np.int64)
+    stream = build_stream(Returns(["X"], [dt.date(2001, 1, 31)], code, code, arr), "firm_separated")
+    assert stream.sequences[0].bits.tolist() == [int(v > median) for v in values]
 
 
 # Heavy ties, both zeros and both infinities: the cases where a sort by

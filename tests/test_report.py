@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_values as ref
+from reference_report import trim_top_contributors
 from marketrng.report import (
     StreamReport,
     default_kde_grid,
@@ -17,7 +18,6 @@ from marketrng.report import (
     read_report_json,
     recurrence_matrix,
     summarize_stream,
-    trim_top_contributors,
     write_kde,
     write_recurrence,
     write_report_json,
@@ -84,17 +84,26 @@ class TestSummarize:
 
 
 def profiles_of_d2_rows(rows):
-    """One max_nu = 8 profile per row of six d2 values (nu = 3..8), psi and d1 zero."""
+    """One max_nu = 8 profile per row of six d2 values (nu = 3..8), psi zero."""
     return [
-        PsiProfile(
-            psi=dict.fromkeys(range(1, 9), 0.0),
-            d1=dict.fromkeys(range(2, 9), 0.0),
-            d2=dict(zip(range(3, 9), row)),
-            dof={nu: 2 ** (nu - 2) for nu in range(3, 9)},
-            n_bits=100,
-        )
+        PsiProfile(psi=dict.fromkeys(range(1, 9), 0.0), d2=dict(zip(range(3, 9), row)), n_bits=100)
         for row in rows
     ]
+
+
+def trim_steps(values, fractions, xi, ids=None, trim_mode="per_nu"):
+    """The ladder summarize_stream gives a d2 column at the window size of 2**(nu-2) == xi.
+
+    Every window size of each profile holds the same value, so ``values``
+    is the column at every nu.
+    """
+    report = summarize_stream(
+        profiles_of_d2_rows([[v] * 6 for v in values]),
+        trim_fractions=fractions,
+        sequence_ids=ids,
+        trim_mode=trim_mode,
+    )
+    return report.trim_ladder[int(xi).bit_length() + 1]
 
 
 D2_VALUES = st.sampled_from([-2.0, 0.0, 0.1, 1.0 / 3.0, 7.25]) | st.floats(-50.0, 500.0)
@@ -161,29 +170,36 @@ def test_bad_trim_fraction_rejected_in_both_modes(fraction):
 class TestTrim:
     def test_zero_fraction_is_identity(self):
         values = [10.0, 5.0, 1.0, 1.0, 1.0]
-        result = trim_top_contributors(values, 0.0, xi=2)
+        (result,) = trim_steps(values, (0.0,), xi=2)
         assert result.statistic == sum(values)
         assert result.dof == 10
         assert result.dropped == 0
 
     def test_hand_example(self):
-        result = trim_top_contributors([10.0, 5.0, 1.0, 1.0, 1.0], 0.2, xi=4)
+        (result,) = trim_steps([10.0, 5.0, 1.0, 1.0, 1.0], (0.2,), xi=4)
         assert result.statistic == 8.0
         assert result.dof == 4 * 4
         assert result.dropped == 1
 
     def test_tie_break_ascending_id(self):
-        values = [7.0, 7.0, 1.0]
-        result = trim_top_contributors(values, 1.0 / 3.0, xi=2, ids=["b", "a", "c"])
-        assert result.dropped_ids == ("a",)
+        # Totals 7, 7, 1 for ids b, a, c: the tie at the cut drops "a".
+        # Its row differs from b's within the total, so the nu = 3 and
+        # nu = 4 sums show which of the two was dropped.
+        rows = [[3.0, 4.0, 0.0, 0.0, 0.0, 0.0], [4.0, 3.0, 0.0, 0.0, 0.0, 0.0], [1.0] + [0.0] * 5]
+        report = summarize_stream(
+            profiles_of_d2_rows(rows),
+            trim_fractions=(1.0 / 3.0,),
+            sequence_ids=["b", "a", "c"],
+            trim_mode="joint",
+        )
+        assert report.trim_ladder[3][0].dropped == 1
+        assert report.trim_ladder[3][0].statistic == 3.0 + 1.0
+        assert report.trim_ladder[4][0].statistic == 4.0
 
     def test_ladder_monotone_non_increasing(self):
         rng = np.random.default_rng(40)
         values = rng.chisquare(8, size=300)
-        stats = [
-            trim_top_contributors(values, p, xi=8).statistic
-            for p in (0.0, 0.01, 0.02, 0.05, 0.1)
-        ]
+        stats = [step.statistic for step in trim_steps(values, (0.0, 0.01, 0.02, 0.05, 0.1), xi=8)]
         assert all(a >= b for a, b in zip(stats, stats[1:]))
 
     def test_removing_largest_never_increases(self):
@@ -191,12 +207,12 @@ class TestTrim:
         for _ in range(50):
             values = rng.chisquare(2, size=40)
             full = values.sum()
-            trimmed = trim_top_contributors(values, 1.0 / 40.0, xi=2).statistic
-            assert trimmed <= full
+            (trimmed,) = trim_steps(values, (1.0 / 40.0,), xi=2)
+            assert trimmed.statistic <= full
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
-            trim_top_contributors([1.0], 1.0, xi=2)
+            trim_steps([1.0], (1.0,), xi=2)
 
     def test_planted_periodic_mechanism(self):
         # Two perfectly periodic sequences among 198 PCG sequences (1%)
@@ -275,6 +291,13 @@ class TestRecurrence:
             csv_path, _ = write_recurrence(matrix, Path(tmp) / "m")
             text = csv_path.read_text(encoding="utf-8")
         assert text == "".join(",".join(f"{v:.6g}" for v in row) + "\n" for row in matrix)
+
+    def test_dotted_base_names_keep_their_own_files(self, tmp_path):
+        a = write_recurrence(recurrence_matrix([1.0, 2.0]), tmp_path / "rec_BRK.A")
+        b = write_recurrence(recurrence_matrix([1.0, 5.0]), tmp_path / "rec_BRK.B")
+        assert [p.name for p in a + b] == ["rec_BRK.A.csv", "rec_BRK.A.pgm", "rec_BRK.B.csv", "rec_BRK.B.pgm"]
+        assert a[0].read_text(encoding="utf-8") == "0,1\n1,0\n"
+        assert b[0].read_text(encoding="utf-8") == "0,4\n4,0\n"
 
 
 class TestKde:

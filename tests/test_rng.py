@@ -11,8 +11,6 @@ from marketrng.rng import (
     Pcg64,
     SyntheticSpec,
     logistic_bit_matrix,
-    logistic_bits,
-    pcg64_bits,
     rng_selftest,
     shape_synthetic,
 )
@@ -35,6 +33,18 @@ def reference_pcg64(initstate, initseq, count):
         rot = state >> 122
         out.append(((xored >> rot) | (xored << (64 - rot))) % 2**64 if rot else xored)
     return out
+
+
+def word_bits(gen, n_bits):
+    """The first ``n_bits`` bits of successive 64-bit words, read from their binary text."""
+    text = "".join(f"{gen.next_u64():064b}" for _ in range((n_bits + 63) // 64))
+    return [int(c) for c in text[:n_bits]]
+
+
+def synthetic_bits(master_seed, stream, n_bits):
+    """Bits shape_synthetic draws from PCG64 stream ``stream`` for a sequence of ``n_bits``."""
+    spec = SyntheticSpec.firm_like(stream + 1, n_bits)
+    return shape_synthetic(spec, "pcg64", master_seed=master_seed).sequences[stream].bits
 
 
 def stream_seed(master_seed, j):
@@ -120,46 +130,54 @@ class TestPcg64Core:
 
 class TestPcg64Bits:
     def test_one_word_exactly(self):
-        seq = pcg64_bits(Pcg64.from_seed(9, 1), 64)
+        bits = synthetic_bits(9, 1, 64)
         word = Pcg64.from_seed(9, 1).next_u64()
         expected = [(word >> (63 - i)) & 1 for i in range(64)]
-        assert seq.bits.tolist() == expected
+        assert bits.tolist() == expected
 
     def test_sixty_five_bits(self):
-        seq = pcg64_bits(Pcg64.from_seed(9, 1), 65)
+        bits = synthetic_bits(9, 1, 65)
         gen = Pcg64.from_seed(9, 1)
         first, second = gen.next_u64(), gen.next_u64()
-        assert seq.bits[:64].tolist() == [(first >> (63 - i)) & 1 for i in range(64)]
-        assert seq.bits[64] == (second >> 63) & 1
+        assert bits[:64].tolist() == [(first >> (63 - i)) & 1 for i in range(64)]
+        assert bits[64] == (second >> 63) & 1
 
     def test_prefix_property(self):
-        for k in (1, 63, 64, 65, 200):
-            short = pcg64_bits(Pcg64.from_seed(5, 5), k)
-            longer = pcg64_bits(Pcg64.from_seed(5, 5), k + 1)
-            assert longer.bits[:k].tolist() == short.bits.tolist()
+        # 8 is the shortest synthetic sequence.
+        for k in (8, 63, 64, 65, 200):
+            short = synthetic_bits(5, 5, k)
+            longer = synthetic_bits(5, 5, k + 1)
+            assert longer[:k].tolist() == short.tolist()
 
     def test_ones_fraction(self):
-        seq = pcg64_bits(Pcg64.from_seed(1234, 0), 1_000_000)
-        assert abs(seq.bits.mean() - 0.5) < 0.002
+        bits = synthetic_bits(1234, 0, 1_000_000)
+        assert abs(bits.mean() - 0.5) < 0.002
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):
-            pcg64_bits(Pcg64.from_seed(1, 1), 0)
+            SyntheticSpec.firm_like(1, 0)
 
 
 class TestLogistic:
     @pytest.mark.parametrize("seed", [0.0, 0.25, 0.5, 0.75, 1.0, -0.1, 1.5])
     def test_invalid_seeds_rejected(self, seed):
-        with pytest.raises(ValueError):
-            logistic_bits(seed, 10)
+        if not 0.0 <= seed <= 1.0:
+            with pytest.raises(ValueError):
+                logistic_bit_matrix(np.array([seed]), 10)
+            return
+        # An absorbing seed is not kept: its first step re-seeds the row.
+        row = logistic_bit_matrix(np.array([seed]), 10, burn_in=0)[0]
+        bits, reseeds = reference_logistic(seed, 10, 0)
+        assert reseeds >= 1
+        assert row.tolist() == bits
 
     def test_deterministic(self):
-        a = logistic_bits(0.123456, 500, burn_in=100)
-        b = logistic_bits(0.123456, 500, burn_in=100)
-        assert a.bits.tolist() == b.bits.tolist()
+        a = logistic_bit_matrix(np.array([0.123456]), 500, burn_in=100)
+        b = logistic_bit_matrix(np.array([0.123456]), 500, burn_in=100)
+        assert a.tolist() == b.tolist()
 
     def test_bits_are_binary_and_roughly_balanced(self):
-        bits = logistic_bits(0.3141592653589793, 20_000).bits
+        bits = logistic_bit_matrix(np.array([0.3141592653589793]), 20_000)[0]
         assert set(np.unique(bits)) <= {0, 1}
         assert abs(bits.mean() - 0.5) < 0.02
 
@@ -194,7 +212,7 @@ class TestLogistic:
         with pytest.raises(ValueError):
             logistic_bit_matrix(np.array([0.3]), 10, burn_in=-1)
         with pytest.raises(ValueError):
-            logistic_bits(0.3, 10, burn_in=-1)
+            shape_synthetic(SyntheticSpec.firm_like(1, 10), "logistic", burn_in=-1)
 
     @given(
         seeds=st.lists(
@@ -275,8 +293,7 @@ class TestShapeSynthetic:
         spec = SyntheticSpec.firm_like(3, 64)
         stream = shape_synthetic(spec, master_seed=7)
         for j, seq in enumerate(stream.sequences):
-            expected = pcg64_bits(Pcg64.from_seed(7, j), 64)
-            assert seq.bits.tolist() == expected.bits.tolist()
+            assert seq.bits.tolist() == word_bits(Pcg64.from_seed(7, j), 64)
             assert seq.source_id == f"sim{j:05d}"
 
     @given(
@@ -289,8 +306,7 @@ class TestShapeSynthetic:
         spec = SyntheticSpec.year_like(len(lengths), lengths)
         stream = shape_synthetic(spec, "pcg64", master_seed=master_seed)
         for j, (seq, length) in enumerate(zip(stream.sequences, lengths, strict=True)):
-            expected = Pcg64.from_seed(master_seed, j).bit_array(length)
-            assert seq.bits.tolist() == expected.tolist()
+            assert seq.bits.tolist() == word_bits(Pcg64.from_seed(master_seed, j), length)
 
     def test_logistic_seeds_from_streams_with_default_burn_in(self):
         stream = shape_synthetic(

@@ -5,19 +5,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from marketrng.serial import (
-    BinarySequence,
-    PatternCounts,
-    PsiProfile,
-    complement,
-    count_overlapping_patterns,
-    psi_profile,
-    psi_square,
-)
+from marketrng.report import summarize_stream
+from marketrng.rng import SyntheticSpec, shape_synthetic
+from marketrng.serial import BinarySequence, PsiProfile, psi_profile
 
 
 def seq(bits, bounds=()):
     return BinarySequence(bits=np.array(bits, dtype=np.uint8), segment_bounds=bounds)
+
+
+def flip(s):
+    """Every bit of ``s`` flipped, with the same id and segment joins."""
+    return BinarySequence(bits=1 - s.bits, source_id=s.source_id, segment_bounds=s.segment_bounds)
+
+
+def psi_of(counts):
+    """sum_i (n_i - lam)**2 / lam of one count table, in exact integer form, lam = W / 2**nu."""
+    counts = np.asarray(counts, dtype=np.int64)
+    w = int(counts.sum())
+    return (counts.size * int(counts @ counts)) / w - w
 
 
 def brute_force_counts(bits, nu):
@@ -46,46 +52,41 @@ def segmented_sequences(draw):
 
 
 def oracle_counts(s, nu, respect):
-    """Brute-force counts and skipped-segment tally for one window size."""
+    """Brute-force counts for one window size, per segment in respect mode."""
     pieces = list(s.segments()) if respect else [s.bits]
     counts = np.zeros(2**nu, dtype=np.int64)
     for piece in pieces:
         if piece.size >= nu:
             counts += brute_force_counts(piece, nu)
-    skipped = sum(piece.size < nu for piece in pieces) if respect and s.segment_bounds else 0
-    return counts, skipped
+    return counts
 
 
 def oracle_profile(s, max_nu, respect):
     """The profile from brute-force counts, or None where a level has no window."""
-    tables = [oracle_counts(s, nu, respect)[0] for nu in range(1, max_nu + 1)]
+    tables = [oracle_counts(s, nu, respect) for nu in range(1, max_nu + 1)]
     if any(t.sum() == 0 for t in tables):
         return None
-    # sum_i (n_i - lam)**2 / lam in exact integer form, lam = W / 2**nu
-    psi = {
-        nu: (2**nu * int(t @ t)) / int(t.sum()) - int(t.sum())
-        for nu, t in enumerate(tables, start=1)
-    }
-    return PsiProfile.from_psi(psi, n_bits=len(s))
+    return PsiProfile.from_psi(dict(enumerate(map(psi_of, tables), start=1)), n_bits=len(s))
 
 
 def assert_same_profile(got, expected):
-    assert got.psi == expected.psi and got.d1 == expected.d1 and got.d2 == expected.d2
-    assert got.dof == expected.dof and got.n_bits == expected.n_bits
+    assert got.psi == expected.psi and got.d2 == expected.d2 and got.n_bits == expected.n_bits
 
 
 class TestDifferential:
     @given(segmented_sequences(), st.integers(1, 8), st.booleans())
     def test_counts_match_brute_force(self, s, nu, respect):
-        if nu > len(s) and not (respect and s.segment_bounds):
-            with pytest.raises(ValueError, match=f"window size {nu} exceeds sequence length {len(s)}"):
-                count_overlapping_patterns(s, nu, respect)
+        # psi2 at the largest window size reads that size's counts.
+        if nu > len(s):
+            with pytest.raises(ValueError, match=f"sequence length {len(s)} shorter than max_nu {nu}"):
+                psi_profile(s, nu, respect)
             return
-        expected, skipped = oracle_counts(s, nu, respect)
-        got = count_overlapping_patterns(s, nu, respect)
-        assert got.counts.tolist() == expected.tolist()
-        assert got.total_windows == int(expected.sum())
-        assert got.skipped_segments == skipped
+        expected = oracle_counts(s, nu, respect)
+        if not expected.any():
+            with pytest.raises(ValueError, match="pattern counts cover zero windows"):
+                psi_profile(s, nu, respect)
+            return
+        assert psi_profile(s, nu, respect).psi[nu] == psi_of(expected)
 
     @given(segmented_sequences(), st.integers(1, 8), st.booleans())
     def test_profile_matches_brute_force(self, s, max_nu, respect):
@@ -123,9 +124,8 @@ class TestDifferential:
             for respect in (False, True):
                 s = seq(bits)
                 assert_same_profile(psi_profile(s, max_nu, respect), oracle_profile(s, max_nu, respect))
-            counts = count_overlapping_patterns(seq(bits), max_nu)
-            assert counts.total_windows == 1
-            assert counts.counts[int("".join(map(str, bits)), 2)] == 1
+            # One window: W = 1 and sum_i n_i**2 = 1.
+            assert psi_profile(seq(bits), max_nu).psi[max_nu] == 2**max_nu - 1
 
     @given(segmented_sequences(), st.integers(1, 8))
     def test_ignore_mode_equals_unsegmented(self, s, max_nu):
@@ -134,9 +134,7 @@ class TestDifferential:
         flat = seq(s.bits)
         assert_same_profile(psi_profile(s, max_nu, False), psi_profile(flat, max_nu, False))
         for nu in range(1, max_nu + 1):
-            assert count_overlapping_patterns(s, nu).counts.tolist() == (
-                count_overlapping_patterns(flat, nu).counts.tolist()
-            )
+            assert psi_profile(s, nu).psi == psi_profile(flat, nu).psi
 
 
 class TestBinarySequence:
@@ -169,15 +167,11 @@ class TestBinarySequence:
 
 class TestCounting:
     def test_hand_enumeration(self):
-        counts = count_overlapping_patterns(seq([0, 1, 0, 1]), nu=2)
-        # patterns indexed 00, 01, 10, 11
-        assert counts.counts.tolist() == [0, 2, 1, 0]
-        assert counts.total_windows == 3
+        # patterns 00, 01, 10, 11 occur 0, 2, 1, 0 times in 3 windows
+        assert psi_profile(seq([0, 1, 0, 1]), 2).psi[2] == psi_of([0, 2, 1, 0])
 
     def test_constant_sequence(self):
-        counts = count_overlapping_patterns(seq([0] * 5), nu=3)
-        assert counts.counts[0] == 3
-        assert counts.counts[1:].sum() == 0
+        assert psi_profile(seq([0] * 5), 3).psi[3] == psi_of([3, 0, 0, 0, 0, 0, 0, 0])
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(7)
@@ -185,60 +179,60 @@ class TestCounting:
             n = int(rng.integers(4, 65))
             bits = rng.integers(0, 2, size=n)
             for nu in range(1, 5):
-                got = count_overlapping_patterns(seq(bits), nu).counts
-                assert got.tolist() == brute_force_counts(bits, nu).tolist()
+                assert psi_profile(seq(bits), nu).psi[nu] == psi_of(brute_force_counts(bits, nu))
 
     def test_counts_sum_to_windows(self):
+        # psi2 depends on the window total W, here n - nu + 1 at every size.
         rng = np.random.default_rng(11)
         for _ in range(50):
             n = int(rng.integers(8, 200))
             s = seq(rng.integers(0, 2, size=n))
+            profile = psi_profile(s, 8)
             for nu in range(1, 9):
-                counts = count_overlapping_patterns(s, nu)
-                assert counts.counts.sum() == counts.total_windows == n - nu + 1
+                counts = brute_force_counts(s.bits, nu)
+                w = n - nu + 1
+                assert profile.psi[nu] == (2**nu * int(counts @ counts)) / w - w
 
     def test_boundary_respecting(self):
         s = seq([0, 1, 0, 1, 0, 1], bounds=(4,))
-        flat = count_overlapping_patterns(s, 2, respect_boundaries=False)
-        split = count_overlapping_patterns(s, 2, respect_boundaries=True)
-        assert flat.total_windows == 5
-        assert split.total_windows == 4  # the straddling window is gone
-        assert split.counts[0b01] == 3 and split.counts[0b10] == 1
+        flat = psi_profile(s, 2, respect_boundaries=False)
+        split = psi_profile(s, 2, respect_boundaries=True)
+        assert flat.psi[2] == psi_of([0, 3, 2, 0])
+        assert split.psi[2] == psi_of([0, 3, 1, 0])  # the straddling window is gone
 
     def test_boundary_mode_skips_short_segments(self):
+        # The one-bit segment holds no size-3 window; 010 and 101 are left.
         s = seq([0, 1, 0, 1, 1], bounds=(4,))
-        counts = count_overlapping_patterns(s, 3, respect_boundaries=True)
-        assert counts.skipped_segments == 1
-        assert counts.total_windows == 2
+        assert psi_profile(s, 3, respect_boundaries=True).psi[3] == psi_of([0, 0, 1, 0, 0, 1, 0, 0])
 
     def test_window_size_errors(self):
         s = seq([0, 1, 0])
         with pytest.raises(ValueError):
-            count_overlapping_patterns(s, 0)
+            psi_profile(s, 0)
         with pytest.raises(ValueError):
-            count_overlapping_patterns(s, 9)
+            psi_profile(s, 9)
         with pytest.raises(ValueError):
-            count_overlapping_patterns(s, 4)
+            psi_profile(s, 4)
 
 
 class TestPsiSquare:
     def test_balanced_monobit_is_zero(self):
-        assert psi_square(count_overlapping_patterns(seq([0, 1, 1, 0]), 1)) == 0.0
+        assert psi_profile(seq([0, 1, 1, 0]), 1).psi[1] == 0.0
 
     def test_constant_eight_bits(self):
-        assert psi_square(count_overlapping_patterns(seq([0] * 8), 1)) == 8.0
+        assert psi_profile(seq([0] * 8), 1).psi[1] == 8.0
 
     def test_alternating_window_two(self):
-        value = psi_square(count_overlapping_patterns(seq([0, 1] * 4), 2))
+        value = psi_profile(seq([0, 1] * 4), 2).psi[2]
         # windows {01: 4, 10: 3}, lam = 7/4
         expected = (2.25**2 + 1.25**2 + 2 * 1.75**2) / 1.75
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(51.0 / 7.0, abs=1e-12)
 
     def test_zero_windows_rejected(self):
-        empty = PatternCounts(nu=2, counts=np.zeros(4, dtype=np.int64), total_windows=0)
-        with pytest.raises(ValueError):
-            psi_square(empty)
+        # No segment holds a size-2 window.
+        with pytest.raises(ValueError, match="pattern counts cover zero windows"):
+            psi_profile(seq([0, 1, 1, 0], bounds=(1, 2, 3)), 2, respect_boundaries=True)
 
 
 class TestPsiProfile:
@@ -246,16 +240,15 @@ class TestPsiProfile:
         rng = np.random.default_rng(3)
         for _ in range(25):
             profile = psi_profile(seq(rng.integers(0, 2, size=120)), max_nu=8)
-            for nu in range(2, 9):
-                assert profile.d1[nu] == profile.psi[nu] - profile.psi[nu - 1]
             for nu in range(3, 9):
                 assert profile.d2[nu] == (
                     profile.psi[nu] - 2.0 * profile.psi[nu - 1] + profile.psi[nu - 2]
                 )
 
     def test_dof_map(self):
-        profile = psi_profile(seq([0, 1] * 30), max_nu=8)
-        assert profile.dof == {3: 2, 4: 4, 5: 8, 6: 16, 7: 32, 8: 64}
+        # A one-sequence report assesses each second difference at 2**(nu - 2).
+        report = summarize_stream([psi_profile(seq([0, 1] * 30), max_nu=8)])
+        assert {nu: a.dof for nu, a in report.combined.items()} == {3: 2, 4: 4, 5: 8, 6: 16, 7: 32, 8: 64}
 
     def test_constant_profile_has_zero_d2(self):
         profile = PsiProfile.from_psi({1: 5.0, 2: 5.0, 3: 5.0, 4: 5.0}, n_bits=100)
@@ -286,22 +279,14 @@ class TestPsiProfile:
 
 
 class TestInvariances:
-    def test_complement_examples(self):
-        flipped = complement(seq([0, 1, 0, 1]))
-        assert flipped.bits.tolist() == [1, 0, 1, 0]
-        s = seq([0, 1, 1, 0, 1], bounds=(2,))
-        back = complement(complement(s))
-        assert back.bits.tolist() == s.bits.tolist()
-        assert back.segment_bounds == s.segment_bounds
-
     def test_complement_preserves_profile_exactly(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
             n = int(rng.integers(8, 128))
             s = seq(rng.integers(0, 2, size=n))
             a = psi_profile(s, max_nu=8)
-            b = psi_profile(complement(s), max_nu=8)
-            assert a.psi == b.psi and a.d1 == b.d1 and a.d2 == b.d2
+            b = psi_profile(flip(s), max_nu=8)
+            assert a.psi == b.psi and a.d2 == b.d2
 
     def test_reversal_preserves_profile_exactly(self):
         rng = np.random.default_rng(6)
@@ -310,7 +295,7 @@ class TestInvariances:
             bits = rng.integers(0, 2, size=n)
             a = psi_profile(seq(bits), max_nu=8)
             b = psi_profile(seq(bits[::-1]), max_nu=8)
-            assert a.psi == b.psi and a.d1 == b.d1 and a.d2 == b.d2
+            assert a.psi == b.psi and a.d2 == b.d2
 
 
 class TestNullDistribution:
@@ -318,14 +303,13 @@ class TestNullDistribution:
         # 10,000 length-400 sequences from the PCG baseline: the sample
         # mean of each second difference must sit within 4 standard
         # errors of its degrees of freedom and the sample variance within
-        # 10% of twice the degrees of freedom.
-        from marketrng.rng import Pcg64
-
+        # 10% of twice the degrees of freedom.  Sequence j is the head of
+        # PCG64 stream j from seed 2024.
         n_seqs, length = 10_000, 400
+        stream = shape_synthetic(SyntheticSpec.firm_like(n_seqs, length), master_seed=2024)
         d2 = np.empty((n_seqs, 6))
-        for j in range(n_seqs):
-            bits = Pcg64.from_seed(2024, j).bit_array(length)
-            profile = psi_profile(BinarySequence(bits=bits, source_id=str(j)), max_nu=8)
+        for j, s in enumerate(stream.sequences):
+            profile = psi_profile(s, max_nu=8)
             d2[j] = [profile.d2[nu] for nu in range(3, 9)]
         xi = np.array([2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
         mean = d2.mean(axis=0)
