@@ -18,6 +18,7 @@ from marketrng import (
     monthly_column_sums,
     parse_prices,
     psi_profile,
+    second_differences,
 )
 
 
@@ -58,7 +59,7 @@ print("\nfirm-separated stream:")
 for seq in firm_stream.sequences:
     profile = psi_profile(seq, max_nu=8)
     print(f"  {seq.source_id}: {len(seq)} bits, {int(seq.bits.sum())} above the median, "
-          f"psi2(1)={profile.psi[1]:.2e}, d2(8)={profile.d2[8]:.2f}")
+          f"psi2(1)={profile[0]:.2e}, d2(8)={second_differences(profile)[-1]:.2f}")
 
 year_stream = build_stream(series, "year_separated")
 print("\nyear-separated stream:")

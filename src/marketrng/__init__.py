@@ -6,7 +6,7 @@ serial) test, with chi-square significance assessment, a bit-exact
 PCG64 baseline, and batch reporting utilities.
 """
 
-from marketrng.serial import BinarySequence, PsiProfile, psi_profile
+from marketrng.serial import BinarySequence, psi_profile, second_differences
 from marketrng.chi2 import ChiSquareAssessment, assess, chi2_critical, chi2_sf
 from marketrng.pipeline import (
     ExperimentStream,
@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinarySequence",
-    "PsiProfile",
     "psi_profile",
+    "second_differences",
     "ChiSquareAssessment",
     "assess",
     "chi2_critical",

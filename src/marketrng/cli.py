@@ -188,17 +188,17 @@ def _profiles_for(stream: ExperimentStream, config: RunConfig):
     ]
     usable = [s for s, ok in zip(stream.sequences, fits) if ok]
     skipped = [s.source_id for s, ok in zip(stream.sequences, fits) if not ok]
-    profiles = [psi_profile(s, max_nu=config.max_nu, respect_boundaries=respect) for s in usable]
-    return usable, profiles, skipped
+    rows = [psi_profile(s, max_nu=config.max_nu, respect_boundaries=respect) for s in usable]
+    return usable, rows, skipped
 
 
 def _summarize_and_write(stream, config: RunConfig, out_dir: Path, extra_config: dict | None = None) -> int:
-    usable, profiles, skipped = _profiles_for(stream, config)
-    if not profiles:
+    usable, rows, skipped = _profiles_for(stream, config)
+    if not rows:
         print("no sequence is long enough to profile", file=sys.stderr)
         return EXIT_DATA
     report = summarize_stream(
-        profiles,
+        np.vstack(rows),
         alpha=config.alpha,
         trim_fractions=config.trim_fractions,
         sequence_ids=[s.source_id for s in usable],
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(config)
         raise AssertionError(f"unhandled command {args.command}")
-    except (_UsageError, ConfigError) as exc:
+    except (_UsageError, ConfigError, FileExistsError, NotADirectoryError) as exc:  # the last two: --out is a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FormatError as exc:

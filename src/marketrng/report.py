@@ -1,10 +1,10 @@
-"""Aggregation of per-sequence profiles into reports, tables, and figures.
+"""Aggregation of per-sequence psi2 rows into reports, tables, and figures.
 
-A stream of sequences yields one ``PsiProfile`` each; this module turns
-those into summary statistics, a combined chi-square per window size
-(degrees of freedom scale with the number of sequences), the share of
-individually significant sequences, and a trimming ladder that re-tests
-the combined statistic after removing the largest contributors.
+A stream's (sequences, max_nu) psi2 matrix becomes summary statistics,
+a combined chi-square per window size (degrees of freedom scale with the
+number of sequences), the share of individually significant sequences,
+and a trimming ladder that re-tests the combined statistic after
+removing the largest contributors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from marketrng.chi2 import ChiSquareAssessment, assess, chi2_critical
-from marketrng.serial import PsiProfile
+from marketrng.serial import second_differences
 
 DEFAULT_TRIM_FRACTIONS = (0.01, 0.02, 0.03, 0.04, 0.05)
 
@@ -94,7 +94,7 @@ def _contributor_order(values: np.ndarray, id_arr: np.ndarray) -> np.ndarray:
 
 
 def summarize_stream(
-    profiles: Sequence[PsiProfile],
+    psi: np.ndarray | Sequence[Sequence[float]],
     alpha: float = 0.05,
     trim_fractions: Sequence[float] = DEFAULT_TRIM_FRACTIONS,
     sequence_ids: Sequence[str] | None = None,
@@ -103,38 +103,35 @@ def summarize_stream(
 ) -> StreamReport:
     """Summaries, combined chi-square, significance shares, and trim ladder.
 
-    The combined statistic for window size nu sums the second differences
-    over all sequences and is assessed at |A| * 2**(nu-2) degrees of
-    freedom.  Each trim fraction p drops the floor(p * |A|) largest
-    contributors, ties broken by ascending sequence id, and re-assesses
-    the rest at (|A| - dropped) * 2**(nu-2) degrees of freedom.
+    ``psi`` holds one row of psi2(1..max_nu) per sequence, as an (n,
+    max_nu) array or a list of ``psi_profile`` rows.  The combined
+    statistic for window size nu sums the second differences over all
+    sequences and is assessed at |A| * 2**(nu-2) degrees of freedom.
+    Each trim fraction p drops the floor(p * |A|) largest contributors,
+    ties broken by ascending sequence id, and re-assesses the rest at
+    (|A| - dropped) * 2**(nu-2) degrees of freedom.
     ``trim_mode="per_nu"`` ranks contributors independently per window
     size; ``"joint"`` drops the same sequences everywhere, ranked by their
     total contribution across window sizes.
     """
-    if not profiles:
-        raise ValueError("need at least one profile")
-    max_nu = profiles[0].max_nu
-    if any(p.max_nu != max_nu for p in profiles):
-        raise ValueError("profiles must share max_nu")
+    psi_matrix = np.asarray(psi, dtype=float)  # a ragged list raises ValueError here
+    if psi_matrix.ndim != 2 or psi_matrix.size == 0:
+        raise ValueError(f"psi must be a non-empty 2-D matrix, got shape {psi_matrix.shape}")
+    n, max_nu = psi_matrix.shape
     if max_nu < 3:
-        raise ValueError("profiles must reach at least nu = 3")
+        raise ValueError("psi rows must reach at least nu = 3")
     if trim_mode not in ("per_nu", "joint"):
         raise ValueError(f"unknown trim_mode {trim_mode!r}")
     for p in trim_fractions:
         if not 0.0 <= p < 1.0:
             raise ValueError(f"trim fraction must lie in [0, 1), got {p}")
-    n = len(profiles)
-    ids = [str(i) for i in sequence_ids] if sequence_ids is not None else [
-        str(i) for i in range(n)
-    ]
+    ids = [str(i) for i in (range(n) if sequence_ids is None else sequence_ids)]
     if len(ids) != n:
-        raise ValueError("sequence_ids must match profiles in length")
+        raise ValueError("sequence_ids must match the psi rows in length")
 
     nus = list(range(1, max_nu + 1))
     d2_nus = list(range(3, max_nu + 1))
-    psi_matrix = np.array([[p.psi[nu] for nu in nus] for p in profiles])
-    d2_matrix = np.array([[p.d2[nu] for nu in d2_nus] for p in profiles])
+    d2_matrix = second_differences(psi_matrix)
 
     def _summary(matrix: np.ndarray, labels: list[int]) -> dict[int, dict[str, float]]:
         return {
@@ -349,7 +346,9 @@ def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
 
     Raises ValueError unless the window sizes, the keys of every
     nu-keyed map, the trim ladder and the shape of ``per_sequence_d2``
-    agree, so that tables can be emitted from the report.
+    agree, the kind is known, alpha lies in (0, 1) and every value a
+    table formats is a number, so that tables can be emitted from the
+    report.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     report = StreamReport.from_dict(payload["report"])
@@ -367,6 +366,15 @@ def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
     shape = (report.n_sequences, len(report.d2_nus))
     if report.per_sequence_d2.shape != shape:
         raise ValueError(f"per_sequence_d2 has shape {report.per_sequence_d2.shape}, not {shape}")
+    if report.kind not in ("firm_separated", "year_separated"):
+        raise ValueError(f"unknown report kind {report.kind!r}")
+    if not isinstance(report.alpha, (int, float)) or not 0.0 < report.alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {report.alpha!r}")
+    cells = [*report.trim_fractions, *(a.statistic for a in report.combined.values())]
+    cells += [step.statistic for steps in report.trim_ladder.values() for step in steps]
+    cells += [v for table in (report.psi_summary, report.d2_summary) for row in table.values() for v in row.values()]
+    if not all(isinstance(v, (int, float)) for v in cells):
+        raise ValueError("a table value of the report is not a number")
     return report, payload.get("config")
 
 

@@ -13,7 +13,10 @@ its second difference
 
 is asymptotically chi-square with 2**(nu - 2) degrees of freedom and
 asymptotically independent across nu, which makes it the quantity that
-downstream significance tests consume.
+downstream significance tests consume.  ``psi_profile`` returns one
+sequence's psi2 values as a float64 row; ``second_differences`` is the
+one definition of d2 and works on a row or on a (sequences, max_nu)
+matrix of stacked rows alike.
 
 Every window size comes from one bincount per sequence.  One integer
 convolution gives each start position its max_nu-bit code; the start's
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -78,37 +81,6 @@ class BinarySequence:
         return np.diff((0, *self.segment_bounds, len(self)))
 
 
-@dataclass(frozen=True)
-class PsiProfile:
-    """psi2 and its second differences.
-
-    ``psi`` covers nu = 1..max_nu and ``d2`` nu >= 3.  The second
-    difference at nu = 2 would need a psi2(0) term and is never exposed.
-    """
-
-    psi: dict[int, float]
-    d2: dict[int, float]
-    n_bits: int
-
-    @classmethod
-    def from_psi(cls, psi: Mapping[int, float], n_bits: int) -> "PsiProfile":
-        """Build a profile from raw psi2 values for nu = 1..len(psi), deriving the second differences."""
-        try:
-            p = [float(psi[nu]) for nu in range(1, len(psi) + 1)]  # p[nu - 1] is psi2(nu)
-        except KeyError:
-            raise ValueError("psi must cover nu = 1..max_nu without gaps") from None
-        m = len(p)
-        return cls(
-            psi=dict(enumerate(p, start=1)),
-            d2={nu: p[nu - 1] - 2.0 * p[nu - 2] + p[nu - 3] for nu in range(3, m + 1)},
-            n_bits=int(n_bits),
-        )
-
-    @property
-    def max_nu(self) -> int:
-        return max(self.psi)
-
-
 @lru_cache(maxsize=None)
 def _key_layout(max_nu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only constants of the level keys for window sizes 1..max_nu.
@@ -155,8 +127,8 @@ def _level_counts(seq: BinarySequence, max_nu: int, respect_boundaries: bool) ->
 
 def psi_profile(
     seq: BinarySequence, max_nu: int = MAX_WINDOW, respect_boundaries: bool = False
-) -> PsiProfile:
-    """psi2 for nu = 1..max_nu plus second differences.
+) -> np.ndarray:
+    """psi2 for nu = 1..max_nu as a float64 row; entry nu - 1 is psi2(nu).
 
     psi2(nu) is evaluated as 2**nu * sum_i n_i**2 / W - W for W windows,
     which equals sum_i (n_i - lam)**2 / lam with lam = W / 2**nu and
@@ -173,6 +145,13 @@ def psi_profile(
     squares = np.add.reduceat(counts * counts, firsts.ravel()).tolist()
     if min(windows) <= 0:
         raise ValueError("pattern counts cover zero windows")
-    psi = {nu: (2**nu * ssq) / w - w for nu, w, ssq in zip(range(1, max_nu + 1), windows, squares)}
-    return PsiProfile.from_psi(psi, len(seq))
+    return np.array([(2**nu * ssq) / w - w for nu, w, ssq in zip(range(1, max_nu + 1), windows, squares)])
 
+
+def second_differences(psi: np.ndarray) -> np.ndarray:
+    """d2 along the last axis of psi2 values for nu = 1, 2, ...; entry nu - 3 is d2(nu).
+
+    d2 at nu = 2 would need a psi2(0) term, so a row of psi2(1..max_nu)
+    yields d2(3..max_nu).
+    """
+    return psi[..., 2:] - 2.0 * psi[..., 1:-1] + psi[..., :-2]

@@ -287,7 +287,7 @@ class TestTestCommand:
         bits = BinarySequence(bits=np.tile(np.array([0, 1], np.uint8), 24), source_id="p")
         plant_profile = psi_profile(bits, max_nu=8)
         for nu in report.nus:
-            assert report.psi_summary[nu]["max"] == pytest.approx(plant_profile.psi[nu])
+            assert report.psi_summary[nu]["max"] == pytest.approx(plant_profile[nu - 1])
 
     def test_year_stream_monobit_is_zero_for_even_segments(self, tmp_path):
         # Histories starting in December give every later calendar year
@@ -758,10 +758,18 @@ class TestExitCodes:
             lambda r: r["trim_ladder"]["6"].pop(),
             lambda r: [row.pop() for row in r["per_sequence_d2"]],
             lambda r: r["per_sequence_d2"].pop(),
+            lambda r: r.update(alpha=1.5),
+            lambda r: r.update(alpha=0.0),
+            lambda r: r.update(alpha="x"),
+            lambda r: r["trim_fractions"].__setitem__(0, "a"),
+            lambda r: r["combined"]["5"].update(statistic="x"),
+            lambda r: r.update(kind="zzz"),
         ],
         ids=[
             "d2-nus", "nus", "psi-summary", "d2-summary", "combined", "significant-fraction",
             "trim-ladder-keys", "trim-ladder-steps", "per-sequence-d2-width", "per-sequence-d2-rows",
+            "alpha-above-one", "alpha-zero", "alpha-string", "trim-fraction-string",
+            "combined-statistic-string", "unknown-kind",
         ],
     )
     def test_inconsistent_report_is_data_error(self, tmp_path, capsys, edit):
@@ -775,6 +783,36 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["report", "--report", str(path), "--out", str(tmp_path / "t")]) == 2
         assert capsys.readouterr().err.startswith("data error: cannot read report: ValueError")
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, kind):
+        config_path = tmp_path / "config.json"
+        if kind == "directory":
+            config_path.mkdir()
+        else:
+            config_path.write_bytes(b'{"max_nu": 8}\xff')
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["ingest", "test", "simulate", "report"])
+    def test_out_that_is_a_file_is_usage_error(self, small_panel, tmp_path, capsys, command, below):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"synthetic": {"count": 3, "length": 20}}))
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "s")]) == 0
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = str(taken / "sub" if below else taken)
+        args = {
+            "ingest": ["ingest", "--input", str(small_panel)],
+            "test": ["test", "--input", str(small_panel)],
+            "simulate": ["simulate", "--config", str(config_path)],
+            "report": ["report", "--report", str(tmp_path / "s" / "firm_separated" / "report.json")],
+        }[command]
+        capsys.readouterr()
+        assert main(args + ["--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert taken.read_text() == "not a directory\n"
 
     def test_unreadable_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

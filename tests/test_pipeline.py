@@ -334,7 +334,7 @@ class TestBuildStream:
         stream = build_stream(series, "firm_separated")
         for s in stream.sequences:
             profile = psi_profile(s, max_nu=3)
-            assert profile.psi[1] <= 1.0 / len(s) + 1e-12
+            assert profile[0] <= 1.0 / len(s) + 1e-12
 
     def test_year_sequences_near_balanced(self):
         series = toy_series(n_firms=5, years=3, seed=6)

@@ -23,15 +23,23 @@ from marketrng.report import (
     write_report_json,
 )
 from marketrng.rng import SyntheticSpec, shape_synthetic
-from marketrng.serial import BinarySequence, PsiProfile, psi_profile
+from marketrng.serial import BinarySequence, psi_profile, second_differences
 
 
-def profile_with_d2(targets, n_bits=25000):
-    """Build a profile whose second differences equal the given values."""
-    psi = {1: 0.0, 2: 0.0}
-    for nu, value in zip(range(3, 3 + len(targets)), targets):
-        psi[nu] = 2.0 * psi[nu - 1] - psi[nu - 2] + value
-    return PsiProfile.from_psi(psi, n_bits=n_bits)
+def profile_with_d2(targets):
+    """A psi2 row for nu = 1..len(targets) + 2 whose second differences are ``targets``.
+
+    They are exact where the arithmetic is, as for small integers.
+    """
+    psi = [0.0, 0.0]
+    for value in targets:
+        psi.append(2.0 * psi[-1] - psi[-2] + value)
+    return np.array(psi)
+
+
+def d2_rows(psi_rows):
+    """d2(3..max_nu) of each psi2 row from the scalar formula, the oracle for the report."""
+    return [[p[nu - 1] - 2.0 * p[nu - 2] + p[nu - 3] for nu in range(3, len(p) + 1)] for p in psi_rows]
 
 
 def year_profiles():
@@ -45,7 +53,7 @@ class TestSummarize:
         report = summarize_stream([profile])
         for nu in range(3, 9):
             summary = report.d2_summary[nu]
-            assert summary["mean"] == summary["max"] == profile.d2[nu]
+            assert summary["mean"] == summary["max"] == second_differences(profile)[nu - 3]
             assert summary["sd"] == 0.0
 
     def test_reference_combined_sums(self):
@@ -78,17 +86,25 @@ class TestSummarize:
 
     def test_mismatched_max_nu_rejected(self):
         a = profile_with_d2([1.0] * 6)
-        b = PsiProfile.from_psi({1: 0.0, 2: 0.0, 3: 1.0}, n_bits=100)
+        b = np.array([0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             summarize_stream([a, b])
 
+    @pytest.mark.parametrize(
+        "psi",
+        [np.zeros(8), np.zeros((0, 8)), np.zeros((3, 0)), np.zeros((2, 2)), np.zeros((2, 8, 1))],
+        ids=["one-row-1d", "no-rows", "no-columns", "below-nu-3", "3d"],
+    )
+    def test_input_that_is_no_psi_matrix_rejected(self, psi):
+        with pytest.raises(ValueError, match="psi"):
+            summarize_stream(psi)
 
-def profiles_of_d2_rows(rows):
-    """One max_nu = 8 profile per row of six d2 values (nu = 3..8), psi zero."""
-    return [
-        PsiProfile(psi=dict.fromkeys(range(1, 9), 0.0), d2=dict(zip(range(3, 9), row)), n_bits=100)
-        for row in rows
-    ]
+    def test_list_of_rows_equals_stacked_matrix(self):
+        stream = shape_synthetic(SyntheticSpec.firm_like(40, 120), "pcg64", master_seed=3)
+        rows = [psi_profile(s, max_nu=8) for s in stream.sequences]
+        for mode in ("per_nu", "joint"):
+            by_rows = summarize_stream(rows, trim_mode=mode).to_dict()
+            assert by_rows == summarize_stream(np.vstack(rows), trim_mode=mode).to_dict()
 
 
 def trim_steps(values, fractions, xi, ids=None, trim_mode="per_nu"):
@@ -98,7 +114,7 @@ def trim_steps(values, fractions, xi, ids=None, trim_mode="per_nu"):
     is the column at every nu.
     """
     report = summarize_stream(
-        profiles_of_d2_rows([[v] * 6 for v in values]),
+        [profile_with_d2([v] * 6) for v in values],
         trim_fractions=fractions,
         sequence_ids=ids,
         trim_mode=trim_mode,
@@ -106,24 +122,34 @@ def trim_steps(values, fractions, xi, ids=None, trim_mode="per_nu"):
     return report.trim_ladder[int(xi).bit_length() + 1]
 
 
-D2_VALUES = st.sampled_from([-2.0, 0.0, 0.1, 1.0 / 3.0, 7.25]) | st.floats(-50.0, 500.0)
-# Rows of d2 values, trim fractions, and a random source to shuffle ids with.
+PSI_VALUES = st.sampled_from([-2.0, 0.0, 0.1, 1.0 / 3.0, 7.25]) | st.floats(-50.0, 500.0)
+PSI_ROWS = st.lists(PSI_VALUES, min_size=8, max_size=8)
+
+
+@st.composite
+def psi_matrices(draw):
+    """Up to 80 psi2 rows (nu = 1..8), often repeating a few, so that d2 values tie."""
+    palette = draw(st.lists(PSI_ROWS, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(palette) | PSI_ROWS, min_size=1, max_size=80))
+
+
+# psi2 rows, trim fractions, and a random source to shuffle ids with.
 LADDER_CASES = given(
-    st.lists(st.lists(D2_VALUES, min_size=6, max_size=6), min_size=1, max_size=80),
+    psi_matrices(),
     st.lists(st.floats(0.0, 0.49), min_size=1, max_size=6),
     st.randoms(use_true_random=False),
 )
 
 
 @LADDER_CASES
-def test_per_nu_ladder_matches_trim_top_contributors(rows, fractions, random):
-    # Few distinct d2 values force ties; shuffled ids make id order differ
+def test_per_nu_ladder_matches_trim_top_contributors(psi_rows, fractions, random):
+    # Repeated psi2 rows force d2 ties; shuffled ids make id order differ
     # from position order, so a tie broken by position would show.
-    ids = [f"s{k:03d}" for k in range(len(rows))]
+    ids = [f"s{k:03d}" for k in range(len(psi_rows))]
     random.shuffle(ids)
     nus = range(3, 9)
-    profiles = profiles_of_d2_rows(rows)
-    report = summarize_stream(profiles, trim_fractions=fractions, sequence_ids=ids)
+    report = summarize_stream(psi_rows, trim_fractions=fractions, sequence_ids=ids)
+    rows = d2_rows(psi_rows)
     for j, nu in enumerate(nus):
         column = [row[j] for row in rows]
         for step, p in zip(report.trim_ladder[nu], fractions, strict=True):
@@ -138,16 +164,16 @@ def test_per_nu_ladder_matches_trim_top_contributors(rows, fractions, random):
 
 
 @LADDER_CASES
-def test_joint_ladder_matches_dropped_id_set(rows, fractions, random):
+def test_joint_ladder_matches_dropped_id_set(psi_rows, fractions, random):
     # Rank rows by total d2 (ties by ascending id), drop the top k ids,
     # and sum what is left in position order as one numpy sum.
-    ids = [f"s{k:03d}" for k in range(len(rows))]
+    ids = [f"s{k:03d}" for k in range(len(psi_rows))]
     random.shuffle(ids)
     nus = range(3, 9)
-    profiles = profiles_of_d2_rows(rows)
     report = summarize_stream(
-        profiles, trim_fractions=fractions, sequence_ids=ids, trim_mode="joint"
+        psi_rows, trim_fractions=fractions, sequence_ids=ids, trim_mode="joint"
     )
+    rows = d2_rows(psi_rows)
     totals = [float(np.array(row).sum()) for row in rows]
     joint = sorted(range(len(rows)), key=lambda r: (-totals[r], ids[r]))
     for j, nu in enumerate(nus):
@@ -187,7 +213,7 @@ class TestTrim:
         # nu = 4 sums show which of the two was dropped.
         rows = [[3.0, 4.0, 0.0, 0.0, 0.0, 0.0], [4.0, 3.0, 0.0, 0.0, 0.0, 0.0], [1.0] + [0.0] * 5]
         report = summarize_stream(
-            profiles_of_d2_rows(rows),
+            [profile_with_d2(row) for row in rows],
             trim_fractions=(1.0 / 3.0,),
             sequence_ids=["b", "a", "c"],
             trim_mode="joint",

@@ -14,7 +14,7 @@ from marketrng.rng import (
     rng_selftest,
     shape_synthetic,
 )
-from marketrng.serial import psi_profile
+from marketrng.serial import psi_profile, second_differences
 
 MOD = 2**128
 MULT = 47026247687942121848144207491837523525  # same constant, decimal spelling
@@ -254,11 +254,11 @@ class TestLogistic:
         # two generators and the gap at desk scale is small.
         spec = SyntheticSpec.firm_like(150, 600)
         pcg_total = sum(
-            psi_profile(s, max_nu=8).d2[8]
+            second_differences(psi_profile(s, max_nu=8))[8 - 3]
             for s in shape_synthetic(spec, "pcg64", master_seed=4).sequences
         )
         logistic_total = sum(
-            psi_profile(s, max_nu=8).d2[8]
+            second_differences(psi_profile(s, max_nu=8))[8 - 3]
             for s in shape_synthetic(spec, "logistic", master_seed=4).sequences
         )
         assert pcg_total == pytest.approx(9505.82, abs=0.5)

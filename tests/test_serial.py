@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from marketrng.report import summarize_stream
 from marketrng.rng import SyntheticSpec, shape_synthetic
-from marketrng.serial import BinarySequence, PsiProfile, psi_profile
+from marketrng.serial import BinarySequence, psi_profile, second_differences
 
 
 def seq(bits, bounds=()):
@@ -62,15 +62,22 @@ def oracle_counts(s, nu, respect):
 
 
 def oracle_profile(s, max_nu, respect):
-    """The profile from brute-force counts, or None where a level has no window."""
+    """psi2(1..max_nu) from brute-force counts, or None where a level has no window."""
     tables = [oracle_counts(s, nu, respect) for nu in range(1, max_nu + 1)]
     if any(t.sum() == 0 for t in tables):
         return None
-    return PsiProfile.from_psi(dict(enumerate(map(psi_of, tables), start=1)), n_bits=len(s))
+    return np.array([psi_of(t) for t in tables])
+
+
+def d2_of(p, nu):
+    """The scalar second difference d2(nu) of a psi2 row ``p`` (entry nu - 1 is psi2(nu))."""
+    return p[nu - 1] - 2.0 * p[nu - 2] + p[nu - 3]
 
 
 def assert_same_profile(got, expected):
-    assert got.psi == expected.psi and got.d2 == expected.d2 and got.n_bits == expected.n_bits
+    """Equal float64 psi2 rows, and d2 of ``got`` equal to the scalar d2 of ``expected``."""
+    assert got.dtype == np.float64 and got.tolist() == list(expected)
+    assert second_differences(got).tolist() == [d2_of(expected, nu) for nu in range(3, len(expected) + 1)]
 
 
 class TestDifferential:
@@ -86,7 +93,7 @@ class TestDifferential:
             with pytest.raises(ValueError, match="pattern counts cover zero windows"):
                 psi_profile(s, nu, respect)
             return
-        assert psi_profile(s, nu, respect).psi[nu] == psi_of(expected)
+        assert psi_profile(s, nu, respect)[nu - 1] == psi_of(expected)
 
     @given(segmented_sequences(), st.integers(1, 8), st.booleans())
     def test_profile_matches_brute_force(self, s, max_nu, respect):
@@ -125,7 +132,7 @@ class TestDifferential:
                 s = seq(bits)
                 assert_same_profile(psi_profile(s, max_nu, respect), oracle_profile(s, max_nu, respect))
             # One window: W = 1 and sum_i n_i**2 = 1.
-            assert psi_profile(seq(bits), max_nu).psi[max_nu] == 2**max_nu - 1
+            assert psi_profile(seq(bits), max_nu)[max_nu - 1] == 2**max_nu - 1
 
     @given(segmented_sequences(), st.integers(1, 8))
     def test_ignore_mode_equals_unsegmented(self, s, max_nu):
@@ -134,7 +141,7 @@ class TestDifferential:
         flat = seq(s.bits)
         assert_same_profile(psi_profile(s, max_nu, False), psi_profile(flat, max_nu, False))
         for nu in range(1, max_nu + 1):
-            assert psi_profile(s, nu).psi == psi_profile(flat, nu).psi
+            assert psi_profile(s, nu).tolist() == psi_profile(flat, nu).tolist()
 
 
 class TestBinarySequence:
@@ -168,10 +175,10 @@ class TestBinarySequence:
 class TestCounting:
     def test_hand_enumeration(self):
         # patterns 00, 01, 10, 11 occur 0, 2, 1, 0 times in 3 windows
-        assert psi_profile(seq([0, 1, 0, 1]), 2).psi[2] == psi_of([0, 2, 1, 0])
+        assert psi_profile(seq([0, 1, 0, 1]), 2)[1] == psi_of([0, 2, 1, 0])
 
     def test_constant_sequence(self):
-        assert psi_profile(seq([0] * 5), 3).psi[3] == psi_of([3, 0, 0, 0, 0, 0, 0, 0])
+        assert psi_profile(seq([0] * 5), 3)[2] == psi_of([3, 0, 0, 0, 0, 0, 0, 0])
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(7)
@@ -179,7 +186,7 @@ class TestCounting:
             n = int(rng.integers(4, 65))
             bits = rng.integers(0, 2, size=n)
             for nu in range(1, 5):
-                assert psi_profile(seq(bits), nu).psi[nu] == psi_of(brute_force_counts(bits, nu))
+                assert psi_profile(seq(bits), nu)[nu - 1] == psi_of(brute_force_counts(bits, nu))
 
     def test_counts_sum_to_windows(self):
         # psi2 depends on the window total W, here n - nu + 1 at every size.
@@ -191,19 +198,19 @@ class TestCounting:
             for nu in range(1, 9):
                 counts = brute_force_counts(s.bits, nu)
                 w = n - nu + 1
-                assert profile.psi[nu] == (2**nu * int(counts @ counts)) / w - w
+                assert profile[nu - 1] == (2**nu * int(counts @ counts)) / w - w
 
     def test_boundary_respecting(self):
         s = seq([0, 1, 0, 1, 0, 1], bounds=(4,))
         flat = psi_profile(s, 2, respect_boundaries=False)
         split = psi_profile(s, 2, respect_boundaries=True)
-        assert flat.psi[2] == psi_of([0, 3, 2, 0])
-        assert split.psi[2] == psi_of([0, 3, 1, 0])  # the straddling window is gone
+        assert flat[1] == psi_of([0, 3, 2, 0])
+        assert split[1] == psi_of([0, 3, 1, 0])  # the straddling window is gone
 
     def test_boundary_mode_skips_short_segments(self):
         # The one-bit segment holds no size-3 window; 010 and 101 are left.
         s = seq([0, 1, 0, 1, 1], bounds=(4,))
-        assert psi_profile(s, 3, respect_boundaries=True).psi[3] == psi_of([0, 0, 1, 0, 0, 1, 0, 0])
+        assert psi_profile(s, 3, respect_boundaries=True)[2] == psi_of([0, 0, 1, 0, 0, 1, 0, 0])
 
     def test_window_size_errors(self):
         s = seq([0, 1, 0])
@@ -217,13 +224,13 @@ class TestCounting:
 
 class TestPsiSquare:
     def test_balanced_monobit_is_zero(self):
-        assert psi_profile(seq([0, 1, 1, 0]), 1).psi[1] == 0.0
+        assert psi_profile(seq([0, 1, 1, 0]), 1)[0] == 0.0
 
     def test_constant_eight_bits(self):
-        assert psi_profile(seq([0] * 8), 1).psi[1] == 8.0
+        assert psi_profile(seq([0] * 8), 1)[0] == 8.0
 
     def test_alternating_window_two(self):
-        value = psi_profile(seq([0, 1] * 4), 2).psi[2]
+        value = psi_profile(seq([0, 1] * 4), 2)[1]
         # windows {01: 4, 10: 3}, lam = 7/4
         expected = (2.25**2 + 1.25**2 + 2 * 1.75**2) / 1.75
         assert value == pytest.approx(expected, abs=1e-12)
@@ -235,15 +242,40 @@ class TestPsiSquare:
             psi_profile(seq([0, 1, 1, 0], bounds=(1, 2, 3)), 2, respect_boundaries=True)
 
 
+# Finite psi2 values: negatives, subnormals and magnitudes near 1e300,
+# bounded so that no second difference overflows.  Values of one
+# magnitude make the rounding depend on the order of the operations.
+FINITE_PSI = (
+    st.floats(-1e4, 1e4)
+    | st.floats(-1e300, 1e300)
+    | st.sampled_from([5e-324, -2.5e-310, 0.0, -0.0, 1e300, -9.9e299])
+)
+
+
 class TestPsiProfile:
+    """``psi_profile`` rows and their second differences."""
+
     def test_differences_are_exact(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             profile = psi_profile(seq(rng.integers(0, 2, size=120)), max_nu=8)
+            d2 = second_differences(profile)
             for nu in range(3, 9):
-                assert profile.d2[nu] == (
-                    profile.psi[nu] - 2.0 * profile.psi[nu - 1] + profile.psi[nu - 2]
-                )
+                assert d2[nu - 3] == d2_of(profile, nu)
+
+    @given(
+        st.integers(3, 8).flatmap(
+            lambda m: st.lists(st.lists(FINITE_PSI, min_size=m, max_size=m), min_size=1, max_size=6)
+        )
+    )
+    def test_second_differences_match_scalar_formula(self, rows):
+        # Bit for bit, for a matrix and for each of its rows; int64 views
+        # tell -0.0 from 0.0.
+        matrix = np.array(rows)
+        expected = np.array([[d2_of(row, nu) for nu in range(3, len(row) + 1)] for row in rows])
+        assert np.array_equal(second_differences(matrix).view(np.int64), expected.view(np.int64))
+        for row, want in zip(matrix, expected):
+            assert np.array_equal(second_differences(row).view(np.int64), want.view(np.int64))
 
     def test_dof_map(self):
         # A one-sequence report assesses each second difference at 2**(nu - 2).
@@ -251,27 +283,20 @@ class TestPsiProfile:
         assert {nu: a.dof for nu, a in report.combined.items()} == {3: 2, 4: 4, 5: 8, 6: 16, 7: 32, 8: 64}
 
     def test_constant_profile_has_zero_d2(self):
-        profile = PsiProfile.from_psi({1: 5.0, 2: 5.0, 3: 5.0, 4: 5.0}, n_bits=100)
-        assert all(v == 0.0 for v in profile.d2.values())
+        assert second_differences(np.array([5.0, 5.0, 5.0, 5.0])).tolist() == [0.0, 0.0]
 
     def test_reference_year_rows(self):
         # Second differences recomputed from published psi-square values
         # for the 2001 and 2002 Nasdaq monthly year arrays.
-        psi_2001 = {1: 0.0, 2: 3.19, 3: 62.97, 4: 179.27, 5: 337.94, 6: 533.66, 7: 982.93, 8: 1562.51}
+        psi_2001 = np.array([0.0, 3.19, 62.97, 179.27, 337.94, 533.66, 982.93, 1562.51])
         d2_2001 = [56.58, 56.53, 42.37, 37.05, 253.54, 130.32]
-        profile = PsiProfile.from_psi(psi_2001, n_bits=25000)
-        for nu, expected in zip(range(3, 9), d2_2001):
-            assert profile.d2[nu] == pytest.approx(expected, abs=0.02)
+        for got, expected in zip(second_differences(psi_2001), d2_2001, strict=True):
+            assert got == pytest.approx(expected, abs=0.02)
 
-        psi_2002 = {1: 3.96e-5, 2: 14.73, 3: 33.69, 4: 70.20, 5: 173.48, 6: 332.81, 7: 646.53, 8: 1044.54}
+        psi_2002 = np.array([3.96e-5, 14.73, 33.69, 70.20, 173.48, 332.81, 646.53, 1044.54])
         d2_2002 = [4.24, 17.53, 66.78, 56.04, 154.39, 84.29]
-        profile = PsiProfile.from_psi(psi_2002, n_bits=25000)
-        for nu, expected in zip(range(3, 9), d2_2002):
-            assert profile.d2[nu] == pytest.approx(expected, abs=0.0201)
-
-    def test_from_psi_requires_contiguous_nus(self):
-        with pytest.raises(ValueError):
-            PsiProfile.from_psi({1: 0.0, 3: 1.0}, n_bits=10)
+        for got, expected in zip(second_differences(psi_2002), d2_2002, strict=True):
+            assert got == pytest.approx(expected, abs=0.0201)
 
     def test_too_short_sequence(self):
         with pytest.raises(ValueError):
@@ -284,18 +309,14 @@ class TestInvariances:
         for _ in range(300):
             n = int(rng.integers(8, 128))
             s = seq(rng.integers(0, 2, size=n))
-            a = psi_profile(s, max_nu=8)
-            b = psi_profile(flip(s), max_nu=8)
-            assert a.psi == b.psi and a.d2 == b.d2
+            assert_same_profile(psi_profile(s, max_nu=8), psi_profile(flip(s), max_nu=8))
 
     def test_reversal_preserves_profile_exactly(self):
         rng = np.random.default_rng(6)
         for _ in range(300):
             n = int(rng.integers(8, 128))
             bits = rng.integers(0, 2, size=n)
-            a = psi_profile(seq(bits), max_nu=8)
-            b = psi_profile(seq(bits[::-1]), max_nu=8)
-            assert a.psi == b.psi and a.d2 == b.d2
+            assert_same_profile(psi_profile(seq(bits), max_nu=8), psi_profile(seq(bits[::-1]), max_nu=8))
 
 
 class TestNullDistribution:
@@ -307,10 +328,7 @@ class TestNullDistribution:
         # PCG64 stream j from seed 2024.
         n_seqs, length = 10_000, 400
         stream = shape_synthetic(SyntheticSpec.firm_like(n_seqs, length), master_seed=2024)
-        d2 = np.empty((n_seqs, 6))
-        for j, s in enumerate(stream.sequences):
-            profile = psi_profile(s, max_nu=8)
-            d2[j] = [profile.d2[nu] for nu in range(3, 9)]
+        d2 = second_differences(np.vstack([psi_profile(s, max_nu=8) for s in stream.sequences]))
         xi = np.array([2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
         mean = d2.mean(axis=0)
         var = d2.var(axis=0, ddof=1)
