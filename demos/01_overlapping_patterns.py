@@ -54,6 +54,7 @@ joined = BinarySequence(
 )
 flat = psi_profile(joined, 3, respect_boundaries=False)
 split = psi_profile(joined, 3, respect_boundaries=True)
+pieces = np.split(joined.bits, list(joined.segment_bounds))
 print(f"\nconcatenated sequence, nu=3: flat windows={len(joined) - 2}, "
-      f"boundary-respecting windows={sum(len(s) - 2 for s in joined.segments())}")
+      f"boundary-respecting windows={sum(len(s) - 2 for s in pieces)}")
 print(f"psi2(3) over all windows {flat[2]:.4f}, within segments {split[2]:.4f}")

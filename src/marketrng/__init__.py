@@ -6,10 +6,9 @@ serial) test, with chi-square significance assessment, a bit-exact
 PCG64 baseline, and batch reporting utilities.
 """
 
-from marketrng.serial import BinarySequence, psi_profile, second_differences
+from marketrng.serial import BinarySequence, ExperimentStream, psi_profile, second_differences
 from marketrng.chi2 import ChiSquareAssessment, assess, chi2_critical, chi2_sf
 from marketrng.pipeline import (
-    ExperimentStream,
     Panel,
     Returns,
     build_stream,

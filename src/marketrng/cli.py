@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from marketrng.config import DEFAULT_SYNTHETIC, ConfigError, RunConfig
+from marketrng.config import STREAM_KINDS, ConfigError, RunConfig
 from marketrng.pipeline import (
-    ExperimentStream,
+    MIN_OBS,
     FormatError,
     build_stream,
     compute_return_series,
@@ -37,8 +37,8 @@ from marketrng.report import (
     write_recurrence,
     write_report_json,
 )
-from marketrng.rng import SyntheticSpec, rng_selftest, shape_synthetic
-from marketrng.serial import psi_profile
+from marketrng.rng import rng_selftest, shape_synthetic
+from marketrng.serial import ExperimentStream, psi_profile
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,13 +48,9 @@ _ROWS_PER_WRITE = 1 << 16
 _NAME_BYTES = 255 - len(".csv")  # the usual file-name limit, less the suffix
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
-        raise _UsageError(message)
+        raise ConfigError(message)
 
 
 def _comma_list(convert):
@@ -109,11 +105,18 @@ def _config_from_args(args) -> RunConfig:
     return config.with_overrides(**{k: v for k, v in vars(args).items() if k in fields})
 
 
+def _check_out(out: str) -> None:
+    """Refuse ``--out`` before any work when the deepest part of it that exists is not a directory."""
+    part = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    if not part.is_dir():
+        raise ConfigError(f"--out {out}: {part} is not a directory")
+
+
 def _read_panel(config: RunConfig):
     if not config.input_path:
         raise ConfigError("an input CSV is required (--input or config input_path)")
     try:
-        with open(config.input_path, "r", encoding="utf-8", newline="") as handle:
+        with open(config.input_path, "r", encoding="utf-8-sig", newline="") as handle:
             parsed = parse_prices(handle)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"cannot read input: {exc}") from exc
@@ -223,9 +226,8 @@ def cmd_test(config: RunConfig) -> int:
         return EXIT_DATA
     returns = compute_return_series(kept)
     out = Path(config.output_dir)
-    kind_map = {"firm": "firm_separated", "year": "year_separated"}
     for short in config.stream_kinds:
-        kind = kind_map[short]
+        kind = STREAM_KINDS[short]
         stream = build_stream(returns, kind)
         stream_dir = out / kind
         status = _summarize_and_write(stream, config, stream_dir)
@@ -268,7 +270,7 @@ def _emit_figures(stream, returns, kept, config: RunConfig, out_dir: Path) -> No
                 values = returns.values[returns.instrument == code[instrument]]
             write_recurrence(recurrence_matrix(values), figures / _file_stem("recurrence_", instrument))
     else:
-        months = 12 if config.frequency == "monthly" else 252
+        months = MIN_OBS[config.frequency]
         for seq in stream.sequences:
             try:
                 sums = monthly_column_sums(seq, months)
@@ -286,32 +288,13 @@ def _emit_figures(stream, returns, kept, config: RunConfig, out_dir: Path) -> No
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    spec_dict = {**DEFAULT_SYNTHETIC, **(config.synthetic or {})}
-    kind, generator = spec_dict["kind"], spec_dict["generator"]
-    burn_in = int(spec_dict["burn_in"])
-    lengths = config.synthetic_lengths()
-    try:
-        spec = SyntheticSpec(kind=kind, lengths=tuple(lengths))
-    except ValueError as exc:
-        raise ConfigError(f"synthetic spec: {exc}") from exc
+    spec, resolved = config.synthetic_spec()
+    generator = resolved["generator"]
     stream = shape_synthetic(
-        spec, generator=generator, master_seed=config.master_seed, burn_in=burn_in
+        spec, generator=generator, master_seed=config.master_seed, burn_in=resolved["burn_in"]
     )
     out = Path(config.output_dir) / stream.kind
-    status = _summarize_and_write(
-        stream,
-        config,
-        out,
-        extra_config={
-            "synthetic_resolved": {
-                "kind": kind,
-                "generator": generator,
-                "count": spec.count,
-                "burn_in": burn_in,
-                "master_seed": config.master_seed,
-            }
-        },
-    )
+    status = _summarize_and_write(stream, config, out, extra_config={"synthetic_resolved": resolved})
     if status == EXIT_OK:
         print(f"simulated {spec.count} sequence(s) with {generator} -> {out}")
     return status
@@ -331,6 +314,8 @@ def cmd_rng_selftest() -> int:
 
 
 def cmd_report(args) -> int:
+    if args.output_dir:
+        _check_out(args.output_dir)
     try:
         report, _config = read_report_json(args.report_path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -351,6 +336,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args)
         config = _config_from_args(args)
+        _check_out(config.output_dir)
         if args.command == "ingest":
             return cmd_ingest(config)
         if args.command == "test":
@@ -358,7 +344,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(config)
         raise AssertionError(f"unhandled command {args.command}")
-    except (_UsageError, ConfigError, FileExistsError, NotADirectoryError) as exc:  # the last two: --out is a file
+    except (ConfigError, FileExistsError, NotADirectoryError) as exc:  # the last two: --out became a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FormatError as exc:

@@ -6,7 +6,9 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-VALID_STREAMS = ("firm", "year")
+from marketrng.rng import SyntheticSpec
+
+STREAM_KINDS = {"firm": "firm_separated", "year": "year_separated"}  # flag value -> stream kind
 _CHOICES = {
     "frequency": ("monthly", "daily"),
     "boundary_mode": ("ignore", "respect"),
@@ -65,8 +67,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be one of {choices}")
         if not isinstance(self.input_path, (str, type(None))) or not isinstance(self.output_dir, str):
             raise ConfigError("input_path and output_dir must be strings")
-        if not self.stream_kinds or not _is_list_of(self.stream_kinds, VALID_STREAMS.__contains__):
-            raise ConfigError(f"stream kinds must be a non-empty subset of {VALID_STREAMS}")
+        kinds = self.stream_kinds
+        if not kinds or not _is_list_of(kinds, lambda k: isinstance(k, str) and k in STREAM_KINDS):
+            raise ConfigError(f"stream kinds must be a non-empty subset of {tuple(STREAM_KINDS)}")
         if not _is_int(self.max_nu) or not 3 <= self.max_nu <= 8:
             raise ConfigError("max_nu must be an integer in [3, 8]")
         if not _is_real(self.alpha) or not 0.0 < self.alpha < 1.0:
@@ -103,14 +106,14 @@ class RunConfig:
         if not _is_int(burn_in) or burn_in < 0:
             raise ConfigError("synthetic burn_in must be a non-negative integer")
 
-    def synthetic_lengths(self) -> list[int]:
-        """Expand the synthetic spec into one length per sequence."""
-        spec = self.synthetic or DEFAULT_SYNTHETIC
-        count = int(spec["count"])
+    def synthetic_spec(self) -> tuple[SyntheticSpec, dict]:
+        """The ``synthetic`` block over ``DEFAULT_SYNTHETIC``: its spec, and its ``synthetic_resolved`` echo."""
+        spec = {**DEFAULT_SYNTHETIC, **(self.synthetic or {})}
+        count = spec["count"]
         if spec.get("lengths_file"):
             path = Path(spec["lengths_file"])
             try:
-                text = path.read_text(encoding="utf-8")
+                text = path.read_text(encoding="utf-8-sig")
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read lengths file {path}: {exc}") from exc
             try:
@@ -118,16 +121,20 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"lengths file {path} holds a non-integer entry: {exc}") from exc
             if len(lengths) != count:
-                raise ConfigError(
-                    f"lengths file holds {len(lengths)} entries, spec says {count}"
-                )
-            return lengths
-        return [int(spec["length"])] * count
+                raise ConfigError(f"lengths file holds {len(lengths)} entries, spec says {count}")
+        else:
+            lengths = [spec["length"]] * count
+        try:
+            shape = SyntheticSpec(kind=spec["kind"], lengths=tuple(lengths))
+        except ValueError as exc:
+            raise ConfigError(f"synthetic spec: {exc}") from exc
+        resolved = {key: spec[key] for key in ("kind", "generator", "count", "burn_in")}
+        return shape, {**resolved, "master_seed": self.master_seed}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -17,13 +17,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from marketrng.serial import BinarySequence
+from marketrng.serial import BinarySequence, ExperimentStream
 
 MIN_OBS = {"monthly": 12, "daily": 252}
 REQUIRED_COLUMNS = ("id", "date", "close", "adjfactor", "retfactor")
@@ -91,15 +91,6 @@ class Returns:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class ExperimentStream:
-    """The binary sequences of one experiment, and audit entries for what building them skipped."""
-
-    kind: str
-    sequences: list[BinarySequence]
-    audit: list[dict] = field(default_factory=list)
-
-
 class RowReject(NamedTuple):
     line: int
     reason: str
@@ -149,24 +140,6 @@ def _blocks(stream: IO[str]) -> Iterator[str]:
     """The text of ``stream`` in pieces of about ``_BLOCK_CHARS``, each ending at a line end or EOF."""
     while block := stream.read(_BLOCK_CHARS):
         yield block + stream.readline()  # also completes a \r\n split by the read
-
-
-def _line_spans(buf: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r"""Start and stop offsets of the lines of ``buf``, whose \r and \n bytes sit at ``ends``.
-
-    \r\n, a lone \r and a lone \n each end one line, as ``csv.reader``
-    counts lines of a file opened with newline="".
-    """
-    cr = buf[ends] == 13
-    second = np.zeros(ends.size, dtype=bool)  # the \n of a \r\n
-    second[1:] = cr[:-1] & ~cr[1:] & (ends[1:] == ends[:-1] + 1)
-    closing = np.ones(ends.size, dtype=bool)  # the last byte of a line end
-    closing[:-1] = ~second[1:]
-    starts = np.r_[0, ends[closing] + 1]
-    stops = ends[~second]
-    if starts[-1] < buf.size:  # the last line has no terminator
-        return starts, np.r_[stops, buf.size]
-    return starts[:-1], stops
 
 
 def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,17 +258,21 @@ class _PanelBuilder:
     def read_block(self, text: str, offset: int) -> int:
         """Parse a block without quotes whose first line is line ``offset + 1``; return its line count.
 
-        A line is accepted here only when the row rules are sure to accept
-        it with the same values: exactly one field per header column, only
-        printable ASCII, a 1-32 byte id without spaces, a dddd-dd-dd date
-        that exists, plain decimal prices (``_decimals``) and in-range
-        values.  Every other line goes through the row rules.
+        CR LF and then a lone CR become LF first, so each line ends at one
+        LF, as ``csv.reader`` counts lines of a file opened with
+        newline="".  A line is accepted here only when the row rules are
+        sure to accept it with the same values: exactly one field per
+        header column, only printable ASCII, a 1-32 byte id without spaces,
+        a dddd-dd-dd date that exists, plain decimal prices (``_decimals``)
+        and in-range values.  Every other line goes through the row rules.
         """
-        raw = text.encode("utf-8", "surrogatepass")
+        raw = text.replace("\r\n", "\n").replace("\r", "\n").encode("utf-8", "surrogatepass")
         buf = np.frombuffer(raw, dtype=np.uint8)
         odd = np.flatnonzero(buf - np.uint8(0x20) > 0x7E - 0x20)  # not printable ASCII
-        newline = (buf[odd] == 10) | (buf[odd] == 13)
-        starts, stops = _line_spans(buf, odd[newline])
+        newline = buf[odd] == 10
+        starts, stops = np.r_[0, odd[newline] + 1], np.r_[odd[newline], buf.size]
+        if starts[-1] == buf.size:  # the block ends with a line end, not a last unended line
+            starts, stops = starts[:-1], stops[:-1]
         odd = odd[~newline]
         commas = np.r_[np.flatnonzero(buf == 44), buf.size + 1]
         first = np.searchsorted(commas, starts)

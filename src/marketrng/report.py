@@ -20,6 +20,7 @@ from marketrng.chi2 import ChiSquareAssessment, assess, chi2_critical
 from marketrng.serial import second_differences
 
 DEFAULT_TRIM_FRACTIONS = (0.01, 0.02, 0.03, 0.04, 0.05)
+_VALUES_PER_WRITE = 1 << 16  # matrix entries formatted per recurrence write
 
 
 @dataclass(frozen=True)
@@ -382,30 +383,26 @@ def write_recurrence(matrix, base_path: str | Path) -> list[Path]:
     """Dump a square recurrence matrix as CSV and as an 8-bit binary graymap.
 
     The two files are ``base_path`` with ``.csv`` and ``.pgm`` appended,
-    so a dot in the base name is kept.
+    so a dot in the base name is kept.  Both are written a block of rows
+    at a time, so the matrix is never held whole as Python floats.
     """
     values = np.asarray(matrix, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("recurrence matrix must be square")
+    n, peak = values.shape[0], float(values.max())  # max raises on an empty matrix, before any write
+    rows = max(1, _VALUES_PER_WRITE // n)
     base = Path(base_path)
     base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = base.with_name(base.name + ".csv")
-    row_format = ",".join(["%.6g"] * values.shape[1])
-    lines = [row_format % tuple(row) for row in values.tolist()]
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    pgm_path = base.with_name(base.name + ".pgm")
-    peak = float(values.max())
-    scaled = (
-        np.zeros_like(values, dtype=np.uint8)
-        if peak == 0.0
-        else np.round(values * (255.0 / peak)).astype(np.uint8)
-    )
-    n = scaled.shape[0]
-    with pgm_path.open("wb") as handle:
-        handle.write(f"P5\n{n} {n}\n255\n".encode("ascii"))
-        handle.write(scaled.tobytes())
-    return [csv_path, pgm_path]
+    paths = [base.with_name(base.name + ".csv"), base.with_name(base.name + ".pgm")]
+    row_format = ",".join(["%.6g"] * n) + "\n"
+    with paths[0].open("w", encoding="utf-8") as csv_file, paths[1].open("wb") as pgm_file:
+        pgm_file.write(f"P5\n{n} {n}\n255\n".encode("ascii"))
+        for lo in range(0, n, rows):
+            block = values[lo : lo + rows]
+            csv_file.write("".join(row_format % tuple(row) for row in block.tolist()))
+            scaled = np.zeros(block.shape, np.uint8) if peak == 0.0 else np.round(block * (255.0 / peak))
+            pgm_file.write(scaled.astype(np.uint8).tobytes())
+    return paths
 
 
 def write_kde(grid, density, path: str | Path) -> Path:

@@ -26,16 +26,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from marketrng.pipeline import ExperimentStream
-from marketrng.serial import BinarySequence
+from marketrng.serial import BinarySequence, ExperimentStream
 
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
 
 LOGISTIC_R = 4.0
-# Exact absorbing points of the r=4 map and their one/two-step pre-images.
-LOGISTIC_FORBIDDEN = (0.0, 0.25, 0.5, 0.75, 1.0)
 _GOLDEN_CONJUGATE = 0.6180339887498949
 
 
@@ -76,7 +73,9 @@ class Pcg64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def _absorbing(x: np.ndarray) -> np.ndarray:
+def _absorbing(x: float | np.ndarray):
+    """True where x is outside (0, 1) or is 0.25, 0.5 or 0.75, points the
+    r=4 map sends exactly onto a fixed point (0 or 0.75) within two steps."""
     return (x <= 0.0) | (x >= 1.0) | (x == 0.25) | (x == 0.5) | (x == 0.75)
 
 
@@ -107,7 +106,7 @@ def logistic_bit_matrix(seeds: np.ndarray, n_bits: int, burn_in: int = 100) -> n
             while True:
                 reseeds[row] += 1
                 fresh = (float(anchors[row]) + reseeds[row] * _GOLDEN_CONJUGATE) % 1.0
-                if not _absorbing(np.float64(fresh)):
+                if not _absorbing(fresh):
                     break
             x[row] = fresh
         if step >= burn_in:
@@ -177,7 +176,7 @@ def shape_synthetic(
             draws.extend(gen.next_u64() for _ in range((length + 63) // 64))
         else:
             seed = gen.next_uniform()
-            while not 0.0 < seed < 1.0 or seed in LOGISTIC_FORBIDDEN:
+            while _absorbing(seed):
                 seed = gen.next_uniform()
             draws.append(seed)
     if generator == "pcg64":

@@ -19,7 +19,7 @@ one definition of d2 and works on a row or on a (sequences, max_nu)
 matrix of stacked rows alike.
 
 Every window size comes from one bincount per sequence.  One integer
-convolution gives each start position its max_nu-bit code; the start's
+convolution gives each start position its MAX_WINDOW-bit code; the start's
 key for window size nu is the code's top nu bits plus 2**nu - 2, so the
 levels nu = 1..max_nu tile one key range and W_nu and sum(n_i**2) are
 sums over each level.  A start with fewer than nu bits of room before its
@@ -28,13 +28,21 @@ segment ends keys a dump bin instead, which is cut off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_WINDOW = 8
+# The level-key layout, read-only and sliced [:max_nu]: the uint8 code
+# weights 2**k (a MAX_WINDOW-bit code fits a byte, so the convolution
+# cannot overflow), then as columns over nu the window size, the shift to
+# a code's top nu bits and the level's first key 2**nu - 2.
+_WEIGHTS = (1 << np.arange(MAX_WINDOW)).astype(np.uint8)
+_NUS = np.arange(1, MAX_WINDOW + 1)[:, None]
+_SHIFTS = (MAX_WINDOW - _NUS).astype(np.uint8)
+_FIRSTS = ((1 << _NUS) - 2).astype(np.int16)
+for _layout in (_WEIGHTS, _NUS, _SHIFTS, _FIRSTS):
+    _layout.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -72,56 +80,38 @@ class BinarySequence:
     def __len__(self) -> int:
         return int(self.bits.size)
 
-    def segments(self) -> Iterator[np.ndarray]:
-        """Yield the bit array split at the recorded segment joins."""
-        yield from np.split(self.bits, list(self.segment_bounds))
-
     def segment_lengths(self) -> np.ndarray:
         """Length of each segment in order; one entry when there are no joins."""
         return np.diff((0, *self.segment_bounds, len(self)))
 
 
-@lru_cache(maxsize=None)
-def _key_layout(max_nu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only constants of the level keys for window sizes 1..max_nu.
+@dataclass(frozen=True)
+class ExperimentStream:
+    """The binary sequences of one experiment, and audit entries for what building them skipped."""
 
-    The code weights 2**k, as uint8: max_nu <= MAX_WINDOW = 8, so a code
-    fits a byte and the convolution cannot overflow.  Then, as columns
-    over nu = 1..max_nu, the window size, the shift to a code's top nu
-    bits, and the level's first key 2**nu - 2.  The levels tile the keys
-    0 .. 2**(max_nu+1) - 3.
-    """
-    nus = np.arange(1, max_nu + 1)[:, None]
-    layout = (
-        (1 << np.arange(max_nu)).astype(np.uint8),
-        nus,
-        (max_nu - nus).astype(np.uint8),
-        ((1 << nus) - 2).astype(np.int16),
-    )
-    for array in layout:
-        array.setflags(write=False)
-    return layout
+    kind: str
+    sequences: list[BinarySequence]
+    audit: list[dict] = field(default_factory=list)
 
 
 def _level_counts(seq: BinarySequence, max_nu: int, respect_boundaries: bool) -> np.ndarray:
     """Pattern counts of every window size 1..max_nu from one bincount.
 
     Level nu holds the 2**nu counts of size-nu windows from key 2**nu - 2
-    on.  A start's key at level nu is the top nu bits of its max_nu-bit
+    on.  A start's key at level nu is the top nu bits of its MAX_WINDOW-bit
     code (bits past the end of the array read as 0); a start with fewer
     than nu bits of room before its segment ends keys the dump bin, which
     is cut off.  Small integer dtypes keep the (max_nu, n) key array cheap.
     """
-    weights, nus, shifts, firsts = _key_layout(max_nu)
     n = len(seq)
-    code = np.convolve(seq.bits, weights)[max_nu - 1 :]  # exact: distinct powers of 2 below 2**max_nu
+    code = np.convolve(seq.bits, _WEIGHTS)[MAX_WINDOW - 1 :]  # exact: distinct powers of 2 below 256
     ends = n
     if respect_boundaries and seq.segment_bounds:
         sizes = seq.segment_lengths()
         ends = np.repeat(np.cumsum(sizes), sizes)
-    keys = (code >> shifts) + firsts
+    keys = (code >> _SHIFTS[:max_nu]) + _FIRSTS[:max_nu]
     dump = (2 << max_nu) - 2
-    keys[ends - np.arange(n) < nus] = dump
+    keys[ends - np.arange(n) < _NUS[:max_nu]] = dump
     return np.bincount(keys.ravel(), minlength=dump + 1)[:dump]
 
 
@@ -140,9 +130,9 @@ def psi_profile(
     if len(seq) < max_nu:
         raise ValueError(f"sequence length {len(seq)} shorter than max_nu {max_nu}")
     counts = _level_counts(seq, max_nu, respect_boundaries)
-    *_, firsts = _key_layout(max_nu)
-    windows = np.add.reduceat(counts, firsts.ravel()).tolist()
-    squares = np.add.reduceat(counts * counts, firsts.ravel()).tolist()
+    firsts = _FIRSTS[:max_nu, 0]
+    windows = np.add.reduceat(counts, firsts).tolist()
+    squares = np.add.reduceat(counts * counts, firsts).tolist()
     if min(windows) <= 0:
         raise ValueError("pattern counts cover zero windows")
     return np.array([(2**nu * ssq) / w - w for nu, w, ssq in zip(range(1, max_nu + 1), windows, squares)])

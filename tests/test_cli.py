@@ -191,6 +191,19 @@ class TestIngest:
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["numpy-pass", "csv-reader"])
+    def test_byte_order_mark_gives_the_same_cleaned_csv(self, tmp_path, end, quoted):
+        rows = [HEADER, *firm_rows("AAA", random_walk_closes(24, 1)), *firm_rows("BBB", random_walk_closes(9, 2))]
+        if quoted:  # a quote anywhere sends the rest of the file to csv.reader
+            rows[1] = '"AAA"' + rows[1][len("AAA") :]
+        (tmp_path / "plain.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + (end.join(rows) + end).encode("utf-8"))
+        for name in ("plain", "bom"):
+            assert main(["ingest", "--input", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)]) == 0
+        for name in ("cleaned.csv", "audit.csv"):
+            assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
     def test_bad_header_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
@@ -514,6 +527,20 @@ class TestSimulateCommand:
         assert all(isinstance(a[0], BinarySequence) and len(a[0]) == 40 for a, _ in calls)
         assert all(k == {"max_nu": max_nu, "respect_boundaries": mode == "respect"} for _, k in calls)
 
+    @pytest.mark.parametrize("marked", ["config", "lengths-file"])
+    def test_byte_order_mark_in_config_or_lengths_file(self, tmp_path, marked):
+        lengths_path = tmp_path / "lengths.txt"
+        lengths_path.write_text("24\n36\n48\n", encoding="utf-8")
+        config_path = tmp_path / "config.json"
+        spec = {"kind": "year_like", "count": 3, "lengths_file": str(lengths_path)}
+        config_path.write_text(json.dumps({"synthetic": spec, "master_seed": 4}), encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "plain")]) == 0
+        path = {"config": config_path, "lengths-file": lengths_path}[marked]
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "bom")]) == 0
+        report = Path("year_separated", "report.json")
+        assert (tmp_path / "bom" / report).read_bytes() == (tmp_path / "plain" / report).read_bytes()
+
     def test_lengths_file_count_mismatch_is_usage_error(self, tmp_path):
         lengths_path = tmp_path / "lengths.txt"
         lengths_path.write_text("24\n36\n", encoding="utf-8")
@@ -684,6 +711,7 @@ class TestExitCodes:
             ({"trim_fractions": ["0.05"]}, "trim fractions must be a list"),
             ({"master_seed": 1.5}, "master_seed must be an integer"),
             ({"stream_kinds": 5}, "stream kinds"),
+            ({"stream_kinds": [["firm"]]}, "stream kinds"),
             ({"recurrence_ids": 5}, "recurrence_ids must be a list"),
             ({"output_dir": 5}, "output_dir must be"),
         ],
@@ -695,6 +723,7 @@ class TestExitCodes:
             "trim-string-entry",
             "seed-float",
             "streams-number",
+            "streams-nested-list",
             "recurrence-ids-number",
             "output-dir-number",
         ],
@@ -812,6 +841,26 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(args + ["--out", out]) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["ingest", "test", "simulate", "report"])
+    def test_out_is_checked_before_any_input_is_read(self, tmp_path, capsys, command, below):
+        # Every input here is unreadable, so the --out error shows that no input was read.
+        config_path = tmp_path / "config.json"
+        spec = {"count": 3, "lengths_file": str(tmp_path / "missing.txt")}
+        config_path.write_text(json.dumps({"synthetic": spec}), encoding="utf-8")
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / "sub" if below else taken
+        args = {
+            "ingest": ["ingest", "--input", str(tmp_path / "missing.csv")],
+            "test": ["test", "--input", str(tmp_path / "missing.csv")],
+            "simulate": ["simulate", "--config", str(config_path)],
+            "report": ["report", "--report", str(tmp_path / "missing.json")],
+        }[command]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
         assert taken.read_text() == "not a directory\n"
 
     def test_unreadable_csv_is_data_error(self, tmp_path):

@@ -358,7 +358,7 @@ class TestBuildStream:
             segments = [v for v in segments if v.size >= 2]
             assert seq.segment_bounds == tuple(np.cumsum([v.size for v in segments])[:-1].tolist())
             want = [ref.binarise_median(v).bits.tolist() for v in segments]
-            assert [b.tolist() for b in seq.segments()] == want
+            assert [b.tolist() for b in np.split(seq.bits, list(seq.segment_bounds))] == want
 
     def test_single_return_segments_skipped_and_audited(self):
         # Firm listed in November: December is its only return that year.
@@ -437,7 +437,7 @@ class TestMonthlyColumnSums:
         bits = np.random.default_rng(seed).integers(0, 2, size=sum(sizes)).astype(np.uint8)
         s = BinarySequence(bits=bits, source_id="y", segment_bounds=tuple(np.cumsum(sizes)[:-1].tolist()))
         # The per-segment loop that the vectorised version replaced.
-        rows = [seg for seg in s.segments() if seg.size == months]
+        rows = [seg for seg in np.split(s.bits, list(s.segment_bounds)) if seg.size == months]
         if not rows:
             with pytest.raises(ValueError, match="no segment of the requested length"):
                 monthly_column_sums(s, months)

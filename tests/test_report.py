@@ -1,6 +1,7 @@
 """Reports: summaries, combined chi-square, trimming, KDE, recurrence."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_report
 import reference_values as ref
 from reference_report import trim_top_contributors
+from marketrng import report as report_module
 from marketrng.report import (
     StreamReport,
     default_kde_grid,
@@ -324,6 +327,35 @@ class TestRecurrence:
         assert [p.name for p in a + b] == ["rec_BRK.A.csv", "rec_BRK.A.pgm", "rec_BRK.B.csv", "rec_BRK.B.pgm"]
         assert a[0].read_text(encoding="utf-8") == "0,1\n1,0\n"
         assert b[0].read_text(encoding="utf-8") == "0,4\n4,0\n"
+
+    @pytest.mark.parametrize("values_per_write", [7, 50, 1 << 16])
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            recurrence_matrix(np.random.default_rng(52).standard_normal(23)),
+            np.random.default_rng(53).standard_normal((13, 13)),
+            np.full((9, 9), 0.37),
+            np.zeros((11, 11)),
+        ],
+        ids=["recurrence", "signed", "constant", "zero"],
+    )
+    def test_blocks_match_whole_matrix_writer(self, tmp_path, monkeypatch, matrix, values_per_write):
+        monkeypatch.setattr(report_module, "_VALUES_PER_WRITE", values_per_write)
+        new = write_recurrence(matrix, tmp_path / "new")
+        old = reference_report.write_recurrence(matrix, tmp_path / "old")
+        assert [p.read_bytes() for p in new] == [p.read_bytes() for p in old]
+
+    def test_memory_is_bounded_by_one_block(self, tmp_path):
+        matrix = recurrence_matrix(np.random.default_rng(54).standard_normal(600))
+        tracemalloc.start()
+        try:
+            write_recurrence(matrix, tmp_path / "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Formatting the whole 600 x 600 matrix at once peaks near 15 MB;
+        # one block of 2**16 values as Python floats and text, near 3 MB.
+        assert peak < 6e6
 
 
 class TestKde:

@@ -53,7 +53,7 @@ def segmented_sequences(draw):
 
 def oracle_counts(s, nu, respect):
     """Brute-force counts for one window size, per segment in respect mode."""
-    pieces = list(s.segments()) if respect else [s.bits]
+    pieces = np.split(s.bits, list(s.segment_bounds)) if respect else [s.bits]
     counts = np.zeros(2**nu, dtype=np.int64)
     for piece in pieces:
         if piece.size >= nu:
@@ -168,8 +168,9 @@ class TestBinarySequence:
 
     def test_segments_split(self):
         s = seq([0, 1, 0, 1, 1, 1], bounds=(2, 5))
-        parts = list(s.segments())
+        parts = np.split(s.bits, list(s.segment_bounds))
         assert [p.tolist() for p in parts] == [[0, 1], [0, 1, 1], [1]]
+        assert s.segment_lengths().tolist() == [2, 3, 1]
 
 
 class TestCounting:
