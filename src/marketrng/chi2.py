@@ -60,12 +60,6 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     raise ArithmeticError("incomplete gamma continued fraction did not converge")
 
 
-def _gamma_q(a: float, x: float) -> float:
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
-
-
 def _norm_ppf(p: float) -> float:
     # Acklam's rational approximation to the standard normal quantile;
     # only used to seed the critical-value bracket.
@@ -115,7 +109,10 @@ def chi2_sf(x: float, dof: int) -> float:
         raise ValueError(f"statistic must be non-negative, got {x}")
     if x == 0.0:
         return 1.0
-    return _gamma_q(dof / 2.0, x / 2.0)
+    a, half = dof / 2.0, x / 2.0
+    if half < a + 1.0:
+        return 1.0 - _gamma_p_series(a, half)
+    return _gamma_q_contfrac(a, half)
 
 
 @lru_cache(maxsize=4096)

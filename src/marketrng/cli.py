@@ -112,7 +112,8 @@ def _check_out(out: str) -> None:
         raise ConfigError(f"--out {out}: {part} is not a directory")
 
 
-def _read_panel(config: RunConfig):
+def _clean_input(config: RunConfig):
+    """The cleaned panel, its dropped instruments and its row rejects, after one summary line."""
     if not config.input_path:
         raise ConfigError("an input CSV is required (--input or config input_path)")
     try:
@@ -120,7 +121,11 @@ def _read_panel(config: RunConfig):
             parsed = parse_prices(handle)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"cannot read input: {exc}") from exc
-    return parsed
+    kept, dropped = clean_panel(parsed.records, config.frequency, config.gap_scope)
+    print(f"kept {len(kept.ids)} instrument(s), dropped {len(dropped)}, rejected {len(parsed.rejects)} row(s)")
+    if not kept.ids:
+        print("no instruments survived cleaning", file=sys.stderr)
+    return kept, dropped, parsed.rejects
 
 
 def _csv_field(text: str) -> str:
@@ -159,26 +164,17 @@ def _write_cleaned(path: Path, panel) -> None:
 
 
 def cmd_ingest(config: RunConfig) -> int:
-    parsed = _read_panel(config)
-    kept, dropped = clean_panel(parsed.records, config.frequency, config.gap_scope)
+    kept, dropped, rejects = _clean_input(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_cleaned(out / "cleaned.csv", kept)
 
     audit_rows = [
         {"id": f"line:{rej.line}", "reason": "reject", "detail": rej.reason}
-        for rej in parsed.rejects
+        for rej in rejects
     ] + dropped
     _write_audit(out / "audit.csv", audit_rows)
-
-    print(
-        f"kept {len(kept.ids)} instrument(s), dropped {len(dropped)}, "
-        f"rejected {len(parsed.rejects)} row(s)"
-    )
-    if not kept.ids:
-        print("no instruments survived cleaning", file=sys.stderr)
-        return EXIT_DATA
-    return EXIT_OK
+    return EXIT_OK if kept.ids else EXIT_DATA
 
 
 def _profiles_for(stream: ExperimentStream, config: RunConfig):
@@ -219,10 +215,8 @@ def _summarize_and_write(stream, config: RunConfig, out_dir: Path, extra_config:
 
 
 def cmd_test(config: RunConfig) -> int:
-    parsed = _read_panel(config)
-    kept, dropped = clean_panel(parsed.records, config.frequency, config.gap_scope)
+    kept, dropped, _ = _clean_input(config)
     if not kept.ids:
-        print("no instruments survived cleaning", file=sys.stderr)
         return EXIT_DATA
     returns = compute_return_series(kept)
     out = Path(config.output_dir)
@@ -337,13 +331,7 @@ def main(argv=None) -> int:
             return cmd_report(args)
         config = _config_from_args(args)
         _check_out(config.output_dir)
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "test":
-            return cmd_test(config)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        raise AssertionError(f"unhandled command {args.command}")
+        return {"ingest": cmd_ingest, "test": cmd_test, "simulate": cmd_simulate}[args.command](config)
     except (ConfigError, FileExistsError, NotADirectoryError) as exc:  # the last two: --out became a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,7 +16,7 @@ _CHOICES = {
     "gap_scope": ("life", "dataset"),
     "recurrence_source": ("returns", "prices"),
 }
-_LIST_FIELDS = ("stream_kinds", "trim_fractions", "recurrence_ids")  # tuples here, lists in JSON
+_LIST_FIELDS = ("stream_kinds", "trim_fractions", "recurrence_ids")  # tuples here, lists in JSON; no repeats
 
 DEFAULT_SYNTHETIC = {
     "kind": "firm_like",
@@ -80,6 +80,11 @@ class RunConfig:
             raise ConfigError("master_seed must be an integer")
         if not _is_list_of(self.recurrence_ids, lambda i: isinstance(i, str)):
             raise ConfigError("recurrence_ids must be a list of strings")
+        for name in _LIST_FIELDS:
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{name} lists {repeated[0]!r} more than once")
         if self.synthetic is not None:
             self._validate_synthetic(self.synthetic)
         return self
@@ -156,18 +161,12 @@ class RunConfig:
         updates = {k: v for k, v in overrides.items() if v is not None}
         return replace(self, **updates).validate()
 
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        for key in _LIST_FIELDS:
-            data[key] = list(data[key])
-        return data
-
     def echo_dict(self) -> dict:
         """Config as echoed into report.json.
 
         Excludes the output location, so reports from identical experiments
         are byte-identical wherever they are written.
         """
-        data = self.to_dict()
+        data = asdict(self)
         del data["output_dir"]
         return data

@@ -220,10 +220,6 @@ class _PanelBuilder:
         self.columns = _new_columns()
         self.rejects: list[RowReject] = []
 
-    def read_csv(self, reader, offset: int) -> None:
-        """Apply the row rules to every row of a ``csv.reader``."""
-        self._rows(((offset + reader.line_num, row) for row in reader), self.columns)
-
     def _rows(self, numbered_rows, columns) -> None:
         """Apply the row rules to (line number, row) pairs, appending accepted rows to ``columns``."""
         line, instrument, date, close, adjfactor, retfactor = columns
@@ -371,7 +367,7 @@ def parse_prices(stream: IO[str] | Iterable[str]) -> ParseResult:
     reader = csv.reader(stream)
     if builder is None:
         builder = _PanelBuilder(next(reader, None))
-    builder.read_csv(reader, offset)
+    builder._rows(((offset + reader.line_num, row) for row in reader), builder.columns)
     return builder.result()
 
 

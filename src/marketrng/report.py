@@ -351,7 +351,7 @@ def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
     table formats is a number, so that tables can be emitted from the
     report.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     report = StreamReport.from_dict(payload["report"])
     for name, nus in (
         ("psi_summary", report.nus),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,27 +131,12 @@ class SyntheticSpec:
         object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
 
     @classmethod
-    def firm_like(cls, count: int, lengths: int | Sequence[int]) -> "SyntheticSpec":
-        return cls(kind="firm_like", lengths=_expand_lengths(count, lengths))
-
-    @classmethod
-    def year_like(cls, count: int, lengths: int | Sequence[int]) -> "SyntheticSpec":
-        return cls(kind="year_like", lengths=_expand_lengths(count, lengths))
+    def firm_like(cls, count: int, length: int) -> "SyntheticSpec":
+        return cls("firm_like", (length,) * count)
 
     @property
     def count(self) -> int:
         return len(self.lengths)
-
-
-def _expand_lengths(count: int, lengths: int | Sequence[int]) -> tuple[int, ...]:
-    if count < 1:
-        raise ValueError("count must be positive")
-    if isinstance(lengths, int):
-        return (lengths,) * count
-    expanded = tuple(int(n) for n in lengths)
-    if len(expanded) != count:
-        raise ValueError(f"expected {count} lengths, got {len(expanded)}")
-    return expanded
 
 
 def shape_synthetic(

@@ -2,10 +2,12 @@
 
 import csv
 import datetime as dt
+import importlib.util
 import io
 import json
 import string
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -333,6 +335,45 @@ class TestTestCommand:
     def test_missing_input_is_usage_error(self):
         assert main(["test"]) == 1
 
+    def test_rejected_rows_are_counted_as_ingest_counts_them(self, tmp_path, capsys):
+        # Line 3 has an empty date: ingest audits it, and test reports it on the
+        # same summary line, while test's audit.csv lists dropped instruments only.
+        rows = [HEADER, *firm_rows("AAA", random_walk_closes(24, 1)), *firm_rows("BBB", random_walk_closes(5, 2))]
+        rows.insert(2, "AAA,,100.0,1.0,1.0")
+        panel = tmp_path / "p.csv"
+        panel.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        summary = "kept 1 instrument(s), dropped 1, rejected 1 row(s)"
+        assert main(["ingest", "--input", str(panel), "--out", str(tmp_path / "i")]) == 0
+        assert capsys.readouterr().out.splitlines() == [summary]
+        assert main(["test", "--input", str(panel), "--stream", "firm", "--out", str(tmp_path / "t")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == summary
+        assert (tmp_path / "i" / "audit.csv").read_text().splitlines()[1].startswith("line:3,reject,")
+        assert (tmp_path / "t" / "audit.csv").read_text().splitlines() == [
+            "id,reason,detail", *(tmp_path / "i" / "audit.csv").read_text().splitlines()[2:]
+        ]
+
+    def test_recurrence_of_prices_holds_adjusted_price_distances(self, tmp_path):
+        # adjfactor and retfactor differ from 1, so the figure must use
+        # close * adjfactor / retfactor, not the close or the returns.
+        closes = random_walk_closes(24, 7)
+        rows = [HEADER] + [
+            row.replace(",1.0,1.0", f",{1.5 + m / 10},{0.5 + m / 100}")
+            for m, row in enumerate(firm_rows("AAA", closes) + firm_rows("BBB", closes))
+        ]
+        panel = tmp_path / "p.csv"
+        panel.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"recurrence_source": "prices", "recurrence_ids": ["AAA"]}), encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["test", "--input", str(panel), "--stream", "firm", "--config", str(config), "--out", str(out)]
+        assert main(args) == 0
+        fields = [row.split(",") for row in rows[1:25]]
+        prices = [float(c) * float(a) / float(r) for _, _, c, a, r in fields]
+        want = ["%.6g" % abs(p - q) for p in prices for q in prices]
+        got = (out / "firm_separated" / "figures" / "recurrence_AAA.csv").read_text().splitlines()
+        assert [cell for line in got for cell in line.split(",")] == want
+        assert len(got) == 24
+
     @staticmethod
     def _figures(tmp_path, firms):
         """Run ``test --stream firm`` on (id, months) firms; return the figure files by name.
@@ -600,6 +641,34 @@ class TestSimulateCommand:
         assert err.startswith("error:") and message in err
 
 
+def test_every_traced_name_is_called(small_panel, tmp_path, monkeypatch):
+    # perfbench/tracing.py times the names in its PATCHES; one imported but
+    # never called would move its layer's time into the CLI's own remainder.
+    # small_panel holds the full years 2002 and 2003, so a KDE is written.
+    tracing_path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    calls = Counter()
+
+    def counted(fn, name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for module, attr, _ in tracing.PATCHES:
+        monkeypatch.setattr(module, attr, counted(getattr(module, attr), f"{module.__name__}.{attr}"))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"synthetic": {"count": 20, "length": 64}}), encoding="utf-8")
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "s")]) == 0
+    assert main(["test", "--input", str(small_panel), "--out", str(tmp_path / "t")]) == 0
+    assert list((tmp_path / "t" / "year_separated" / "figures").glob("kde_*.csv"))
+    uncalled = [f"{m.__name__}.{a}" for m, a, _ in tracing.PATCHES if not calls[f"{m.__name__}.{a}"]]
+    assert not uncalled
+
+
 class TestSelftestCommand:
     def test_intact_build_passes(self, capsys):
         assert main(["rng-selftest"]) == 0
@@ -660,6 +729,22 @@ class TestReportCommand:
             ]
         ) == 0
         assert (re_out / "tables" / "psi_summary.md").exists()
+
+    @pytest.mark.parametrize("table_format", ["csv", "markdown"])
+    def test_byte_order_mark_gives_the_same_tables(self, small_panel, tmp_path, table_format):
+        out = tmp_path / "out"
+        assert main(["test", "--input", str(small_panel), "--stream", "year", "--out", str(out)]) == 0
+        plain = out / "year_separated" / "report.json"
+        marked = tmp_path / "bom.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for path, name in ((plain, "plain"), (marked, "bom")):
+            args = ["report", "--report", str(path), "--format", table_format, "--out", str(tmp_path / name)]
+            assert main(args) == 0
+        tables = sorted(f.name for f in (tmp_path / "plain" / "tables").iterdir())
+        assert len(tables) == 3
+        for name in tables:
+            marked_table, plain_table = (tmp_path / run / "tables" / name for run in ("bom", "plain"))
+            assert marked_table.read_bytes() == plain_table.read_bytes()
 
     @pytest.mark.parametrize("command", ["test", "simulate"])
     def test_report_json_reads_back_to_the_same_bytes(self, small_panel, tmp_path, command):
@@ -735,6 +820,31 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "flags, setting, name",
+        [
+            (["--stream", "firm,firm"], {}, "stream_kinds"),
+            (["--stream", "year, firm,year"], {}, "stream_kinds"),
+            (["--trim", "0.1,0.1"], {}, "trim_fractions"),
+            (["--trim", "0,0.02,0.0"], {}, "trim_fractions"),
+            ([], {"stream_kinds": ["firm", "firm"]}, "stream_kinds"),
+            ([], {"trim_fractions": [0.01, 0.02, 0.01]}, "trim_fractions"),
+            ([], {"recurrence_ids": ["F01", "F02", "F01"]}, "recurrence_ids"),
+        ],
+        ids=["stream-flag", "stream-flag-spaced", "trim-flag", "trim-flag-zero", "stream-kinds",
+             "trim-fractions", "recurrence-ids"],
+    )
+    def test_repeated_list_entry_is_usage_error(self, small_panel, tmp_path, capsys, flags, setting, name):
+        # Once, "firm,firm" profiled the firm stream twice, the second run
+        # overwriting the first's files, and "0.1,0.1" made two equal ladder steps.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(setting), encoding="utf-8")
+        args = ["test", "--input", str(small_panel), "--config", str(config_path), *flags]
+        assert main(args + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {name} lists ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -275,7 +275,7 @@ class TestShapeSynthetic:
 
     def test_year_like_variable_lengths(self):
         lengths = [24, 36, 48]
-        stream = shape_synthetic(SyntheticSpec.year_like(3, lengths), master_seed=1)
+        stream = shape_synthetic(SyntheticSpec("year_like", tuple(lengths)), master_seed=1)
         assert stream.kind == "year_separated"
         assert [len(s) for s in stream.sequences] == lengths
 
@@ -303,7 +303,7 @@ class TestShapeSynthetic:
     def test_year_like_pcg64_matches_per_sequence_draws(self, lengths, master_seed):
         # All words are unpacked at once; each row must still be the head
         # of its own stream's words, whatever the lengths before it.
-        spec = SyntheticSpec.year_like(len(lengths), lengths)
+        spec = SyntheticSpec("year_like", tuple(lengths))
         stream = shape_synthetic(spec, "pcg64", master_seed=master_seed)
         for j, (seq, length) in enumerate(zip(stream.sequences, lengths, strict=True)):
             assert seq.bits.tolist() == word_bits(Pcg64.from_seed(master_seed, j), length)
@@ -323,7 +323,7 @@ class TestShapeSynthetic:
         burn_in=st.integers(0, 120),
     )
     def test_year_like_logistic_matches_scalar_reference(self, lengths, master_seed, burn_in):
-        spec = SyntheticSpec.year_like(len(lengths), lengths)
+        spec = SyntheticSpec("year_like", tuple(lengths))
         stream = shape_synthetic(spec, "logistic", master_seed=master_seed, burn_in=burn_in)
         for j, (seq, length) in enumerate(zip(stream.sequences, lengths, strict=True)):
             assert seq.bits.tolist() == reference_logistic(stream_seed(master_seed, j), length, burn_in)[0]
