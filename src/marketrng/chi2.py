@@ -127,7 +127,7 @@ def chi2_critical(alpha: float, dof: int) -> float:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if dof < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
-    z = _norm_ppf(1.0 - alpha)
+    z = _norm_ppf(min(1.0 - alpha, 1.0 - 2.0**-53))  # 1 - alpha rounds to 1.0 below 2**-54
     t = 1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))
     seed = dof * t**3 if t > 0.0 else 0.5
     lo = 0.0

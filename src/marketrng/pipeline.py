@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -109,8 +110,9 @@ def _row_values(row: list[str], index: tuple[int, ...], width: int, dates: dict)
     lines they are sure to accept with the same values.  Short rows read
     as missing fields.  Raises ValueError or TypeError, whose message is
     the reject reason, unless the id is non-empty after stripping, the
-    date parses as ISO, and close, adjfactor, retfactor and the adjusted
-    price are finite and positive.  ``dates`` caches parsed date texts.
+    date is ASCII dddd-dd-dd (on every Python) and a real day, and
+    close, adjfactor, retfactor and the adjusted price are finite and
+    positive.  ``dates`` caches parsed date texts.
     """
     if not row:
         return None
@@ -123,8 +125,14 @@ def _row_values(row: list[str], index: tuple[int, ...], width: int, dates: dict)
     text = row[i_date]
     day = dates.get(text)
     if day is None:
-        day = dates[text] = dt.date.fromisoformat((text or "").strip())
-    c, a, r = float(row[i_close]), float(row[i_adj]), float(row[i_ret])
+        iso = (text or "").strip()
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", iso):  # 3.11's fromisoformat takes more
+            raise ValueError(f"Invalid isoformat string: {iso!r}")
+        day = dates[text] = dt.date.fromisoformat(iso)
+    try:
+        c, a, r = float(row[i_close]), float(row[i_adj]), float(row[i_ret])
+    except TypeError:  # a missing field; 3.10 words float(None)'s message differently
+        raise TypeError("float() argument must be a string or a real number, not 'NoneType'") from None
     if not 0.0 < c < _INF:
         raise ValueError("non-positive close")
     if not 0.0 < a < _INF:
@@ -336,9 +344,9 @@ def parse_prices(stream: IO[str] | Iterable[str]) -> ParseResult:
     case and order (extra columns are ignored; of repeated names the last
     column wins); dates are ISO ``YYYY-MM-DD``.  Blank lines are skipped
     and short rows read as missing fields.  A row is rejected unless its
-    id is non-empty, its date parses, and close, adjfactor, retfactor and
-    the adjusted price are finite and positive.  Each reject carries the
-    1-based physical line number of the offending row.
+    id is non-empty, its date is such a day, and close, adjfactor,
+    retfactor and the adjusted price are finite and positive.  Each
+    reject carries the 1-based physical line number of the offending row.
 
     A file-like ``stream`` is read in blocks of about ``_BLOCK_CHARS``,
     split into lines at CR LF, CR and LF as from a file opened with
@@ -448,7 +456,11 @@ def compute_return_series(panel: Panel) -> Returns:
     prices = panel.adjusted_prices()
     if not np.all((prices > 0.0) & (prices < _INF)):
         raise ValueError("prices must be positive and finite")
-    values = np.log(prices[1:][same] / prices[:-1][same])
+    with np.errstate(over="ignore", divide="ignore"):
+        values = np.log(prices[1:][same] / prices[:-1][same])
+    off = np.abs(values) > 708.0  # the ratio overflowed, or is subnormal or 0 and lost bits
+    at = np.flatnonzero(same)[off]
+    values[off] = np.log(prices[at + 1]) - np.log(prices[at])
     return Returns(panel.ids, panel.dates, instrument[1:][same], date[1:][same], values)
 
 

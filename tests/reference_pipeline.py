@@ -6,8 +6,11 @@ A copy of the per-row ``parse_prices`` / ``clean_panel`` /
 ``PriceRecord`` objects, instruments are grouped in a dict, returns are
 computed one instrument at a time and every median is one ``np.median``
 call.  The differential tests require the columnar pipeline to agree
-with it exactly.  The one rule added since the copy was taken is the
-reject of rows whose adjusted price is not finite and positive.
+with it exactly.  Rules added since the copy was taken: the reject of
+rows whose adjusted price is not finite and positive; the date shape,
+exactly ten ASCII characters dddd-dd-dd (``date.fromisoformat`` takes
+more from Python 3.11 on); and one reason for a missing price field on
+every Python (3.10 words the ``float(None)`` message differently).
 
 The end of the file keeps two later forms the columnar path replaced:
 the run medians read from one ``np.lexsort``, and the per-row f-string
@@ -105,10 +108,17 @@ def parse_prices(stream: IO[str] | Iterable[str]) -> ParseResult:
             instrument = (row[header["id"]] or "").strip()
             if not instrument:
                 raise ValueError("empty id")
-            date = dt.date.fromisoformat((row[header["date"]] or "").strip())
-            close = float(row[header["close"]])
-            adj = float(row[header["adjfactor"]])
-            ret = float(row[header["retfactor"]])
+            text = (row[header["date"]] or "").strip()
+            digits = text[:4] + text[5:7] + text[8:]
+            if not (len(text) == 10 and text[4] + text[7] == "--" and digits.isascii() and digits.isdigit()):
+                raise ValueError(f"Invalid isoformat string: {text!r}")
+            date = dt.date.fromisoformat(text)
+            fields = [row[header[name]] for name in ("close", "adjfactor", "retfactor")]
+            for field in fields:  # in order, so the first bad field names the reason
+                if field is None:
+                    raise TypeError("float() argument must be a string or a real number, not 'NoneType'")
+                float(field)
+            close, adj, ret = map(float, fields)
             for name, value in (("close", close), ("adjfactor", adj), ("retfactor", ret)):
                 if not math.isfinite(value) or value <= 0.0:
                     raise ValueError(f"non-positive {name}")

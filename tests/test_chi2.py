@@ -172,6 +172,13 @@ class TestScipyProperties:
     @given(DOF, st.floats(-8.0, -1e-3).map(lambda e: 10.0**e))
     @example(10**7, 0.05)
     @example(1, 0.999)
+    # Below 2**-54, 1 - alpha rounds to 1.0, whose normal quantile is log(0).
+    @example(2, 2.0**-53)
+    @example(64, 2.0**-54)
+    @example(2, 1e-17)
+    @example(270_400, 1e-17)
+    @example(64, 1e-100)
+    @example(270_400, 1e-300)
     def test_critical_matches_scipy(self, dof, alpha):
         # Bisection stops once the bracket is 1e-9 * max(1, hi) wide and
         # returns its midpoint; the sf error moves the root far less.

@@ -284,6 +284,27 @@ class TestTestCommand:
             reports.append((tmp_path / name / "firm_separated" / "report.json").read_bytes())
         assert reports == [reports[0]] * len(variants)
 
+    def test_price_ratio_past_the_double_range_writes_finite_figures(self, tmp_path):
+        # HUGE's adjusted price steps between 1e-200 and 1e200, so each price
+        # ratio overflows or underflows; its returns must still be finite.
+        firms = [(f"F{i:02d}", random_walk_closes(37, seed=300 + i), {}) for i in range(5)]
+        panel = write_panel(tmp_path / "p.csv", firms)
+        rows = [f"HUGE,{month_end(2001 + m // 12, m % 12 + 1)},{'1e200' if m % 2 else '1e-200'},1,1" for m in range(37)]
+        with panel.open("a", encoding="utf-8") as handle:
+            handle.write("\n".join(rows) + "\n")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"recurrence_ids": ["HUGE"]}), encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["test", "--input", str(panel), "--stream", "firm", "--config", str(config_path)]
+        assert main(args + ["--out", str(out)]) == 0
+        report, _ = read_report_json(out / "firm_separated" / "report.json")
+        assert "HUGE" in report.sequence_ids
+        cells = np.loadtxt(out / "firm_separated" / "figures" / "recurrence_HUGE.csv", delimiter=",")
+        assert cells.shape == (36, 36) and np.all(np.isfinite(cells))
+        # Returns alternate between +2 log(1e200) and -2 log(1e200).
+        assert cells[0, 1] == pytest.approx(4 * np.log(1e200), rel=1e-5)
+        assert np.all(cells[0, ::2] == 0.0)
+
     def test_planted_periodic_firm_dominates(self, tmp_path):
         # One firm whose price strictly alternates produces a perfectly
         # periodic bit sequence; it must own every per-window maximum
@@ -785,6 +806,17 @@ class TestExitCodes:
             )
             == 1
         )
+
+    @pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
+    def test_tiny_alpha_runs(self, tmp_path, alpha):
+        # 1 - alpha rounds to 1.0 here, which once reached log(0) and exit 3.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"synthetic": {"count": 20, "length": 227}}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--alpha", alpha, "--out", str(out)]) == 0
+        report, _ = read_report_json(out / "firm_separated" / "report.json")
+        assert report.alpha == float(alpha)
+        assert not any(a.significant for a in report.combined.values())
 
     @pytest.mark.parametrize(
         "setting, message",

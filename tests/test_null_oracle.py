@@ -1,0 +1,103 @@
+"""Two-level null oracle: under PCG64 the whole serial test is calibrated.
+
+The second-level test of TestU01 (L'Ecuyer & Simard 2007) and of NIST
+SP 800-22 section 4.2.2: run the statistic many times on a good
+generator and test what it produces.  100 master seeds each give a
+stream of 100 sequences of 227 bits (the paper's firm length), taken
+through ``shape_synthetic``, ``psi_profile`` and ``summarize_stream`` as
+``simulate`` takes them.
+
+- The combined-statistic p-values of the 100 streams must pass a KS test
+  for uniformity at every nu = 3..8, at KS p >= ``KS_FLOOR``.
+- The 10,000 per-sequence d2 values at each nu must have mean 2**(nu-2)
+  and variance 2 * 2**(nu-2), the chi-square moments, within ``Z_MAX``
+  standard errors.  Per-sequence p-values are not KS-tested: at nu = 3
+  (two degrees of freedom) d2 takes few distinct values at 227 bits, so
+  a continuous KS test fails on a good generator.
+- A negative control must fail: the same PCG64 bits with one fixed 8-bit
+  pattern written over two random aligned bytes of every sequence.
+
+The thresholds were fixed before the first run.  A one-rate of 0.52 is
+not a usable negative control: for independent bits with one-rate p the
+second difference carries only n * r**(nu-2) * (r-1)**2 of excess, with
+r = 2 * (p**2 + (1-p)**2), about 6e-4 per 227-bit sequence, so d2 is
+blind to a pure bias by construction.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+from scipy import stats
+
+from marketrng import BinarySequence, SyntheticSpec, psi_profile, shape_synthetic, summarize_stream
+
+SEEDS, COUNT, LENGTH = 100, 100, 227
+NUS = range(3, 9)
+KS_FLOOR = 1e-3  # per nu; six looks keep the family-wise false alarm under 0.6%
+Z_MAX = 5.0  # standard errors allowed for each moment
+PATTERN = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+
+
+def pcg64_rows(master_seed):
+    spec = SyntheticSpec.firm_like(COUNT, LENGTH)
+    return [s.bits for s in shape_synthetic(spec, "pcg64", master_seed=master_seed).sequences]
+
+
+def injected_rows(master_seed):
+    """PCG64 rows with ``PATTERN`` written over two random aligned bytes of each."""
+    places = np.random.default_rng([master_seed, 8])
+    rows = []
+    for bits in pcg64_rows(master_seed):
+        bits = bits.copy()
+        for byte in places.choice(LENGTH // 8, 2, replace=False).tolist():
+            bits[8 * byte : 8 * byte + 8] = PATTERN
+        rows.append(bits)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def second_level(source):
+    """Combined p-values (seeds x nus) and per-sequence d2 (seeds * count x nus)."""
+    rows_of = {"pcg64": pcg64_rows, "injected": injected_rows}[source]
+    p_values, d2 = [], []
+    for seed in range(SEEDS):
+        psi = [psi_profile(BinarySequence(bits), max_nu=max(NUS)) for bits in rows_of(seed)]
+        report = summarize_stream(psi, trim_fractions=())
+        p_values.append([report.combined[nu].p_value for nu in NUS])
+        d2.append(report.per_sequence_d2)
+    return np.array(p_values), np.vstack(d2)
+
+
+def ks_p_values(source):
+    p_values, _ = second_level(source)
+    return np.array([stats.kstest(column, "uniform").pvalue for column in p_values.T])
+
+
+def moment_z_scores(source):
+    """(mean, variance) deviations from the chi-square moments, in standard errors.
+
+    For chi-square with k degrees of freedom the sample mean of m values
+    has variance 2k/m, and the sample variance about (8k**2 + 48k)/m,
+    from the fourth central moment 12k(k + 4).
+    """
+    _, d2 = second_level(source)
+    m, k = d2.shape[0], 2.0 ** (np.array(NUS) - 2)
+    z_mean = (d2.mean(axis=0) - k) / np.sqrt(2 * k / m)
+    z_var = (d2.var(axis=0, ddof=1) - 2 * k) / np.sqrt((8 * k**2 + 48 * k) / m)
+    return z_mean, z_var
+
+
+def test_combined_p_values_are_uniform():
+    assert np.all(ks_p_values("pcg64") >= KS_FLOOR), ks_p_values("pcg64")
+
+
+def test_per_sequence_d2_has_chi_square_moments():
+    z_mean, z_var = moment_z_scores("pcg64")
+    assert np.all(np.abs(z_mean) <= Z_MAX), z_mean
+    assert np.all(np.abs(z_var) <= Z_MAX), z_var
+
+
+def test_injected_pattern_fails_both_checks():
+    z_mean, z_var = moment_z_scores("injected")
+    assert np.any(ks_p_values("injected") < KS_FLOOR)
+    assert np.any(np.abs(z_mean) > Z_MAX) and np.any(np.abs(z_var) > Z_MAX)

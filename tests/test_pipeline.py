@@ -134,6 +134,31 @@ class TestParsePrices:
         assert not result.records
         assert [r.line for r in result.rejects] == [2, 3, 4, 5]
 
+    @pytest.mark.parametrize("text", ["20010228", " 20010228 ", "2001-W13-6", "2001-02-28T00:00", "２００１-02-28"])
+    def test_only_dddd_dd_dd_dates_on_every_python(self, text):
+        # From Python 3.11 on, date.fromisoformat also takes the basic and
+        # week forms; the row rules refuse them with 3.10's own message.
+        for stream in ([HEADER, f"AAA,{text},10,1,1"], io.StringIO(f"{HEADER}\nAAA,{text},10,1,1\n")):
+            result = parse_prices(stream)
+            assert not result.records
+            assert [(r.line, r.reason) for r in result.rejects] == [
+                (2, f"Invalid isoformat string: {text.strip()!r}")
+            ]
+
+    def test_missing_price_reason_is_the_same_on_every_python(self):
+        # 3.10 words float(None)'s message "a string or a number"; the
+        # reason is 3.11's text everywhere, and a bad earlier field still wins.
+        result = parse_prices([HEADER, "AAA,2001-01-31,10", "BBB,2001-01-31,abc"])
+        assert [r.reason for r in result.rejects] == [
+            "float() argument must be a string or a real number, not 'NoneType'",
+            "could not convert string to float: 'abc'",
+        ]
+
+    def test_padded_iso_date_is_kept_and_bad_day_keeps_its_reason(self):
+        result = parse_prices([HEADER, "AAA, 2001-02-28 ,10,1,1", "BBB,2001-02-30,10,1,1"])
+        assert panel_rows(result.records)[0][:2] == ("AAA", dt.date(2001, 2, 28))
+        assert [r.reason for r in result.rejects] == ["day is out of range for month"]
+
 
 class TestCleanPanel:
     def test_contiguous_months_kept(self):
@@ -476,3 +501,13 @@ class TestReturnSeries:
         series = compute_return_series(panel_of(records))
         assert series.values.tolist() == pytest.approx([math.log(1.1)] * 2)
         assert series.dates[series.date[0]] == month_end(2001, 2)
+
+    def test_price_ratio_past_the_double_range_gives_a_finite_return(self):
+        # 1e200 / 1e-200 overflows to inf, its inverse underflows to 0, and
+        # 1e-160 / 1e160 is subnormal with few bits left: those returns are
+        # the difference of the logs, and the others keep their bits.
+        prices = [1e-200, 1e200, 1e-200, 1.0, 2.0, 1e160, 1e-160]
+        values = compute_return_series(panel_of(monthly_records("AAA", 2001, 1, prices))).values
+        extreme = [math.log(1e200) - math.log(1e-200), math.log(1e-200) - math.log(1e200)]
+        assert values[[0, 1, 5]].tolist() == pytest.approx(extreme + [math.log(1e-160) - math.log(1e160)], rel=1e-15)
+        assert values[2:5].tolist() == np.log(np.array([1.0 / 1e-200, 2.0 / 1.0, 1e160 / 2.0])).tolist()

@@ -45,6 +45,8 @@ MALFORMED = (
     {"close": "0"},
     {"retfactor": "-1"},
     {"date": "31/01/2001"},
+    {"date": "20010228"},  # basic and week forms: date.fromisoformat takes them from 3.11 on
+    {"date": "2001-W13-6"},
     {"close": "1e300", "adjfactor": "1e10", "retfactor": "1"},
     {"close": "1e-300", "adjfactor": "1e-100", "retfactor": "1e10"},
     {"id": "   "},
@@ -121,7 +123,7 @@ def price_csv(draw, frequency):
             if t == hole:
                 continue
             day = calendar[start + t]
-            text = day.isoformat() if rng.random() < 0.8 else day.strftime("%Y%m%d")
+            text = day.isoformat() if rng.random() < 0.8 else f" {day.isoformat()} "  # padded: row path
             adj = "2" if rng.random() < 0.1 else "1"
             values = {"id": name, "date": text, "close": repr(float(prices[t]) / float(adj)),
                       "adjfactor": adj, "retfactor": "1.02" if rng.random() < 0.05 else "1"}

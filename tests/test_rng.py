@@ -1,6 +1,7 @@
 """RNG baselines: PCG64 bit-exactness, logistic map, synthetic shaping."""
 
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,24 +21,28 @@ MOD = 2**128
 MULT = 47026247687942121848144207491837523525  # same constant, decimal spelling
 
 
-def reference_pcg64(initstate, initseq, count):
-    """Independent in-test implementation of the XSL-RR 128/64 generator."""
+def reference_words(initstate, initseq):
+    """Independent in-test implementation of the XSL-RR 128/64 generator, word by word."""
     inc = (2 * initseq + 1) % MOD
     state = inc % MOD
     state = (state + initstate) % MOD
     state = (state * MULT + inc) % MOD
-    out = []
-    for _ in range(count):
+    while True:
         state = (state * MULT + inc) % MOD
         xored = (state >> 64) ^ (state % 2**64)
         rot = state >> 122
-        out.append(((xored >> rot) | (xored << (64 - rot))) % 2**64 if rot else xored)
-    return out
+        yield ((xored >> rot) | (xored << (64 - rot))) % 2**64 if rot else xored
 
 
-def word_bits(gen, n_bits):
-    """The first ``n_bits`` bits of successive 64-bit words, read from their binary text."""
-    text = "".join(f"{gen.next_u64():064b}" for _ in range((n_bits + 63) // 64))
+def reference_pcg64(initstate, initseq, count):
+    """The first ``count`` words of the reference generator."""
+    return list(islice(reference_words(initstate, initseq), count))
+
+
+def word_bits(master_seed, stream, n_bits):
+    """The first ``n_bits`` bits of successive reference words, read from their binary text."""
+    words = reference_pcg64(master_seed, stream, (n_bits + 63) // 64)
+    text = "".join(f"{word:064b}" for word in words)
     return [int(c) for c in text[:n_bits]]
 
 
@@ -48,13 +53,13 @@ def synthetic_bits(master_seed, stream, n_bits):
 
 
 def stream_seed(master_seed, j):
-    """The logistic seed of synthetic sequence j: the first uniform of PCG64
-    stream j that is not an absorbing point of the map."""
-    gen = Pcg64.from_seed(master_seed, j)
-    seed = gen.next_uniform()
-    while seed in (0.0, 0.25, 0.5, 0.75):  # uniforms lie in [0, 1)
-        seed = gen.next_uniform()
-    return seed
+    """The logistic seed of synthetic sequence j: the first uniform, the top
+    53 bits of a reference word of stream j, that is not an absorbing point
+    of the map."""
+    for word in reference_words(master_seed, j):
+        seed = (word >> 11) / 2**53
+        if seed not in (0.0, 0.25, 0.5, 0.75):  # uniforms lie in [0, 1)
+            return seed
 
 
 def reference_logistic(seed, n_bits, burn_in):
@@ -91,6 +96,16 @@ class TestPcg64Core:
             gen = Pcg64.from_seed(seed, stream)
             got = [gen.next_u64() for _ in range(32)]
             assert got == reference_pcg64(seed, stream, 32)
+
+    @given(
+        seed=st.one_of(st.integers(-(2**130), 2**130), st.integers(2**128, 2**200)),
+        stream=st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64, 2**130)),
+        count=st.integers(1, 40),
+    )
+    def test_any_integer_seed_and_stream_match_reference(self, seed, stream, count):
+        # Negative seeds, seeds >= 2**128 and streams >= 2**64 are taken mod 2**128.
+        gen = Pcg64.from_seed(seed, stream)
+        assert [gen.next_u64() for _ in range(count)] == reference_pcg64(seed, stream, count)
 
     def test_fixture_vectors_match_reference(self):
         from marketrng.rng import _load_reference_vectors
@@ -293,7 +308,7 @@ class TestShapeSynthetic:
         spec = SyntheticSpec.firm_like(3, 64)
         stream = shape_synthetic(spec, master_seed=7)
         for j, seq in enumerate(stream.sequences):
-            assert seq.bits.tolist() == word_bits(Pcg64.from_seed(7, j), 64)
+            assert seq.bits.tolist() == word_bits(7, j, 64)
             assert seq.source_id == f"sim{j:05d}"
 
     @given(
@@ -306,7 +321,7 @@ class TestShapeSynthetic:
         spec = SyntheticSpec("year_like", tuple(lengths))
         stream = shape_synthetic(spec, "pcg64", master_seed=master_seed)
         for j, (seq, length) in enumerate(zip(stream.sequences, lengths, strict=True)):
-            assert seq.bits.tolist() == word_bits(Pcg64.from_seed(master_seed, j), length)
+            assert seq.bits.tolist() == word_bits(master_seed, j, length)
 
     def test_logistic_seeds_from_streams_with_default_burn_in(self):
         stream = shape_synthetic(
