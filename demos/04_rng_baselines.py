@@ -10,8 +10,8 @@ increment 2j + 1.
 import numpy as np
 
 from marketrng import (
-    Pcg64,
     SyntheticSpec,
+    pcg64_words,
     psi_profile,
     rng_selftest,
     shape_synthetic,
@@ -21,9 +21,9 @@ from marketrng.rng import logistic_bit_matrix
 
 print("stored reference vectors:", rng_selftest().message)
 
-gen = Pcg64.from_seed(42, 54)
+words = pcg64_words(42, 54)
 print("first outputs for seed 42, stream 54:",
-      " ".join(f"{gen.next_u64():#018x}" for _ in range(3)))
+      " ".join(f"{next(words):#018x}" for _ in range(3)))
 
 # Bits are the words MSB first; sequence j of a synthetic run takes them
 # from stream j, so stream 54 of seed 42 is sequence 54 here.

@@ -17,7 +17,7 @@ from marketrng.pipeline import (
     monthly_column_sums,
     parse_prices,
 )
-from marketrng.rng import Pcg64, SyntheticSpec, rng_selftest, shape_synthetic
+from marketrng.rng import SyntheticSpec, pcg64_words, rng_selftest, shape_synthetic
 from marketrng.report import (
     StreamReport,
     emit_tables,
@@ -44,8 +44,8 @@ __all__ = [
     "compute_return_series",
     "monthly_column_sums",
     "parse_prices",
-    "Pcg64",
     "SyntheticSpec",
+    "pcg64_words",
     "rng_selftest",
     "shape_synthetic",
     "StreamReport",

@@ -21,9 +21,8 @@ _MAX_ITER = 10**6
 
 
 def _gamma_p_series(a: float, x: float) -> float:
-    # Lower regularized gamma P(a, x) by power series; valid for x < a + 1.
-    if x == 0.0:
-        return 0.0
+    # Lower regularized gamma P(a, x) by power series, less the prefactor
+    # chi2_sf multiplies in; valid for 0 < x < a + 1.
     ap = a
     term = 1.0 / a
     total = term
@@ -32,13 +31,13 @@ def _gamma_p_series(a: float, x: float) -> float:
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total
     raise ArithmeticError("incomplete gamma series did not converge")
 
 
 def _gamma_q_contfrac(a: float, x: float) -> float:
     # Upper regularized gamma Q(a, x) by modified Lentz continued
-    # fraction; valid for x >= a + 1.
+    # fraction, less the prefactor chi2_sf multiplies in; valid for x >= a + 1.
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -56,7 +55,7 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h
     raise ArithmeticError("incomplete gamma continued fraction did not converge")
 
 
@@ -78,10 +77,7 @@ def _norm_ppf(p: float) -> float:
             (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
         )
     if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
+        return -_norm_ppf(1.0 - p)  # 1 - p is exact here and below p_low
     q = p - 0.5
     r = q * q
     return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
@@ -107,12 +103,13 @@ def chi2_sf(x: float, dof: int) -> float:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
     if x < 0:
         raise ValueError(f"statistic must be non-negative, got {x}")
-    if x == 0.0:
-        return 1.0
     a, half = dof / 2.0, x / 2.0
+    if half == 0.0:  # x is 0 or the least subnormal, whose half rounds to 0
+        return 1.0
+    prefactor = math.exp(-half + a * math.log(half) - math.lgamma(a))
     if half < a + 1.0:
-        return 1.0 - _gamma_p_series(a, half)
-    return _gamma_q_contfrac(a, half)
+        return 1.0 - _gamma_p_series(a, half) * prefactor
+    return _gamma_q_contfrac(a, half) * prefactor
 
 
 @lru_cache(maxsize=4096)

@@ -216,10 +216,12 @@ def _summarize_and_write(stream, config: RunConfig, out_dir: Path, extra_config:
 
 def cmd_test(config: RunConfig) -> int:
     kept, dropped, _ = _clean_input(config)
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_audit(out / "audit.csv", dropped)  # before any stream can stop the run
     if not kept.ids:
         return EXIT_DATA
     returns = compute_return_series(kept)
-    out = Path(config.output_dir)
     for short in config.stream_kinds:
         kind = STREAM_KINDS[short]
         stream = build_stream(returns, kind)
@@ -229,7 +231,6 @@ def cmd_test(config: RunConfig) -> int:
             return status
         _emit_figures(stream, returns, kept, config, stream_dir)
         print(f"{kind}: {len(stream.sequences)} sequence(s) -> {stream_dir}")
-    _write_audit(out / "audit.csv", dropped)
     return EXIT_OK
 
 

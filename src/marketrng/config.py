@@ -93,6 +93,9 @@ class RunConfig:
     def _validate_synthetic(spec: dict) -> None:
         if not isinstance(spec, dict):
             raise ConfigError("synthetic must be a JSON object")
+        unknown = set(spec) - {*DEFAULT_SYNTHETIC, "lengths_file"}
+        if unknown:
+            raise ConfigError(f"unknown synthetic key(s): {', '.join(sorted(unknown))}")
         if spec.get("kind", DEFAULT_SYNTHETIC["kind"]) not in ("firm_like", "year_like"):
             raise ConfigError("synthetic kind must be 'firm_like' or 'year_like'")
         if spec.get("generator", DEFAULT_SYNTHETIC["generator"]) not in ("pcg64", "logistic"):

@@ -336,9 +336,9 @@ def write_report_json(
     payload = {"report": report.to_dict()}
     if config is not None:
         payload["config"] = config
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with open(path, "w", encoding="utf-8") as handle:  # streamed: the text is never held whole
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
     return path
 
 

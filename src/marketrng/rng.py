@@ -1,13 +1,13 @@
 """Pseudo-random baselines: bit-exact PCG64 and a logistic-map generator.
 
-``Pcg64`` is the XSL-RR 128/64 member of the permuted congruential
-family: a 128-bit LCG with the reference multiplier, whose output is the
-xor of the state halves rotated right by the state's top six bits.  Its
-pure-integer step is bit-exact to the published reference (state
-advances first, the output permutation reads the advanced state), which
-is also the generator behind numpy's default bit stream, and it is the
-only code that produces PCG64 bits here, so ``rng_selftest`` checks
-exactly that code.
+``pcg64_words`` yields the words of PCG64, the XSL-RR 128/64 member of
+the permuted congruential family: a 128-bit LCG with the reference
+multiplier, whose output is the xor of the state halves rotated right by
+the state's top six bits.  Its pure-integer step is bit-exact to the
+published reference (state advances first, the output permutation reads
+the advanced state), which is also the generator behind numpy's default
+bit stream, and it is the only code that produces PCG64 words here, so
+``rng_selftest`` checks exactly that code.
 
 The logistic-map generator iterates x <- 4x(1-x) and thresholds at 0.5,
 re-seeding deterministically whenever a trajectory hits an absorbing
@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,41 +37,19 @@ LOGISTIC_R = 4.0
 _GOLDEN_CONJUGATE = 0.6180339887498949
 
 
-def _rotr64(value: int, rot: int) -> int:
-    return ((value >> rot) | (value << ((-rot) & 63))) & _MASK64
+def pcg64_words(seed: int, stream: int) -> Iterator[int]:
+    """The 64-bit output words of PCG64 stream ``stream`` from ``seed``, forever.
 
-
-class Pcg64:
-    """PCG64 generator: 128-bit LCG state and (odd) stream increment."""
-
-    def __init__(self, state: int, increment: int):
-        if not 0 <= state <= _MASK128:
-            raise ValueError("state must be a 128-bit unsigned integer")
-        if not 0 <= increment <= _MASK128:
-            raise ValueError("increment must be a 128-bit unsigned integer")
-        if increment % 2 == 0:
-            raise ValueError("increment must be odd")
-        self.state = state
-        self.increment = increment
-
-    @classmethod
-    def from_seed(cls, initstate: int, stream: int) -> "Pcg64":
-        """Reference seeding: two warm-up steps around the state injection."""
-        inc = ((stream << 1) | 1) & _MASK128
-        state = (0 * PCG64_MULTIPLIER + inc) & _MASK128
-        state = (state + initstate) & _MASK128
+    Reference seeding: increment 2*stream + 1, and the state steps once
+    from increment + seed.  Each word then steps the state and permutes
+    it.  Seeds and streams are any integers, taken mod 2**128.
+    """
+    inc = (2 * stream + 1) & _MASK128
+    state = ((inc + seed) * PCG64_MULTIPLIER + inc) & _MASK128
+    while True:
         state = (state * PCG64_MULTIPLIER + inc) & _MASK128
-        return cls(state, inc)
-
-    def next_u64(self) -> int:
-        """Advance one step and emit the 64-bit output word."""
-        self.state = (self.state * PCG64_MULTIPLIER + self.increment) & _MASK128
-        s = self.state
-        return _rotr64((s >> 64) ^ (s & _MASK64), s >> 122)
-
-    def next_uniform(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits of one word."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        word, rot = (state >> 64) ^ (state & _MASK64), state >> 122
+        yield ((word >> rot) | (word << (-rot & 63))) & _MASK64
 
 
 def _absorbing(x: float | np.ndarray):
@@ -154,24 +133,16 @@ def shape_synthetic(
     if generator not in ("pcg64", "logistic"):
         raise ValueError(f"unknown generator {generator!r}")
     kind = "firm_separated" if spec.kind == "firm_like" else "year_separated"
-    draws: list = []  # pcg64: every sequence's words in turn; logistic: one seed each
-    for j, length in enumerate(spec.lengths):
-        gen = Pcg64.from_seed(master_seed, j)
-        if generator == "pcg64":
-            draws.extend(gen.next_u64() for _ in range((length + 63) // 64))
-        else:
-            seed = gen.next_uniform()
-            while _absorbing(seed):
-                seed = gen.next_uniform()
-            draws.append(seed)
     if generator == "pcg64":
-        # MSB-first bits of every word in turn; each sequence is the head
-        # of its own whole words.
-        bits = np.unpackbits(np.array(draws, dtype=">u8").view(np.uint8))
-        starts = np.cumsum([0, *((n + 63) // 64 * 64 for n in spec.lengths)]).tolist()
-        rows = (bits[a : a + n] for a, n in zip(starts, spec.lengths))
+        # Each sequence is the head of its own stream's whole words, MSB first.
+        words = (islice(pcg64_words(master_seed, j), (n + 63) // 64) for j, n in enumerate(spec.lengths))
+        rows = (np.unpackbits(np.array(list(w), ">u8").view(np.uint8))[:n] for w, n in zip(words, spec.lengths))
     else:
-        matrix = logistic_bit_matrix(np.array(draws), max(spec.lengths), burn_in)
+        seeds = []
+        for j in range(spec.count):  # the first uniform (top 53 bits) of stream j that is not absorbing
+            uniforms = ((w >> 11) * 2.0**-53 for w in pcg64_words(master_seed, j))
+            seeds.append(next(u for u in uniforms if not _absorbing(u)))
+        matrix = logistic_bit_matrix(np.array(seeds), max(spec.lengths), burn_in)
         rows = (row[:n] for row, n in zip(matrix, spec.lengths))
     sequences = [BinarySequence(bits=row, source_id=f"sim{j:05d}") for j, row in enumerate(rows)]
     return ExperimentStream(kind=kind, sequences=sequences)
@@ -194,10 +165,9 @@ def rng_selftest(cases: list[dict] | None = None) -> SelftestResult:
     if cases is None:
         cases = _load_reference_vectors()
     for case in cases:
-        gen = Pcg64.from_seed(int(case["seed"]), int(case["stream"]))
         expected = [int(word, 16) for word in case["outputs"]]
-        for index, word in enumerate(expected):
-            got = gen.next_u64()
+        words = pcg64_words(int(case["seed"]), int(case["stream"]))
+        for index, (word, got) in enumerate(zip(expected, words)):
             if got != word:
                 return SelftestResult(
                     ok=False,

@@ -17,6 +17,7 @@ class TestSurvivalFunction:
     def test_zero_statistic_has_full_mass(self):
         for dof in (1, 2, 17, 1000):
             assert chi2_sf(0.0, dof) == 1.0
+            assert chi2_sf(5e-324, dof) == 1.0  # its half rounds to 0.0, where log would raise
 
     def test_two_dof_closed_form(self):
         for x in (0.1, 1.0, 5.991, 20.0, 100.0):

@@ -373,6 +373,30 @@ class TestTestCommand:
             "id,reason,detail", *(tmp_path / "i" / "audit.csv").read_text().splitlines()[2:]
         ]
 
+    def test_audit_is_written_when_every_instrument_is_dropped(self, tmp_path, capsys):
+        panel = write_panel(
+            tmp_path / "p.csv",
+            [("SHORT", random_walk_closes(6, 1), {}), ("GAP", random_walk_closes(30, 2), {"skip_months": {(2001, 5)}})],
+        )
+        assert main(["test", "--input", str(panel), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().out == "kept 0 instrument(s), dropped 2, rejected 0 row(s)\n"
+        assert (tmp_path / "o" / "audit.csv").read_text().splitlines() == [
+            "id,reason,detail",
+            "GAP,gap,missing period index 24016 in span 24012..24041",
+            "SHORT,short,6 observations; need 12",
+        ]
+
+    def test_audit_is_written_when_a_later_stream_stops_the_run(self, tmp_path, capsys):
+        # July-June histories give each calendar year at most six returns per
+        # firm, so in respect mode the year stream has nothing to profile.
+        firms = [(f"F{i:02d}", random_walk_closes(12, 400 + i), {"start_month": 7}) for i in range(4)]
+        panel = write_panel(tmp_path / "p.csv", [*firms, ("DDD", random_walk_closes(6, 499), {"start_month": 7})])
+        out = tmp_path / "o"
+        assert main(["test", "--input", str(panel), "--boundary-mode", "respect", "--out", str(out)]) == 2
+        assert "no sequence is long enough to profile" in capsys.readouterr().err
+        assert (out / "firm_separated" / "report.json").exists()
+        assert (out / "audit.csv").read_text() == "id,reason,detail\nDDD,short,6 observations; need 12\n"
+
     def test_recurrence_of_prices_holds_adjusted_price_distances(self, tmp_path):
         # adjfactor and retfactor differ from 1, so the figure must use
         # close * adjfactor / retfactor, not the close or the returns.
@@ -631,6 +655,7 @@ class TestSimulateCommand:
             ({"count": 2, "length": 20.0}, None, "length must be a positive integer"),
             ({"count": 2, "lengths_file": 5}, None, "lengths_file must be a path string"),
             ([1], None, "synthetic must be a JSON object"),
+            ({"count": 3, "length": 30, "genrator": "logistic"}, None, "unknown synthetic key(s): genrator"),
         ],
         ids=[
             "length-7",
@@ -646,6 +671,7 @@ class TestSimulateCommand:
             "length-float",
             "lengths-file-number",
             "synthetic-list",
+            "misspelled-key",
         ],
     )
     def test_bad_simulate_config_is_usage_error(
