@@ -177,27 +177,19 @@ def cmd_ingest(config: RunConfig) -> int:
     return EXIT_OK if kept.ids else EXIT_DATA
 
 
-def _profiles_for(stream: ExperimentStream, config: RunConfig):
+def _write_stream(stream: ExperimentStream, config: RunConfig, out_dir: Path, echo: dict) -> bool:
+    """Profile, summarise and write one stream; False, after a stderr line, if no sequence fits."""
     # psi_profile needs a window of every size up to max_nu; in respect
     # mode windows stay inside segments, so the longest segment must fit.
     respect = config.boundary_mode == "respect"
-    fits = [
-        (s.segment_lengths().max() if respect else len(s)) >= config.max_nu
-        for s in stream.sequences
-    ]
+    fits = [(s.segment_lengths().max() if respect else len(s)) >= config.max_nu for s in stream.sequences]
     usable = [s for s, ok in zip(stream.sequences, fits) if ok]
     skipped = [s.source_id for s, ok in zip(stream.sequences, fits) if not ok]
-    rows = [psi_profile(s, max_nu=config.max_nu, respect_boundaries=respect) for s in usable]
-    return usable, rows, skipped
-
-
-def _summarize_and_write(stream, config: RunConfig, out_dir: Path, extra_config: dict | None = None) -> int:
-    usable, rows, skipped = _profiles_for(stream, config)
-    if not rows:
-        print("no sequence is long enough to profile", file=sys.stderr)
-        return EXIT_DATA
+    if not usable:
+        print(f"{stream.kind}: no sequence is long enough to profile", file=sys.stderr)
+        return False
     report = summarize_stream(
-        np.vstack(rows),
+        np.vstack([psi_profile(s, max_nu=config.max_nu, respect_boundaries=respect) for s in usable]),
         alpha=config.alpha,
         trim_fractions=config.trim_fractions,
         sequence_ids=[s.source_id for s in usable],
@@ -206,32 +198,29 @@ def _summarize_and_write(stream, config: RunConfig, out_dir: Path, extra_config:
     )
     report.extras["skipped_sequences"] = skipped
     report.extras["audit"] = stream.audit
-    echo = config.echo_dict()
-    if extra_config:
-        echo.update(extra_config)
     write_report_json(report, out_dir / "report.json", config=echo)
     emit_tables(report, out_dir, fmt="csv")
-    return EXIT_OK
+    return True
 
 
 def cmd_test(config: RunConfig) -> int:
     kept, dropped, _ = _clean_input(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_audit(out / "audit.csv", dropped)  # before any stream can stop the run
+    _write_audit(out / "audit.csv", dropped)  # first, so a run that exits 2 still has it
     if not kept.ids:
         return EXIT_DATA
     returns = compute_return_series(kept)
-    for short in config.stream_kinds:
-        kind = STREAM_KINDS[short]
-        stream = build_stream(returns, kind)
-        stream_dir = out / kind
-        status = _summarize_and_write(stream, config, stream_dir)
-        if status != EXIT_OK:
-            return status
+    status = EXIT_OK
+    for short in config.stream_kinds:  # every stream runs, whatever an earlier one found
+        stream = build_stream(returns, STREAM_KINDS[short])
+        stream_dir = out / stream.kind
+        if not _write_stream(stream, config, stream_dir, config.echo_dict()):
+            status = EXIT_DATA
+            continue
         _emit_figures(stream, returns, kept, config, stream_dir)
-        print(f"{kind}: {len(stream.sequences)} sequence(s) -> {stream_dir}")
-    return EXIT_OK
+        print(f"{stream.kind}: {len(stream.sequences)} sequence(s) -> {stream_dir}")
+    return status
 
 
 def _file_stem(prefix: str, name: str) -> str:
@@ -289,10 +278,10 @@ def cmd_simulate(config: RunConfig) -> int:
         spec, generator=generator, master_seed=config.master_seed, burn_in=resolved["burn_in"]
     )
     out = Path(config.output_dir) / stream.kind
-    status = _summarize_and_write(stream, config, out, extra_config={"synthetic_resolved": resolved})
-    if status == EXIT_OK:
-        print(f"simulated {spec.count} sequence(s) with {generator} -> {out}")
-    return status
+    if not _write_stream(stream, config, out, {**config.echo_dict(), "synthetic_resolved": resolved}):
+        return EXIT_DATA
+    print(f"simulated {spec.count} sequence(s) with {generator} -> {out}")
+    return EXIT_OK
 
 
 def cmd_rng_selftest() -> int:

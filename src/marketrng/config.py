@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+from marketrng.pipeline import MIN_OBS
+from marketrng.report import DEFAULT_TRIM_FRACTIONS
 from marketrng.rng import SyntheticSpec
+from marketrng.serial import MAX_WINDOW
 
 STREAM_KINDS = {"firm": "firm_separated", "year": "year_separated"}  # flag value -> stream kind
 _CHOICES = {
-    "frequency": ("monthly", "daily"),
+    "frequency": tuple(MIN_OBS),
     "boundary_mode": ("ignore", "respect"),
     "trim_mode": ("per_nu", "joint"),
     "gap_scope": ("life", "dataset"),
@@ -51,7 +54,7 @@ class RunConfig:
     stream_kinds: tuple[str, ...] = ("firm", "year")
     max_nu: int = 8
     alpha: float = 0.05
-    trim_fractions: tuple[float, ...] = (0.01, 0.02, 0.03, 0.04, 0.05)
+    trim_fractions: tuple[float, ...] = DEFAULT_TRIM_FRACTIONS
     boundary_mode: str = "ignore"
     trim_mode: str = "per_nu"
     gap_scope: str = "life"
@@ -70,8 +73,8 @@ class RunConfig:
         kinds = self.stream_kinds
         if not kinds or not _is_list_of(kinds, lambda k: isinstance(k, str) and k in STREAM_KINDS):
             raise ConfigError(f"stream kinds must be a non-empty subset of {tuple(STREAM_KINDS)}")
-        if not _is_int(self.max_nu) or not 3 <= self.max_nu <= 8:
-            raise ConfigError("max_nu must be an integer in [3, 8]")
+        if not _is_int(self.max_nu) or not 3 <= self.max_nu <= MAX_WINDOW:
+            raise ConfigError(f"max_nu must be an integer in [3, {MAX_WINDOW}]")
         if not _is_real(self.alpha) or not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must be a number in (0, 1)")
         if not _is_list_of(self.trim_fractions, lambda p: _is_real(p) and 0.0 <= p < 0.5):

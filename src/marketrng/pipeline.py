@@ -18,6 +18,7 @@ import csv
 import datetime as dt
 import io
 import re
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -203,8 +204,6 @@ def _codes(values: np.ndarray, code_of) -> np.ndarray:
 
 def _new_columns() -> tuple:
     """Empty growable columns: line, id code, date code, close, adjfactor, retfactor."""
-    from array import array  # here, so commands that read no CSV never load it
-
     return tuple(array(code) for code in "qqqddd")
 
 

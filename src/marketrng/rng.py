@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from marketrng.serial import BinarySequence, ExperimentStream
+from marketrng.serial import MAX_WINDOW, BinarySequence, ExperimentStream
 
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
@@ -105,8 +105,8 @@ class SyntheticSpec:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
         if not self.lengths:
             raise ValueError("need at least one sequence length")
-        if any(n < 8 for n in self.lengths):
-            raise ValueError("sequence lengths must be >= 8")
+        if any(n < MAX_WINDOW for n in self.lengths):
+            raise ValueError(f"sequence lengths must be >= {MAX_WINDOW}")
         object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
 
     @classmethod

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import reference_pipeline as ref
 from marketrng import cli
 from marketrng.cli import main
-from marketrng.pipeline import Panel
+from marketrng.pipeline import Panel, parse_prices
 from marketrng.report import read_report_json, write_report_json
 from marketrng.serial import BinarySequence, psi_profile
 
@@ -225,9 +225,9 @@ WRITER_FLOATS = st.sampled_from(
 
 
 @st.composite
-def cleaned_panels(draw):
+def cleaned_panels(draw, floats=WRITER_FLOATS):
     n = draw(st.integers(0, 40))
-    column = st.lists(WRITER_FLOATS, min_size=n, max_size=n)
+    column = st.lists(floats, min_size=n, max_size=n)
     close, adjfactor, retfactor = (np.array(draw(column), dtype=np.float64) for _ in range(3))
     ids = ["A", "F0001", "\u00e9t\u00e9", "a b"]
     dates = [dt.date(2001, 1, 31), dt.date(2001, 2, 28), dt.date(1999, 12, 31)]
@@ -247,6 +247,41 @@ def test_cleaned_writer_matches_per_row_writer(panel, rows_per_write):
             cli._write_cleaned(new, panel)
         ref.write_cleaned(old, panel)
         assert new.read_bytes() == old.read_bytes()
+
+
+# repr writes these in exponent form: below 1e-4 and from 1e16 up.
+EXPONENT_FORMS = [1e-05, 9.99e-05, 1e16, 1e300]
+POSITIVE_FLOATS = st.sampled_from(EXPONENT_FORMS) | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def exponent_form_panel():
+    """Four rows; each price column holds every exponent form, and every adjusted price is in range."""
+    prices = np.array(EXPONENT_FORMS)
+    codes = np.array([0, 1, 0, 1], dtype=np.int64)
+    dates = [dt.date(2001, 1, 31), dt.date(2001, 2, 28)]
+    return Panel(["A", "B"], dates, codes, codes, prices, prices[::-1].copy(), prices.copy(), np.arange(4))
+
+
+@settings(max_examples=200)
+@given(cleaned_panels(POSITIVE_FLOATS))
+@example(exponent_form_panel())
+def test_cleaned_csv_reads_back_bit_for_bit(panel):
+    # test reads the cleaned.csv that ingest writes, so every price repr
+    # writes, exponent forms included, must parse back to the same double.
+    with np.errstate(over="ignore", under="ignore"):
+        adjusted = panel.adjusted_prices()
+    panel = panel.take(np.flatnonzero((adjusted > 0.0) & (adjusted < np.inf)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cleaned.csv"
+        cli._write_cleaned(path, panel)
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            parsed = parse_prices(handle)
+    back = parsed.records
+    assert parsed.rejects == []
+    assert [back.ids[i] for i in back.instrument] == [panel.ids[i] for i in panel.instrument]
+    assert [back.dates[d] for d in back.date] == [panel.dates[d] for d in panel.date]
+    for name in ("close", "adjfactor", "retfactor"):
+        assert getattr(back, name).tobytes() == getattr(panel, name).tobytes()
 
 
 class TestTestCommand:
@@ -386,15 +421,19 @@ class TestTestCommand:
             "SHORT,short,6 observations; need 12",
         ]
 
-    def test_audit_is_written_when_a_later_stream_stops_the_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize("streams", ["firm,year", "year,firm"])
+    def test_audit_is_written_when_a_later_stream_stops_the_run(self, tmp_path, capsys, streams):
         # July-June histories give each calendar year at most six returns per
-        # firm, so in respect mode the year stream has nothing to profile.
+        # firm, so in respect mode the year stream has nothing to profile;
+        # the firm stream is still written, in either order.
         firms = [(f"F{i:02d}", random_walk_closes(12, 400 + i), {"start_month": 7}) for i in range(4)]
         panel = write_panel(tmp_path / "p.csv", [*firms, ("DDD", random_walk_closes(6, 499), {"start_month": 7})])
         out = tmp_path / "o"
-        assert main(["test", "--input", str(panel), "--boundary-mode", "respect", "--out", str(out)]) == 2
-        assert "no sequence is long enough to profile" in capsys.readouterr().err
+        args = ["test", "--input", str(panel), "--stream", streams, "--boundary-mode", "respect", "--out", str(out)]
+        assert main(args) == 2
+        assert "year_separated: no sequence is long enough to profile" in capsys.readouterr().err
         assert (out / "firm_separated" / "report.json").exists()
+        assert (out / "firm_separated" / "figures" / "recurrence_F00.csv").exists()
         assert (out / "audit.csv").read_text() == "id,reason,detail\nDDD,short,6 observations; need 12\n"
 
     def test_recurrence_of_prices_holds_adjusted_price_distances(self, tmp_path):
