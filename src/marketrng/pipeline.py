@@ -161,7 +161,7 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     built with Horner's rule, one character column of all fields at a time.
     """
     size = hi - lo
-    mantissa = np.zeros(size.size, dtype=np.uint64)  # 19 digits fit; int64 could wrap
+    mantissa, step = (np.zeros(size.size, dtype=np.uint64) for _ in range(2))  # 19 digits fit; int64 could wrap
     n_digit, n_dot, before_dot = (np.zeros(size.size, dtype=np.int64) for _ in range(3))
     for j in range(int(np.clip(size.max(initial=0), 0, 19))):
         inside = size > j
@@ -169,10 +169,11 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
         value = char - np.uint8(48)  # wraps below '0'
         digit = inside & (value < 10)
         dot = inside & (char == 46)
-        mantissa = np.where(digit, mantissa * 10 + value, mantissa)
+        np.add(np.multiply(mantissa, 10, out=step), value, out=step)  # in place: no temporaries per column
+        np.copyto(mantissa, step, where=digit)
         n_digit += digit
         n_dot += dot
-        before_dot = np.where(dot, n_digit, before_dot)
+        np.copyto(before_dot, n_digit, where=dot)
     ok = (n_digit >= 1) & (n_dot <= 1) & (n_digit + n_dot == size)
     ok &= mantissa <= 2**53
     scale = np.where(ok & (n_dot > 0), n_digit - before_dot, 0)
@@ -193,13 +194,32 @@ def _iso_date_keys(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.
     return key, ok
 
 
-def _codes(values: np.ndarray, code_of) -> np.ndarray:
-    """``code_of(v)`` of each value, called once per distinct value."""
-    head = np.ones(values.size, dtype=bool)
-    head[1:] = values[1:] != values[:-1]  # panels list a firm's rows together
-    table, inverse = np.unique(values[head], return_inverse=True)
-    codes = np.array([code_of(v) for v in table.tolist()], dtype=np.int64)
-    return codes[inverse][np.cumsum(head) - 1]
+class _CodeTable:
+    """Codes of keys, looked up in a sorted table to which ``code_of`` adds each new key once.
+
+    ``code_of`` comes with each lookup: a table that kept a callback bound
+    to its ``_PanelBuilder`` would make a cycle, and the builder's columns
+    would outlive the parse until the next garbage collection.
+    """
+
+    def __init__(self, dtype):
+        self.keys = np.empty(0, dtype=dtype)
+        self.codes = np.empty(0, dtype=np.int64)
+
+    def lookup(self, values: np.ndarray, code_of) -> np.ndarray:
+        """The code of each value; runs of equal neighbours are looked up once."""
+        head = np.ones(values.size, dtype=bool)
+        head[1:] = values[1:] != values[:-1]  # panels list a firm's rows together
+        values = values[head]
+        at = np.searchsorted(self.keys, values)
+        new = values[self.keys.take(at, mode="clip") != values] if self.keys.size else values
+        if new.size:
+            new = np.unique(new)
+            at = np.searchsorted(self.keys, new)
+            self.keys = np.insert(self.keys, at, new)
+            self.codes = np.insert(self.codes, at, [code_of(v) for v in new.tolist()])
+            at = np.searchsorted(self.keys, values)
+        return self.codes[at][np.cumsum(head) - 1]
 
 
 def _new_columns() -> tuple:
@@ -222,8 +242,9 @@ class _PanelBuilder:
         self.n_fields = len(header)
         self.ids: dict[str, int] = {}  # id -> code, in order of first use
         self.days: dict[dt.date, int] = {}  # date -> code, in order of first use
-        self.day_keys: dict[int, int] = {}  # yyyymmdd key -> day code, -1 if no date
         self.texts: dict[str | None, dt.date] = {}  # the row rules' date cache
+        self.id_codes = _CodeTable("S32")  # id bytes -> code
+        self.day_codes = _CodeTable(np.int64)  # yyyymmdd key -> code, -1 if no date
         self.columns = _new_columns()
         self.rejects: list[RowReject] = []
 
@@ -247,16 +268,11 @@ class _PanelBuilder:
             retfactor.append(r)
 
     def _day_code(self, key: int) -> int:
-        code = self.day_keys.get(key)
-        if code is None:
-            try:
-                day = dt.date(key // 10000, key // 100 % 100, key % 100)
-            except ValueError:
-                code = -1
-            else:
-                code = self.days.setdefault(day, len(self.days))
-            self.day_keys[key] = code
-        return code
+        try:
+            day = dt.date(key // 10000, key // 100 % 100, key % 100)
+        except ValueError:
+            return -1
+        return self.days.setdefault(day, len(self.days))
 
     def read_block(self, text: str, offset: int) -> int:
         """Parse a block without quotes whose first line is line ``offset + 1``; return its line count.
@@ -305,10 +321,10 @@ class _PanelBuilder:
             names[:, j] = np.where(size > j, buf.take(id_lo + j, mode="clip"), np.uint8(0))
         ok &= (size >= 1) & (size <= 32) & ~np.any(names == 32, axis=1)
 
-        day = _codes(key[ok], self._day_code)
+        day = self.day_codes.lookup(key[ok], self._day_code)
         ok[ok] = day >= 0
         names = np.ascontiguousarray(names[ok]).view(f"S{names.shape[1]}")[:, 0]
-        instrument = _codes(names, lambda name: self.ids.setdefault(name.decode("ascii"), len(self.ids)))
+        instrument = self.id_codes.lookup(names, lambda name: self.ids.setdefault(name.decode("ascii"), len(self.ids)))
         accepted = rows[ok]
         chunk = (offset + 1 + accepted, instrument, day[day >= 0], c[ok], a[ok], r[ok])
 
@@ -322,10 +338,11 @@ class _PanelBuilder:
             ]
             other = _new_columns()
             self._rows(zip((offset + 1 + rest).tolist(), csv.reader(texts)), other)
-            at = np.searchsorted(chunk[0], other[0])
-            chunk = tuple(np.insert(x, at, y) for x, y in zip(chunk, other))
+            if other[0]:  # rejected lines add no rows
+                at = np.searchsorted(chunk[0], other[0])
+                chunk = tuple(np.insert(x, at, y) for x, y in zip(chunk, other))
         for column, values in zip(self.columns, chunk):
-            column.frombytes(values.tobytes())
+            column.frombytes(memoryview(values).cast("B"))  # the block's bytes, not a copy of them
         return int(starts.size)
 
     def result(self) -> ParseResult:

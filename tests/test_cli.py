@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_pipeline as ref
-from marketrng import cli
+from marketrng import cli, pipeline
 from marketrng.cli import main
 from marketrng.pipeline import Panel, parse_prices
 from marketrng.report import read_report_json, write_report_json
@@ -215,13 +215,46 @@ class TestIngest:
         panel = write_panel(tmp_path / "p.csv", [("AAA", random_walk_closes(5, 1), {})])
         assert main(["ingest", "--input", str(panel), "--out", str(tmp_path / "o")]) == 2
 
+    def test_cleaned_csv_of_four_decimal_prices_takes_the_numpy_pass(self, tmp_path, monkeypatch):
+        # Prices written as perfbench/inputs.py writes them ({:.4f}, {:g}).
+        # If cleaned.csv ever wrote them in a form the numpy pass cannot
+        # prove, test would read the whole file through the row rules.
+        rng = np.random.default_rng(7)
+        rows = [HEADER]
+        for firm in range(30):
+            n = 30
+            close = np.exp(np.log(rng.uniform(5.0, 80.0)) + np.cumsum(rng.normal(0.004, 0.08, n)))
+            adj = np.cumprod(np.where(rng.random(n) < 0.05, 2.0, 1.0))
+            ret = np.where(rng.random(n) < 0.1, 1.02, 1.0)
+            for k, c, a, r in zip(range(n), close.tolist(), adj.tolist(), ret.tolist()):
+                rows.append(f"F{firm:04d},{month_end(2001 + k // 12, k % 12 + 1)},{c:.4f},{a:g},{r:g}")
+        panel = tmp_path / "p.csv"
+        panel.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["ingest", "--input", str(panel), "--out", str(tmp_path / "o")]) == 0
 
+        calls = []
+        row_values = pipeline._row_values
+        monkeypatch.setattr(pipeline, "_row_values", lambda *args: calls.append(args) or row_values(*args))
+        with open(tmp_path / "o" / "cleaned.csv", encoding="utf-8-sig", newline="") as handle:
+            parsed = parse_prices(handle)
+        assert len(parsed.records) == 30 * 30 and parsed.rejects == []
+        assert calls == []
+
+
+# Decimals of k places with at most 15 significant digits, the prices
+# that cleaned.csv writes from their digits rather than by repr.
+PRICE_DECIMALS = st.builds(lambda m, k: m / 10**k, st.integers(1, 10**15 - 1), st.integers(0, 15))
 # Floats whose repr takes each form: repeats, subnormals, exponent form
-# from 1e16 up and below 1e-4, zeros of both signs and non-finite values.
-WRITER_FLOATS = st.sampled_from(
-    [1.0, 1.0, 0.1, 2.5, 5e-324, 2.2250738585072014e-308, 1e16, 1.2345678901234567e17, 9999999999999998.0,
-     1e-4, 9.99e-5, 3e-7, 0.0, -0.0, float("inf"), float("nan")]
-) | st.floats(allow_subnormal=True)
+# from 1e16 up and below 1e-4, zeros of both signs, non-finite values,
+# and price-like decimals.
+WRITER_FLOATS = (
+    st.sampled_from(
+        [1.0, 1.0, 0.1, 2.5, 5e-324, 2.2250738585072014e-308, 1e16, 1.2345678901234567e17, 9999999999999998.0,
+         1e-4, 9.99e-5, 3e-7, 0.0, -0.0, float("inf"), float("nan"), 45.6001, 1.02, 12.5, 0.0001, 2.0]
+    )
+    | PRICE_DECIMALS
+    | st.floats(allow_subnormal=True)
+)
 
 
 @st.composite
@@ -251,7 +284,9 @@ def test_cleaned_writer_matches_per_row_writer(panel, rows_per_write):
 
 # repr writes these in exponent form: below 1e-4 and from 1e16 up.
 EXPONENT_FORMS = [1e-05, 9.99e-05, 1e16, 1e300]
-POSITIVE_FLOATS = st.sampled_from(EXPONENT_FORMS) | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+POSITIVE_FLOATS = (
+    st.sampled_from(EXPONENT_FORMS) | PRICE_DECIMALS | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+)
 
 
 def exponent_form_panel():
@@ -282,6 +317,38 @@ def test_cleaned_csv_reads_back_bit_for_bit(panel):
     assert [back.dates[d] for d in back.date] == [panel.dates[d] for d in panel.date]
     for name in ("close", "adjfactor", "retfactor"):
         assert getattr(back, name).tobytes() == getattr(panel, name).tobytes()
+
+
+# Each side of the edges of the formatter's digit path: 1e-4 is its
+# least value, 1e15 is past it, 999999999999999.9 needs 16 digits.
+FORMAT_EDGES = [1e-4, float(np.nextafter(1e-4, 0)), 1e15, float(np.nextafter(1e15, 0)), 999999999999999.9, 0.1 + 0.2]
+
+
+def test_cleaned_price_fields_equal_repr(monkeypatch):
+    seen = Counter()
+    reprs = []  # the values the writer formats by repr; the rest take the digit path
+    monkeypatch.setattr(cli, "repr", lambda x: reprs.append(x) or repr(x), raising=False)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats() | PRICE_DECIMALS | st.sampled_from(FORMAT_EDGES), min_size=1, max_size=40))
+    def check(values):
+        n = len(values)
+        prices = np.array(values, dtype=np.float64)
+        zeros = np.zeros(n, dtype=np.int64)
+        panel = Panel(["A"], [dt.date(2001, 1, 31)], zeros, zeros, prices, prices[::-1].copy(), prices, zeros)
+        reprs.clear()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cleaned.csv"
+            cli._write_cleaned(path, panel)
+            lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split(",")[2:] for line in lines] == [
+            [repr(c), repr(a), repr(r)] for c, a, r in zip(values, values[::-1], values)
+        ]
+        by_repr = {float(x).hex() for x in reprs}
+        seen.update("repr" if float(v).hex() in by_repr else "digits" for v in values)
+
+    check()
+    assert seen["repr"] and seen["digits"], seen
 
 
 class TestTestCommand:
@@ -1069,6 +1136,29 @@ class TestExitCodes:
         assert main(args + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
         assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize(
+        "command, taken",
+        [
+            ("ingest", "cleaned.csv"),
+            ("test", "firm_separated/report.json"),
+            ("simulate", "firm_separated/report.json"),
+        ],
+    )
+    def test_output_file_that_is_a_directory_is_usage_error(self, small_panel, tmp_path, capsys, command, taken):
+        # Once "internal error: [Errno 21] Is a directory: ..." and exit 3.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"synthetic": {"count": 3, "length": 20}}))
+        out = tmp_path / "o"
+        (out / taken).mkdir(parents=True)
+        args = {
+            "ingest": ["ingest", "--input", str(small_panel)],
+            "test": ["test", "--input", str(small_panel), "--stream", "firm"],
+            "simulate": ["simulate", "--config", str(config_path)],
+        }[command]
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out / taken) in err[0]
 
     def test_unreadable_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
