@@ -1,5 +1,7 @@
 """Batch command line: ingest, test, simulate, rng-selftest, report.
 
+This module only dispatches: each command takes just the flags it reads,
+and the other modules do the work and write every file.
 Every command is deterministic given the input bytes, the configuration,
 and the master seed; no wall clock or OS entropy enters the outputs.
 Exit codes: 0 success, 1 usage or configuration problem, 2 data format
@@ -10,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from marketrng.config import STREAM_KINDS, ConfigError, RunConfig
+from marketrng.config import CHOICES, STREAM_KINDS, ConfigError, RunConfig
 from marketrng.pipeline import (
     MIN_OBS,
     FormatError,
@@ -26,8 +27,11 @@ from marketrng.pipeline import (
     clean_panel,
     monthly_column_sums,
     parse_prices,
+    write_audit,
+    write_cleaned,
 )
 from marketrng.report import (
+    TABLE_FORMATS,
     default_kde_grid,
     emit_tables,
     kde_curve,
@@ -45,7 +49,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-_ROWS_PER_WRITE = 1 << 16
 _NAME_BYTES = 255 - len(".csv")  # the usual file-name limit, less the suffix
 
 
@@ -62,39 +65,37 @@ def _comma_list(convert):
     return parse
 
 
+_FLAGS = {  # every flag of ingest, test and simulate, with its argparse keywords
+    "--config": dict(help="JSON config file; flags override its values"),
+    "--input": dict(dest="input_path", help="input price CSV"),
+    "--frequency": dict(choices=CHOICES["frequency"]),
+    "--stream": dict(dest="stream_kinds", type=_comma_list(str.strip), help="comma-separated subset of firm,year"),
+    "--max-nu": dict(dest="max_nu", type=int),
+    "--alpha": dict(type=float),
+    "--trim": dict(dest="trim_fractions", type=_comma_list(float), help="comma-separated trim fractions"),
+    "--boundary-mode": dict(dest="boundary_mode", choices=CHOICES["boundary_mode"]),
+    "--seed": dict(dest="master_seed", type=int),
+    "--jobs": dict(type=int, help="accepted and ignored: runs are single-process"),
+    "--out": dict(dest="output_dir"),
+}
+_COMMAND_FLAGS = {  # the flags each command reads, and no others
+    "ingest": "--config --input --frequency --jobs --out".split(),
+    "test": "--config --input --frequency --stream --max-nu --alpha --trim --boundary-mode --jobs --out".split(),
+    "simulate": "--config --max-nu --alpha --trim --boundary-mode --seed --jobs --out".split(),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="marketrng", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--input", dest="input_path", help="input price CSV")
-        p.add_argument("--frequency", choices=("monthly", "daily"))
-        p.add_argument(
-            "--stream",
-            dest="stream_kinds",
-            type=_comma_list(str.strip),
-            help="comma-separated subset of firm,year",
-        )
-        p.add_argument("--max-nu", dest="max_nu", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument(
-            "--trim",
-            dest="trim_fractions",
-            type=_comma_list(float),
-            help="comma-separated trim fractions",
-        )
-        p.add_argument("--boundary-mode", dest="boundary_mode", choices=("ignore", "respect"))
-        p.add_argument("--seed", dest="master_seed", type=int)
-        p.add_argument("--jobs", type=int, help="accepted and ignored: runs are single-process")
-        p.add_argument("--out", dest="output_dir")
-
-    for name in ("ingest", "test", "simulate"):
-        add_common(sub.add_parser(name))
+    for name, flags in _COMMAND_FLAGS.items():
+        command = sub.add_parser(name)
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
     sub.add_parser("rng-selftest")
     report = sub.add_parser("report")
     report.add_argument("--report", dest="report_path", required=True)
-    report.add_argument("--format", dest="table_format", choices=("csv", "markdown"), default="csv")
+    report.add_argument("--format", dest="table_format", choices=TABLE_FORMATS, default="csv")
     report.add_argument("--out", dest="output_dir")
     return parser
 
@@ -129,127 +130,13 @@ def _clean_input(config: RunConfig):
     return kept, dropped, parsed.rejects
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted as ``csv.QUOTE_MINIMAL`` quotes it."""
-    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
-
-
-def _write_audit(path: Path, rows) -> None:
-    lines = ["id,reason,detail"]
-    for row in rows:
-        detail = str(row.get("detail", "")).replace(",", ";")
-        lines.append(f"{_csv_field(row['id'])},{row['reason']},{detail}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-_POW10 = 10.0 ** np.arange(16)  # 10**k as an exact double and as an integer
-_POW10_INT = 10 ** np.arange(16, dtype=np.int64)
-_PAD = 255  # fills each text field to its column's width; no UTF-8 text holds this byte
-
-
-def _padded(texts: list[bytes]) -> np.ndarray:
-    """Byte strings as the rows of a uint8 matrix, each filled to the longest with ``_PAD``."""
-    size = np.array([len(text) for text in texts], dtype=np.int64)
-    out = np.full((size.size, size.max(initial=0)), _PAD, dtype=np.uint8)
-    out[np.arange(out.shape[1]) < size[:, None]] = np.frombuffer(b"".join(texts), dtype=np.uint8)
-    return out
-
-
-@functools.cache
-def _digits4() -> np.ndarray:
-    """ASCII digits of 0..9999, four to a row; built on first use, so other commands never pay for it."""
-    return np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).reshape(10_000, 4)
-
-
-def _digits(x: np.ndarray, width: int) -> np.ndarray:
-    """The last ``width`` zero-padded decimal digits of each ``x`` < 10**16, as ASCII rows."""
-    groups = -(-width // 4)
-    digits = np.take(_digits4(), x[:, None] // _POW10_INT[4 * np.arange(groups - 1, -1, -1)] % 10_000, axis=0)
-    return digits.reshape(x.size, 4 * groups)[:, 4 * groups - width :]
-
-
-def _float_texts(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float as ASCII, one ``_PAD``-filled row of a uint8 matrix per value.
-
-    A value v in [1e-4, 1e15) is written from the least k <= 15 for which
-    M = rint(v * 10**k) is below 10**15 and M / 10**k == v: M's integer
-    digits, a '.', and its k fraction digits, or one '0' when k = 0.  This
-    is exact.  M and 10**k are exact doubles, so the division rounds the
-    decimal M * 10**-k correctly, and the test proves that v is that
-    decimal's double.  A decimal with at most 15 significant digits
-    round-trips through a double (two such decimals never share one), so
-    the shortest round-trip text that ``repr`` writes (Steele & White
-    1990) is that decimal with its trailing zeros cut, which the least k
-    cuts, in positional form for 1e-4 <= v < 1e16.  Every other value
-    (NaN, infinities, zeros, negatives, exponent forms, 16-17 digits)
-    goes to ``repr``.  Each run of bit-identical neighbours is formatted once.
-    """
-    bits = values.view(np.int64)  # unlike ==, keeps -0.0 and NaNs apart
-    head = np.r_[values.size > 0, bits[1:] != bits[:-1]]
-    v = values[head]
-    scale = np.full(v.size, -1)
-    todo = np.flatnonzero((v >= 1e-4) & (v < 1e15))
-    left = v[todo]
-    for k in range(16):
-        m = np.rint(left * _POW10[k])
-        hit = (m < 1e15) & (m / _POW10[k] == left)
-        scale[todo[hit]] = k
-        todo, left = todo[~hit], left[~hit]
-    fast = np.flatnonzero(scale >= 0)
-    k = scale[fast]
-    whole, part = np.divmod(np.rint(v[fast] * _POW10[k]).astype(np.int64), _POW10_INT[k])
-    # Integer digits right-aligned and fraction digits left-aligned, each
-    # only as wide as these values need; a value's leading zeros and the
-    # places past its last fraction digit are filled.
-    n_int = max(np.searchsorted(_POW10_INT, whole.max(initial=0), side="right"), 1)
-    n_frac = max(k.max(initial=0), 1)
-    leading = whole[:, None] < np.r_[_POW10_INT[n_int - 1 : 0 : -1], 0]
-    past = np.arange(n_frac) >= np.maximum(k, 1)[:, None]
-    integer = np.where(leading, _PAD, _digits(whole, n_int))
-    fraction = np.where(past, _PAD, _digits(part * _POW10_INT[n_frac - k], n_frac))
-    text = np.concatenate([integer, np.full((k.size, 1), ord("."), dtype=np.uint8), fraction], axis=1)
-
-    slow = np.flatnonzero(scale < 0)
-    slow_text = _padded([repr(x).encode() for x in v[slow].tolist()])
-    out = np.full((v.size, max(text.shape[1], slow_text.shape[1])), _PAD, dtype=np.uint8)
-    out[fast, : text.shape[1]] = text
-    out[slow, : slow_text.shape[1]] = slow_text
-    return np.take(out, np.cumsum(head) - 1, axis=0)
-
-
-def _write_cleaned(path: Path, panel) -> None:
-    """Write a panel as ``id,date,close,adjfactor,retfactor`` lines, one per row.
-
-    Each block of rows is laid out as one uint8 matrix of ``_PAD``-filled
-    fields and separators, and written as its bytes other than ``_PAD``.
-    """
-    ids = _padded([_csv_field(name).encode("utf-8") for name in panel.ids])
-    iso = _padded([d.isoformat().encode() for d in panel.dates])
-    with open(path, "wb") as handle:
-        handle.write(b"id,date,close,adjfactor,retfactor\n")
-        # Formatted in blocks, so the panel is never held whole as text.
-        for lo in range(0, len(panel), _ROWS_PER_WRITE):
-            rows = slice(lo, lo + _ROWS_PER_WRITE)
-            instrument = panel.instrument[rows]
-            comma = np.full((instrument.size, 1), ord(","), dtype=np.uint8)
-            fields = [np.take(ids, instrument, axis=0), comma, np.take(iso, panel.date[rows], axis=0)]
-            for col in (panel.close, panel.adjfactor, panel.retfactor):
-                fields += [comma, _float_texts(col[rows])]
-            line = np.concatenate([*fields, np.full_like(comma, ord("\n"))], axis=1)
-            handle.write(line[line != _PAD].tobytes())
-
-
 def cmd_ingest(config: RunConfig) -> int:
     kept, dropped, rejects = _clean_input(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_cleaned(out / "cleaned.csv", kept)
-
-    audit_rows = [
-        {"id": f"line:{rej.line}", "reason": "reject", "detail": rej.reason}
-        for rej in rejects
-    ] + dropped
-    _write_audit(out / "audit.csv", audit_rows)
+    write_cleaned(out / "cleaned.csv", kept)
+    rejected = [{"id": f"line:{rej.line}", "reason": "reject", "detail": rej.reason} for rej in rejects]
+    write_audit(out / "audit.csv", rejected + dropped)
     return EXIT_OK if kept.ids else EXIT_DATA
 
 
@@ -283,7 +170,7 @@ def cmd_test(config: RunConfig) -> int:
     kept, dropped, _ = _clean_input(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_audit(out / "audit.csv", dropped)  # first, so a run that exits 2 still has it
+    write_audit(out / "audit.csv", dropped)  # first, so a run that exits 2 still has it
     if not kept.ids:
         return EXIT_DATA
     returns = compute_return_series(kept)

@@ -12,7 +12,7 @@ from marketrng.rng import SyntheticSpec
 from marketrng.serial import MAX_WINDOW
 
 STREAM_KINDS = {"firm": "firm_separated", "year": "year_separated"}  # flag value -> stream kind
-_CHOICES = {
+CHOICES = {
     "frequency": tuple(MIN_OBS),
     "boundary_mode": ("ignore", "respect"),
     "trim_mode": ("per_nu", "joint"),
@@ -65,7 +65,7 @@ class RunConfig:
     recurrence_source: str = "returns"
 
     def validate(self) -> "RunConfig":
-        for name, choices in _CHOICES.items():
+        for name, choices in CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {choices}")
         if not isinstance(self.input_path, (str, type(None))) or not isinstance(self.output_dir, str):

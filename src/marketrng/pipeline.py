@@ -9,18 +9,21 @@ and arranged into the two experiment streams: one binary sequence per
 instrument, or one per calendar year with instruments concatenated
 firm-major.  The CSV is parsed in blocks by numpy passes over its bytes,
 with per-row rules only for the lines those passes cannot prove; every
-later stage works on whole columns.
+later stage works on whole columns.  ``write_cleaned`` and
+``write_audit`` write the ``cleaned.csv`` and ``audit.csv`` of ``ingest``.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
 import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -33,7 +36,10 @@ _INF = float("inf")
 # Text per numpy pass.  At 1 << 20 the ingest and year-respect commands
 # peaked 6-8 MB higher, because freed pass buffers stay in the heap.
 _BLOCK_CHARS = 1 << 18
-_POW10 = np.array([float(10**k) for k in range(19)])  # exact doubles
+_ROWS_PER_WRITE = 1 << 16
+_POW10 = np.array([float(10**k) for k in range(19)])  # 10**k as an exact double
+_POW10_INT = 10 ** np.arange(16, dtype=np.int64)  # and as an integer, to 10**15
+_PAD = 255  # fills each text field to its column's width; no UTF-8 text holds this byte
 
 
 class FormatError(ValueError):
@@ -191,6 +197,111 @@ def _iso_date_keys(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.
             ok &= (char >= 48) & (char <= 57)
             key = key * 10 + (char - 48)
     return key, ok
+
+
+def _padded(texts: list[bytes]) -> np.ndarray:
+    """Byte strings as the rows of a uint8 matrix, each filled to the longest with ``_PAD``."""
+    size = np.array([len(text) for text in texts], dtype=np.int64)
+    out = np.full((size.size, size.max(initial=0)), _PAD, dtype=np.uint8)
+    out[np.arange(out.shape[1]) < size[:, None]] = np.frombuffer(b"".join(texts), dtype=np.uint8)
+    return out
+
+
+@functools.cache
+def _digits4() -> np.ndarray:
+    """ASCII digits of 0..9999, four to a row; built on first use, so other commands never pay for it."""
+    return np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).reshape(10_000, 4)
+
+
+def _digits(x: np.ndarray, width: int) -> np.ndarray:
+    """The last ``width`` zero-padded decimal digits of each ``x`` < 10**16, as ASCII rows."""
+    groups = -(-width // 4)
+    digits = np.take(_digits4(), x[:, None] // _POW10_INT[4 * np.arange(groups - 1, -1, -1)] % 10_000, axis=0)
+    return digits.reshape(x.size, 4 * groups)[:, 4 * groups - width :]
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float as ASCII, one ``_PAD``-filled row of a uint8 matrix per value.
+
+    A value v in [1e-4, 1e15) is written from the least k <= 15 for which
+    M = rint(v * 10**k) is below 10**15 and M / 10**k == v: M's integer
+    digits, a '.', and its k fraction digits, or one '0' when k = 0.  This
+    is exact.  M and 10**k are exact doubles, so the division rounds the
+    decimal M * 10**-k correctly, and the test proves that v is that
+    decimal's double.  A decimal with at most 15 significant digits
+    round-trips through a double (two such decimals never share one), so
+    the shortest round-trip text that ``repr`` writes (Steele & White
+    1990) is that decimal with its trailing zeros cut, which the least k
+    cuts, in positional form for 1e-4 <= v < 1e16.  Every other value
+    (NaN, infinities, zeros, negatives, exponent forms, 16-17 digits)
+    goes to ``repr``.  Each run of bit-identical neighbours is formatted once.
+    """
+    bits = values.view(np.int64)  # unlike ==, keeps -0.0 and NaNs apart
+    head = np.r_[values.size > 0, bits[1:] != bits[:-1]]
+    v = values[head]
+    scale = np.full(v.size, -1)
+    todo = np.flatnonzero((v >= 1e-4) & (v < 1e15))
+    left = v[todo]
+    for k in range(16):
+        m = np.rint(left * _POW10[k])
+        hit = (m < 1e15) & (m / _POW10[k] == left)
+        scale[todo[hit]] = k
+        todo, left = todo[~hit], left[~hit]
+    fast = np.flatnonzero(scale >= 0)
+    k = scale[fast]
+    whole, part = np.divmod(np.rint(v[fast] * _POW10[k]).astype(np.int64), _POW10_INT[k])
+    # Integer digits right-aligned and fraction digits left-aligned, each
+    # only as wide as these values need; a value's leading zeros and the
+    # places past its last fraction digit are filled.
+    n_int = max(np.searchsorted(_POW10_INT, whole.max(initial=0), side="right"), 1)
+    n_frac = max(k.max(initial=0), 1)
+    leading = whole[:, None] < np.r_[_POW10_INT[n_int - 1 : 0 : -1], 0]
+    past = np.arange(n_frac) >= np.maximum(k, 1)[:, None]
+    integer = np.where(leading, _PAD, _digits(whole, n_int))
+    fraction = np.where(past, _PAD, _digits(part * _POW10_INT[n_frac - k], n_frac))
+    text = np.concatenate([integer, np.full((k.size, 1), ord("."), dtype=np.uint8), fraction], axis=1)
+
+    slow = np.flatnonzero(scale < 0)
+    slow_text = _padded([repr(x).encode() for x in v[slow].tolist()])
+    out = np.full((v.size, max(text.shape[1], slow_text.shape[1])), _PAD, dtype=np.uint8)
+    out[fast, : text.shape[1]] = text
+    out[slow, : slow_text.shape[1]] = slow_text
+    return np.take(out, np.cumsum(head) - 1, axis=0)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted as ``csv.QUOTE_MINIMAL`` quotes it."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def write_cleaned(path: Path, panel: Panel) -> None:
+    """Write a panel as ``id,date,close,adjfactor,retfactor`` lines, one per row.
+
+    Each block of rows is laid out as one uint8 matrix of ``_PAD``-filled
+    fields and separators, and written as its bytes other than ``_PAD``.
+    """
+    ids = _padded([_csv_field(name).encode("utf-8") for name in panel.ids])
+    iso = _padded([d.isoformat().encode() for d in panel.dates])
+    with open(path, "wb") as handle:
+        handle.write(b"id,date,close,adjfactor,retfactor\n")
+        # Formatted in blocks, so the panel is never held whole as text.
+        for lo in range(0, len(panel), _ROWS_PER_WRITE):
+            rows = slice(lo, lo + _ROWS_PER_WRITE)
+            instrument = panel.instrument[rows]
+            comma = np.full((instrument.size, 1), ord(","), dtype=np.uint8)
+            fields = [np.take(ids, instrument, axis=0), comma, np.take(iso, panel.date[rows], axis=0)]
+            for col in (panel.close, panel.adjfactor, panel.retfactor):
+                fields += [comma, _float_texts(col[rows])]
+            line = np.concatenate([*fields, np.full_like(comma, ord("\n"))], axis=1)
+            handle.write(line[line != _PAD].tobytes())
+
+
+def write_audit(path: Path, rows) -> None:
+    lines = ["id,reason,detail"]
+    for row in rows:
+        detail = str(row.get("detail", "")).replace(",", ";")
+        lines.append(f"{_csv_field(row['id'])},{row['reason']},{detail}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class _CodeTable:

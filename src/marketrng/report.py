@@ -20,6 +20,7 @@ from marketrng.chi2 import ChiSquareAssessment, assess, chi2_critical
 from marketrng.serial import second_differences
 
 DEFAULT_TRIM_FRACTIONS = (0.01, 0.02, 0.03, 0.04, 0.05)
+TABLE_FORMATS = ("csv", "markdown")
 _VALUES_PER_WRITE = 1 << 16  # matrix entries formatted per recurrence write
 
 
@@ -270,7 +271,7 @@ def emit_tables(report: StreamReport, out_dir: str | Path, fmt: str = "csv") -> 
     of a year-separated report, and the trim-ladder statistics.  The psi
     summary is never marked, and Markdown tables show the values unmarked.
     """
-    if fmt not in ("csv", "markdown"):
+    if fmt not in TABLE_FORMATS:
         raise ValueError(f"unknown table format {fmt!r}")
     out = Path(out_dir) / "tables"
     out.mkdir(parents=True, exist_ok=True)

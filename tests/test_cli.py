@@ -6,22 +6,18 @@ import importlib.util
 import io
 import json
 import string
-import tempfile
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import reference_pipeline as ref
-from test_pipeline_reference import sorted_rows
 from marketrng import cli, pipeline
 from marketrng.cli import main
-from marketrng.pipeline import Panel, parse_prices
+from marketrng.pipeline import parse_prices
 from marketrng.report import read_report_json, write_report_json
 from marketrng.serial import BinarySequence, psi_profile
 
@@ -141,13 +137,6 @@ class TestIngest:
         assert main([*argv, "--trim", "0", "--out", str(test_out)]) == 0
         report, _ = read_report_json(test_out / "firm_separated" / "report.json")
         assert sorted(report.sequence_ids) == sorted(names)
-
-    @settings(max_examples=200)
-    @given(st.text(alphabet=st.sampled_from('ab ,"\r\n\t\u00e9'), min_size=1, max_size=6))
-    def test_id_field_quoting_matches_csv_writer(self, name):
-        text = io.StringIO()
-        csv.writer(text).writerow([name, "x"])  # the default "\r\n" terminator: \r and \n quote
-        assert cli._csv_field(name) + ",x\r\n" == text.getvalue()
 
     def test_drop_shares_match_engineered_proportions(self, tmp_path, capsys):
         # 1000 firms: 85 with a one-month hole (8.5%) and 59 with only
@@ -302,113 +291,6 @@ def test_header_only_input_is_data_error(tmp_path, capsys, command):
     assert {path.name: path.read_text(encoding="utf-8") for path in out.iterdir()} == written
 
 
-# Decimals of k places with at most 15 significant digits, the prices
-# that cleaned.csv writes from their digits rather than by repr.
-PRICE_DECIMALS = st.builds(lambda m, k: m / 10**k, st.integers(1, 10**15 - 1), st.integers(0, 15))
-# Floats whose repr takes each form: repeats, subnormals, exponent form
-# from 1e16 up and below 1e-4, zeros of both signs, non-finite values,
-# and price-like decimals.
-WRITER_FLOATS = (
-    st.sampled_from(
-        [1.0, 1.0, 0.1, 2.5, 5e-324, 2.2250738585072014e-308, 1e16, 1.2345678901234567e17, 9999999999999998.0,
-         1e-4, 9.99e-5, 3e-7, 0.0, -0.0, float("inf"), float("nan"), 45.6001, 1.02, 12.5, 0.0001, 2.0]
-    )
-    | PRICE_DECIMALS
-    | st.floats(allow_subnormal=True)
-)
-
-
-@st.composite
-def cleaned_panels(draw, floats=WRITER_FLOATS):
-    n = draw(st.integers(0, 40))
-    column = st.lists(floats, min_size=n, max_size=n)
-    close, adjfactor, retfactor = (np.array(draw(column), dtype=np.float64) for _ in range(3))
-    ids = ["A", "F0001", "\u00e9t\u00e9", "a b"]
-    dates = [dt.date(2001, 1, 31), dt.date(2001, 2, 28), dt.date(1999, 12, 31)]
-    codes = (draw(st.lists(st.integers(0, k), min_size=n, max_size=n)) for k in (3, 2))
-    instrument, date = (np.array(c, dtype=np.int64) for c in codes)
-    return Panel(ids, dates, instrument, date, close, adjfactor, retfactor)
-
-
-@settings(max_examples=200)
-@given(cleaned_panels(), st.sampled_from([1, 2, 3, 5, 64]))
-def test_cleaned_writer_matches_per_row_writer(panel, rows_per_write):
-    # Small blocks make runs of equal prices straddle block edges.
-    with tempfile.TemporaryDirectory() as tmp:
-        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
-        with mock.patch.object(cli, "_ROWS_PER_WRITE", rows_per_write):
-            cli._write_cleaned(new, panel)
-        ref.write_cleaned(old, panel)
-        assert new.read_bytes() == old.read_bytes()
-
-
-# repr writes these in exponent form: below 1e-4 and from 1e16 up.
-EXPONENT_FORMS = [1e-05, 9.99e-05, 1e16, 1e300]
-POSITIVE_FLOATS = (
-    st.sampled_from(EXPONENT_FORMS) | PRICE_DECIMALS | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-)
-
-
-def exponent_form_panel():
-    """Four rows; each price column holds every exponent form, and every adjusted price is in range."""
-    prices = np.array(EXPONENT_FORMS)
-    codes = np.array([0, 1, 0, 1], dtype=np.int64)
-    dates = [dt.date(2001, 1, 31), dt.date(2001, 2, 28)]
-    return Panel(["A", "B"], dates, codes, codes, prices, prices[::-1].copy(), prices.copy())
-
-
-@settings(max_examples=200)
-@given(cleaned_panels(POSITIVE_FLOATS))
-@example(exponent_form_panel())
-def test_cleaned_csv_reads_back_bit_for_bit(panel):
-    # test reads the cleaned.csv that ingest writes, so every price repr
-    # writes, exponent forms included, must parse back to the same double.
-    with np.errstate(over="ignore", under="ignore"):
-        adjusted = panel.adjusted_prices()
-    panel = panel.take(np.flatnonzero((adjusted > 0.0) & (adjusted < np.inf)))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cleaned.csv"
-        cli._write_cleaned(path, panel)
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            parsed = parse_prices(handle)
-    assert parsed.rejects == []
-    # Lines the numpy pass cannot prove, such as exponent forms, are parsed
-    # after the rest of their block, so rows are compared as multisets.
-    assert sorted_rows(parsed.records) == sorted_rows(panel)
-
-
-# Each side of the edges of the formatter's digit path: 1e-4 is its
-# least value, 1e15 is past it, 999999999999999.9 needs 16 digits.
-FORMAT_EDGES = [1e-4, float(np.nextafter(1e-4, 0)), 1e15, float(np.nextafter(1e15, 0)), 999999999999999.9, 0.1 + 0.2]
-
-
-def test_cleaned_price_fields_equal_repr(monkeypatch):
-    seen = Counter()
-    reprs = []  # the values the writer formats by repr; the rest take the digit path
-    monkeypatch.setattr(cli, "repr", lambda x: reprs.append(x) or repr(x), raising=False)
-
-    @settings(max_examples=300)
-    @given(st.lists(st.floats() | PRICE_DECIMALS | st.sampled_from(FORMAT_EDGES), min_size=1, max_size=40))
-    def check(values):
-        n = len(values)
-        prices = np.array(values, dtype=np.float64)
-        zeros = np.zeros(n, dtype=np.int64)
-        panel = Panel(["A"], [dt.date(2001, 1, 31)], zeros, zeros, prices, prices[::-1].copy(), prices)
-        reprs.clear()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "cleaned.csv"
-            cli._write_cleaned(path, panel)
-            lines = path.read_text(encoding="utf-8").splitlines()[1:]
-        assert [line.split(",")[2:] for line in lines] == [
-            [repr(c), repr(a), repr(r)] for c, a, r in zip(values, values[::-1], values)
-        ]
-        by_repr = {float(x).hex() for x in reprs}
-        seen.update("repr" if float(v).hex() in by_repr else "digits" for v in values)
-
-    check()
-    assert seen["repr"] and seen["digits"], seen
-
-
 class TestTestCommand:
     def test_outputs_and_determinism(self, small_panel, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -427,22 +309,36 @@ class TestTestCommand:
         assert list((out_a / "year_separated" / "figures").glob("kde_*.csv"))
 
     def test_jobs_flag_and_config_key_are_ignored(self, small_panel, tmp_path):
-        # Runs are single-process; --jobs and a "jobs" config key stay
-        # accepted for old scripts and config files, and change no byte.
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"jobs": 2}), encoding="utf-8")
-        args = ["test", "--input", str(small_panel), "--stream", "firm"]
+        # Runs are single-process; every command keeps --jobs and a "jobs"
+        # config key for old scripts and config files, and neither changes a
+        # byte.  Config keys stay shared by all commands: simulate runs with
+        # a file holding the panel keys that only ingest and test read.
+        def config(name, settings):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(settings), encoding="utf-8")
+            return ["--config", str(path)]
+
+        shared = {"input_path": str(small_panel), "frequency": "monthly", "stream_kinds": ["firm"]}
+        assert main(["simulate", *config("shared", shared), "--max-nu", "3", "--out", str(tmp_path / "shared")]) == 0
+        assert (tmp_path / "shared" / "firm_separated" / "report.json").is_file()
+        commands = {
+            "ingest": ["ingest", "--input", str(small_panel)],
+            "test": ["test", "--input", str(small_panel), "--stream", "firm"],
+            "simulate": ["simulate", "--max-nu", "3"],
+        }
         variants = {
             "plain": [],
             "jobs-2": ["--jobs", "2"],
             "jobs-0": ["--jobs", "0"],
-            "config": ["--config", str(config_path)],
+            "config": config("jobs", {"jobs": 2}),
         }
-        reports = []
-        for name, extra in variants.items():
-            assert main(args + extra + ["--out", str(tmp_path / name)]) == 0
-            reports.append((tmp_path / name / "firm_separated" / "report.json").read_bytes())
-        assert reports == [reports[0]] * len(variants)
+        for command, args in commands.items():
+            trees = []
+            for name, extra in variants.items():
+                out = tmp_path / command / name
+                assert main(args + extra + ["--out", str(out)]) == 0, (command, name)
+                trees.append(output_tree(out))
+            assert trees[0] and trees == [trees[0]] * len(variants), command
 
     def test_price_ratio_past_the_double_range_writes_finite_figures(self, tmp_path):
         # HUGE's adjusted price steps between 1e-200 and 1e200, so each price
@@ -996,6 +892,33 @@ class TestExitCodes:
             )
             == 1
         )
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("ingest", "--stream", "year"),
+            ("ingest", "--max-nu", "5"),
+            ("ingest", "--alpha", "0.5"),
+            ("ingest", "--trim", "0.3"),
+            ("ingest", "--boundary-mode", "respect"),
+            ("ingest", "--seed", "9"),
+            ("test", "--seed", "123"),
+            ("simulate", "--input", "panel.csv"),
+            ("simulate", "--frequency", "daily"),
+            ("simulate", "--stream", "year"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, small_panel, tmp_path, capsys, command, flag, value):
+        # A command accepts only the flags it reads; one it would ignore
+        # stops the run before anything is read or written.
+        out = tmp_path / "o"
+        argv = [command, flag, value, "--out", str(out)]
+        if command != "simulate":
+            argv += ["--input", str(small_panel)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0], err
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
     def test_tiny_alpha_runs(self, tmp_path, alpha):

@@ -1,18 +1,26 @@
-"""Market pipeline: parsing, cleaning, returns, binarisation, streams."""
+"""Market pipeline: parsing, cleaning, returns, binarisation, streams, and the cleaned.csv writer."""
 
+import csv
 import dataclasses
 import datetime as dt
 import io
 import math
+import tempfile
+from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_pipeline as ref
+from test_pipeline_reference import sorted_rows
+from marketrng import pipeline
 from marketrng.pipeline import (
     FormatError,
+    Panel,
     Returns,
     build_stream,
     clean_panel,
@@ -510,3 +518,118 @@ class TestReturnSeries:
         extreme = [math.log(1e200) - math.log(1e-200), math.log(1e-200) - math.log(1e200)]
         assert values[[0, 1, 5]].tolist() == pytest.approx(extreme + [math.log(1e-160) - math.log(1e160)], rel=1e-15)
         assert values[2:5].tolist() == np.log(np.array([1.0 / 1e-200, 2.0 / 1.0, 1e160 / 2.0])).tolist()
+
+
+@settings(max_examples=200)
+@given(st.text(alphabet=st.sampled_from('ab ,"\r\n\t\u00e9'), min_size=1, max_size=6))
+def test_id_field_quoting_matches_csv_writer(name):
+    text = io.StringIO()
+    csv.writer(text).writerow([name, "x"])  # the default "\r\n" terminator: \r and \n quote
+    assert pipeline._csv_field(name) + ",x\r\n" == text.getvalue()
+
+
+# Decimals of k places with at most 15 significant digits, the prices
+# that cleaned.csv writes from their digits rather than by repr.
+PRICE_DECIMALS = st.builds(lambda m, k: m / 10**k, st.integers(1, 10**15 - 1), st.integers(0, 15))
+# Floats whose repr takes each form: repeats, subnormals, exponent form
+# from 1e16 up and below 1e-4, zeros of both signs, non-finite values,
+# and price-like decimals.
+WRITER_FLOATS = (
+    st.sampled_from(
+        [1.0, 1.0, 0.1, 2.5, 5e-324, 2.2250738585072014e-308, 1e16, 1.2345678901234567e17, 9999999999999998.0,
+         1e-4, 9.99e-5, 3e-7, 0.0, -0.0, float("inf"), float("nan"), 45.6001, 1.02, 12.5, 0.0001, 2.0]
+    )
+    | PRICE_DECIMALS
+    | st.floats(allow_subnormal=True)
+)
+
+
+@st.composite
+def cleaned_panels(draw, floats=WRITER_FLOATS):
+    n = draw(st.integers(0, 40))
+    column = st.lists(floats, min_size=n, max_size=n)
+    close, adjfactor, retfactor = (np.array(draw(column), dtype=np.float64) for _ in range(3))
+    ids = ["A", "F0001", "\u00e9t\u00e9", "a b"]
+    dates = [dt.date(2001, 1, 31), dt.date(2001, 2, 28), dt.date(1999, 12, 31)]
+    codes = (draw(st.lists(st.integers(0, k), min_size=n, max_size=n)) for k in (3, 2))
+    instrument, date = (np.array(c, dtype=np.int64) for c in codes)
+    return Panel(ids, dates, instrument, date, close, adjfactor, retfactor)
+
+
+@settings(max_examples=200)
+@given(cleaned_panels(), st.sampled_from([1, 2, 3, 5, 64]))
+def test_cleaned_writer_matches_per_row_writer(panel, rows_per_write):
+    # Small blocks make runs of equal prices straddle block edges.
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        with mock.patch.object(pipeline, "_ROWS_PER_WRITE", rows_per_write):
+            pipeline.write_cleaned(new, panel)
+        ref.write_cleaned(old, panel)
+        assert new.read_bytes() == old.read_bytes()
+
+
+# repr writes these in exponent form: below 1e-4 and from 1e16 up.
+EXPONENT_FORMS = [1e-05, 9.99e-05, 1e16, 1e300]
+POSITIVE_FLOATS = (
+    st.sampled_from(EXPONENT_FORMS) | PRICE_DECIMALS | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+)
+
+
+def exponent_form_panel():
+    """Four rows; each price column holds every exponent form, and every adjusted price is in range."""
+    prices = np.array(EXPONENT_FORMS)
+    codes = np.array([0, 1, 0, 1], dtype=np.int64)
+    dates = [dt.date(2001, 1, 31), dt.date(2001, 2, 28)]
+    return Panel(["A", "B"], dates, codes, codes, prices, prices[::-1].copy(), prices.copy())
+
+
+@settings(max_examples=200)
+@given(cleaned_panels(POSITIVE_FLOATS))
+@example(exponent_form_panel())
+def test_cleaned_csv_reads_back_bit_for_bit(panel):
+    # test reads the cleaned.csv that ingest writes, so every price repr
+    # writes, exponent forms included, must parse back to the same double.
+    with np.errstate(over="ignore", under="ignore"):
+        adjusted = panel.adjusted_prices()
+    panel = panel.take(np.flatnonzero((adjusted > 0.0) & (adjusted < np.inf)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cleaned.csv"
+        pipeline.write_cleaned(path, panel)
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            parsed = parse_prices(handle)
+    assert parsed.rejects == []
+    # Lines the numpy pass cannot prove, such as exponent forms, are parsed
+    # after the rest of their block, so rows are compared as multisets.
+    assert sorted_rows(parsed.records) == sorted_rows(panel)
+
+
+# Each side of the edges of the formatter's digit path: 1e-4 is its
+# least value, 1e15 is past it, 999999999999999.9 needs 16 digits.
+FORMAT_EDGES = [1e-4, float(np.nextafter(1e-4, 0)), 1e15, float(np.nextafter(1e15, 0)), 999999999999999.9, 0.1 + 0.2]
+
+
+def test_cleaned_price_fields_equal_repr(monkeypatch):
+    seen = Counter()
+    reprs = []  # the values the writer formats by repr; the rest take the digit path
+    monkeypatch.setattr(pipeline, "repr", lambda x: reprs.append(x) or repr(x), raising=False)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats() | PRICE_DECIMALS | st.sampled_from(FORMAT_EDGES), min_size=1, max_size=40))
+    def check(values):
+        n = len(values)
+        prices = np.array(values, dtype=np.float64)
+        zeros = np.zeros(n, dtype=np.int64)
+        panel = Panel(["A"], [dt.date(2001, 1, 31)], zeros, zeros, prices, prices[::-1].copy(), prices)
+        reprs.clear()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cleaned.csv"
+            pipeline.write_cleaned(path, panel)
+            lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split(",")[2:] for line in lines] == [
+            [repr(c), repr(a), repr(r)] for c, a, r in zip(values, values[::-1], values)
+        ]
+        by_repr = {float(x).hex() for x in reprs}
+        seen.update("repr" if float(v).hex() in by_repr else "digits" for v in values)
+
+    check()
+    assert seen["repr"] and seen["digits"], seen
