@@ -140,8 +140,8 @@ def cmd_ingest(config: RunConfig) -> int:
     return EXIT_OK if kept.ids else EXIT_DATA
 
 
-def _write_stream(stream: ExperimentStream, config: RunConfig, out_dir: Path, echo: dict) -> bool:
-    """Profile, summarise and write one stream; False, after a stderr line, if no sequence fits."""
+def _write_stream(stream: ExperimentStream, config: RunConfig, out_dir: Path, echo: dict) -> int:
+    """Profile, summarise and write one stream; the count of sequences profiled, 0 after a stderr line if none fits."""
     # psi_profile needs a window of every size up to max_nu; in respect
     # mode windows stay inside segments, so the longest segment must fit.
     respect = config.boundary_mode == "respect"
@@ -150,7 +150,7 @@ def _write_stream(stream: ExperimentStream, config: RunConfig, out_dir: Path, ec
     skipped = [s.source_id for s, ok in zip(stream.sequences, fits) if not ok]
     if not usable:
         print(f"{stream.kind}: no sequence is long enough to profile", file=sys.stderr)
-        return False
+        return 0
     report = summarize_stream(
         np.vstack([psi_profile(s, max_nu=config.max_nu, respect_boundaries=respect) for s in usable]),
         alpha=config.alpha,
@@ -163,7 +163,7 @@ def _write_stream(stream: ExperimentStream, config: RunConfig, out_dir: Path, ec
     report.extras["audit"] = stream.audit
     write_report_json(report, out_dir / "report.json", config=echo)
     emit_tables(report, out_dir, fmt="csv")
-    return True
+    return len(usable)
 
 
 def cmd_test(config: RunConfig) -> int:
@@ -178,11 +178,13 @@ def cmd_test(config: RunConfig) -> int:
     for short in config.stream_kinds:  # every stream runs, whatever an earlier one found
         stream = build_stream(returns, STREAM_KINDS[short])
         stream_dir = out / stream.kind
-        if not _write_stream(stream, config, stream_dir, config.echo_dict()):
+        profiled = _write_stream(stream, config, stream_dir, config.echo_dict())
+        if not profiled:
             status = EXIT_DATA
             continue
         _emit_figures(stream, returns, kept, config, stream_dir)
-        print(f"{stream.kind}: {len(stream.sequences)} sequence(s) -> {stream_dir}")
+        skipped = len(stream.sequences) - profiled
+        print(f"{stream.kind}: {profiled} sequence(s) profiled, {skipped} skipped -> {stream_dir}")
     return status
 
 

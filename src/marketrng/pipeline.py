@@ -9,8 +9,9 @@ and arranged into the two experiment streams: one binary sequence per
 instrument, or one per calendar year with instruments concatenated
 firm-major.  The CSV is parsed in blocks by numpy passes over its bytes,
 with per-row rules only for the lines those passes cannot prove; every
-later stage works on whole columns.  ``write_cleaned`` and
-``write_audit`` write the ``cleaned.csv`` and ``audit.csv`` of ``ingest``.
+later stage works on whole columns, a date being one ``datetime64[D]``
+day.  ``write_cleaned`` and ``write_audit`` write the ``cleaned.csv``
+and ``audit.csv`` of ``ingest``.
 """
 
 from __future__ import annotations
@@ -59,13 +60,12 @@ def _sorted_codes(codes: np.ndarray, values: list) -> tuple[np.ndarray, list]:
 class Panel:
     """Price observations as columns, one entry per row.
 
-    ``instrument`` and ``date`` index the sorted ``ids`` and ``dates``
-    tables, which hold only values some row uses, so code order is id
-    order and date order.
+    ``instrument`` indexes the sorted ``ids`` table, which holds only ids
+    some row uses, so code order is id order.  ``date`` is each row's day
+    as ``datetime64[D]``; ``date.tolist()`` gives them as ``dt.date``.
     """
 
     ids: list[str]
-    dates: list[dt.date]
     instrument: np.ndarray
     date: np.ndarray
     close: np.ndarray
@@ -80,11 +80,10 @@ class Panel:
         return self.close * self.adjfactor / self.retfactor
 
     def take(self, rows: np.ndarray) -> Panel:
-        """The given rows, in that order, with the tables cut to what they use."""
+        """The given rows, in that order, with the id table cut to the ids they use."""
         instrument, ids = _sorted_codes(self.instrument[rows], self.ids)
-        date, dates = _sorted_codes(self.date[rows], self.dates)
         prices = (self.close[rows], self.adjfactor[rows], self.retfactor[rows])
-        return Panel(ids, dates, instrument, date, *prices)
+        return Panel(ids, instrument, self.date[rows], *prices)
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,6 @@ class Returns:
     """Log returns of a cleaned panel, coded as in ``Panel`` and dated by the later price."""
 
     ids: list[str]
-    dates: list[dt.date]
     instrument: np.ndarray
     date: np.ndarray
     values: np.ndarray
@@ -185,18 +183,20 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     return mantissa.astype(np.float64) / _POW10[scale], ok
 
 
-def _iso_date_keys(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """yyyymmdd keys of the fields of the form dddd-dd-dd, and which fields those are."""
-    ok = hi - lo == 10
-    key = np.zeros(lo.size, dtype=np.int64)
-    for j in range(10):
-        char = buf.take(lo + j, mode="clip")
-        if j in (4, 7):
-            ok &= char == 45
-        else:
-            ok &= (char >= 48) & (char <= 57)
-            key = key * 10 + (char - 48)
-    return key, ok
+def _iso_dates(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Days (``datetime64[D]``) of the fields of the form dddd-dd-dd, and which fields are real days.
+
+    A day past its month's end rolls into a later month and fails the last test; year 0 fails the first.
+    """
+    digits = [buf.take(lo + j, mode="clip") - np.int64(48) for j in (0, 1, 2, 3, 5, 6, 8, 9)]
+    ok = (hi - lo == 10) & (buf.take(lo + 4, mode="clip") == 45) & (buf.take(lo + 7, mode="clip") == 45)
+    ok &= np.all([(0 <= x) & (x <= 9) for x in digits], axis=0)
+    y = ((digits[0] * 10 + digits[1]) * 10 + digits[2]) * 10 + digits[3]
+    m, d = digits[4] * 10 + digits[5], digits[6] * 10 + digits[7]
+    month = ((y - 1970) * 12 + m - 1).astype("M8[M]")
+    day = month.astype("M8[D]") + (d - 1)
+    ok &= (y >= 1) & (m >= 1) & (m <= 12) & (d >= 1) & (day.astype("M8[M]") == month)
+    return day, ok
 
 
 def _padded(texts: list[bytes]) -> np.ndarray:
@@ -281,15 +281,16 @@ def write_cleaned(path: Path, panel: Panel) -> None:
     fields and separators, and written as its bytes other than ``_PAD``.
     """
     ids = _padded([_csv_field(name).encode("utf-8") for name in panel.ids])
-    iso = _padded([d.isoformat().encode() for d in panel.dates])
     with open(path, "wb") as handle:
         handle.write(b"id,date,close,adjfactor,retfactor\n")
         # Formatted in blocks, so the panel is never held whole as text.
         for lo in range(0, len(panel), _ROWS_PER_WRITE):
             rows = slice(lo, lo + _ROWS_PER_WRITE)
             instrument = panel.instrument[rows]
+            days, day = np.unique(panel.date[rows].view(np.int64), return_inverse=True)  # int64 sorts faster
+            iso = _padded([d.isoformat().encode() for d in days.view("M8[D]").tolist()])  # once per distinct day
             comma = np.full((instrument.size, 1), ord(","), dtype=np.uint8)
-            fields = [np.take(ids, instrument, axis=0), comma, np.take(iso, panel.date[rows], axis=0)]
+            fields = [np.take(ids, instrument, axis=0), comma, np.take(iso, day, axis=0)]
             for col in (panel.close, panel.adjfactor, panel.retfactor):
                 fields += [comma, _float_texts(col[rows])]
             line = np.concatenate([*fields, np.full_like(comma, ord("\n"))], axis=1)
@@ -312,8 +313,8 @@ class _CodeTable:
     would outlive the parse until the next garbage collection.
     """
 
-    def __init__(self, dtype):
-        self.keys = np.empty(0, dtype=dtype)
+    def __init__(self):
+        self.keys = np.empty(0, dtype="S32")
         self.codes = np.empty(0, dtype=np.int64)
 
     def lookup(self, values: np.ndarray, code_of) -> np.ndarray:
@@ -346,11 +347,9 @@ class _PanelBuilder:
         self.width = max(self.index) + 1
         self.n_fields = len(header)
         self.ids: dict[str, int] = {}  # id -> code, in order of first use
-        self.days: dict[dt.date, int] = {}  # date -> code, in order of first use
         self.texts: dict[str | None, dt.date] = {}  # the row rules' date cache
-        self.id_codes = _CodeTable("S32")  # id bytes -> code
-        self.day_codes = _CodeTable(np.int64)  # yyyymmdd key -> code, -1 if no date
-        self.columns = tuple(array(code) for code in "qqddd")  # id code, date code, prices
+        self.id_codes = _CodeTable()  # id bytes -> code
+        self.columns = tuple(array(code) for code in "qqddd")  # id code, day since 1970, prices
         self.rejects: list[RowReject] = []
 
     def _rows(self, numbered_rows) -> None:
@@ -366,17 +365,10 @@ class _PanelBuilder:
                 continue
             name, day, c, a, r = values
             instrument.append(self.ids.setdefault(name, len(self.ids)))
-            date.append(self.days.setdefault(day, len(self.days)))
+            date.append((day - dt.date(1970, 1, 1)).days)
             close.append(c)
             adjfactor.append(a)
             retfactor.append(r)
-
-    def _day_code(self, key: int) -> int:
-        try:
-            day = dt.date(key // 10000, key // 100 % 100, key % 100)
-        except ValueError:
-            return -1
-        return self.days.setdefault(day, len(self.days))
 
     def read_block(self, text: str, offset: int) -> int:
         """Parse a block without quotes whose first line is line ``offset + 1``; return its line count.
@@ -413,7 +405,7 @@ class _PanelBuilder:
 
         i_id, i_date, *i_prices = self.index
         (c, ok_c), (a, ok_a), (r, ok_r) = (_decimals(buf, *field(j)) for j in i_prices)
-        key, ok = _iso_date_keys(buf, *field(i_date))
+        day, ok = _iso_dates(buf, *field(i_date))
         ok &= ok_c & (0.0 < c) & (c < _INF) & ok_a & (0.0 < a) & (a < _INF)
         ok &= ok_r & (0.0 < r) & (r < _INF)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -426,11 +418,9 @@ class _PanelBuilder:
             names[:, j] = np.where(size > j, buf.take(id_lo + j, mode="clip"), np.uint8(0))
         ok &= (size >= 1) & (size <= 32) & ~np.any(names == 32, axis=1)
 
-        day = self.day_codes.lookup(key[ok], self._day_code)
-        ok[ok] = day >= 0
         names = np.ascontiguousarray(names[ok]).view(f"S{names.shape[1]}")[:, 0]
         instrument = self.id_codes.lookup(names, lambda name: self.ids.setdefault(name.decode("ascii"), len(self.ids)))
-        for column, values in zip(self.columns, (instrument, day[day >= 0], c[ok], a[ok], r[ok])):
+        for column, values in zip(self.columns, (instrument, day[ok].view(np.int64), c[ok], a[ok], r[ok])):
             column.frombytes(memoryview(values).cast("B"))  # the block's bytes, not a copy of them
 
         rest = np.ones(starts.size, dtype=bool)
@@ -445,8 +435,7 @@ class _PanelBuilder:
         instrument, date = (np.frombuffer(col, dtype=np.int64) for col in self.columns[:2])
         prices = (np.frombuffer(col, dtype=np.float64) for col in self.columns[2:])
         codes, ids = _sorted_codes(instrument, list(self.ids))
-        days, dates = _sorted_codes(date, list(self.days))
-        return ParseResult(Panel(ids, dates, codes, days, *prices), self.rejects)
+        return ParseResult(Panel(ids, codes, date.view("M8[D]"), *prices), self.rejects)
 
 
 def parse_prices(stream: IO[str] | Iterable[str]) -> ParseResult:
@@ -522,10 +511,14 @@ def clean_panel(
     if gap_scope not in ("life", "dataset"):
         raise ValueError(f"gap_scope must be 'life' or 'dataset', got {gap_scope!r}")
 
-    order = np.argsort(panel.instrument * len(panel.dates) + panel.date, kind="stable")
-    instrument, period = panel.instrument[order], panel.date[order]  # daily: trading-day index
+    day = panel.date.view(np.int64)  # days since 1970; numpy sorts int64 far faster than datetime64
+    offset = day - day.min(initial=0)
+    order = np.argsort(panel.instrument * (offset.max(initial=0) + 1) + offset, kind="stable")
+    instrument, day = panel.instrument[order], day[order]
     if frequency == "monthly":
-        period = np.array([d.year * 12 + d.month - 1 for d in panel.dates], dtype=np.int64)[period]
+        period = day.view("M8[D]").astype("M8[M]").view(np.int64) + 1970 * 12  # year * 12 + month - 1
+    else:
+        period = np.unique(day, return_inverse=True)[1]  # trading-day index
     starts, sizes = _runs(instrument)
     if not starts.size:
         return panel.take(order), []
@@ -575,7 +568,7 @@ def compute_return_series(panel: Panel) -> Returns:
     off = np.abs(values) > 708.0  # the ratio overflowed, or is subnormal or 0 and lost bits
     at = np.flatnonzero(same)[off]
     values[off] = np.log(prices[at + 1]) - np.log(prices[at])
-    return Returns(panel.ids, panel.dates, instrument[1:][same], date[1:][same], values)
+    return Returns(panel.ids, instrument[1:][same], date[1:][same], values)
 
 
 def _run_order(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -623,7 +616,7 @@ def build_stream(returns: Returns, kind: str) -> ExperimentStream:
     """
     if kind not in ("firm_separated", "year_separated"):
         raise ValueError(f"unknown stream kind {kind!r}")
-    years = np.array([d.year for d in returns.dates], dtype=np.int64)[returns.date]
+    years = returns.date.astype("M8[Y]").view(np.int64) + 1970
     firm = kind == "firm_separated"
     starts, sizes = _runs(returns.instrument) if firm else _runs(returns.instrument, years)
     if firm and np.any(sizes < 2):

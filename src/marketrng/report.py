@@ -150,8 +150,8 @@ def summarize_stream(
     ladder: dict[int, list[TrimStep]] = {}
 
     id_arr = np.array(ids)
-    if trim_mode == "joint":
-        joint_order = _contributor_order(d2_matrix.sum(axis=1), id_arr)
+    joint = trim_mode == "joint"
+    joint_order = _contributor_order(d2_matrix.sum(axis=1), id_arr) if joint else None
 
     for j, nu in enumerate(d2_nus):
         xi = 2 ** (nu - 2)
@@ -159,20 +159,14 @@ def summarize_stream(
         combined[nu] = assess(float(column.sum()), n * xi, alpha)
         crit = chi2_critical(alpha, xi)
         significant_fraction[nu] = float((column > crit).mean())
-        if trim_mode == "per_nu":
-            # One ranking per window size serves every trim fraction: the
-            # kept values are always the tail of the same order.
-            ranked = column[_contributor_order(column, id_arr)]
+        # One order serves every trim fraction: the kept sequences are its
+        # tail, summed in that order (per_nu) or in index order (joint).
+        order = joint_order if joint else _contributor_order(column, id_arr)
         steps = []
         for p in trim_fractions:
             k = int(np.floor(p * n))
-            if trim_mode == "per_nu":
-                stat = float(ranked[k:].sum())
-            else:
-                # The mask keeps the remaining values in id order.
-                keep = np.ones(n, dtype=bool)
-                keep[joint_order[:k]] = False
-                stat = float(column[keep].sum())
+            kept = np.sort(order[k:]) if joint else order[k:]
+            stat = float(column[kept].sum())
             dof = (n - k) * xi
             result = assess(stat, dof, alpha)
             steps.append(

@@ -346,11 +346,11 @@ def binarise_runs_lexsort(values: np.ndarray, starts: np.ndarray, sizes: np.ndar
 
 def write_cleaned(path, panel, rows_per_write: int = 1 << 16) -> None:
     """``cleaned.csv`` as ``ingest`` wrote it, one f-string per row and ids unquoted."""
-    ids, iso = panel.ids, [d.isoformat() for d in panel.dates]
+    ids = panel.ids
     columns = (panel.instrument, panel.date, panel.close, panel.adjfactor, panel.retfactor)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("id,date,close,adjfactor,retfactor\n")
         for lo in range(0, len(panel), rows_per_write):
             block = zip(*(col[lo : lo + rows_per_write].tolist() for col in columns))
-            lines = (f"{ids[i]},{iso[d]},{c!r},{a!r},{r!r}\n" for i, d, c, a, r in block)
+            lines = (f"{ids[i]},{d.isoformat()},{c!r},{a!r},{r!r}\n" for i, d, c, a, r in block)
             handle.write("".join(lines))

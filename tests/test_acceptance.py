@@ -7,7 +7,6 @@ exact invariances; the empirical Nasdaq panel itself is proprietary and
 is not required by any test here.
 """
 
-import datetime as dt
 import json
 import math
 import time
@@ -225,7 +224,7 @@ def test_invariance_suite():
 
     def median_bits(values):
         code = np.zeros(values.size, dtype=np.int64)
-        returns = Returns(["X"], [dt.date(2001, 1, 31)], code, code, values)
+        returns = Returns(["X"], code, np.full(values.size, "2001-01-31", dtype="M8[D]"), values)
         return build_stream(returns, "firm_separated").sequences[0].bits
 
     transforms = [np.exp, lambda x: 5.0 * x + 2.0, lambda x: x**3, np.arctan]

@@ -396,7 +396,7 @@ class TestTestCommand:
         assert report.kind == "year_separated"
         assert report.psi_summary[1]["max"] == 0.0
 
-    def test_year_respect_skips_year_of_short_segments(self, tmp_path):
+    def test_year_respect_skips_year_of_short_segments(self, tmp_path, capsys):
         # A panel ending in March leaves every firm segment of the final
         # year shorter than max_nu; in respect mode that year holds no
         # window of size 8 and is skipped instead of aborting the run.
@@ -408,6 +408,8 @@ class TestTestCommand:
         report = json.loads((out / "year_separated" / "report.json").read_text())["report"]
         assert report["sequence_ids"] == ["2001", "2002"]
         assert report["extras"]["skipped_sequences"] == ["2003"]
+        summary = f"year_separated: 2 sequence(s) profiled, 1 skipped -> {out / 'year_separated'}"
+        assert capsys.readouterr().out.splitlines()[-1] == summary
 
     def test_missing_input_is_usage_error(self):
         assert main(["test"]) == 1

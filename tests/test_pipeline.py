@@ -74,7 +74,7 @@ def panel_rows(panel):
     return list(
         zip(
             [panel.ids[k] for k in panel.instrument.tolist()],
-            [panel.dates[k] for k in panel.date.tolist()],
+            panel.date.tolist(),
             panel.close.tolist(),
             panel.adjfactor.tolist(),
             panel.retfactor.tolist(),
@@ -308,7 +308,7 @@ def median_bits(values):
     """The bits build_stream gives one instrument whose returns are ``values``, in order."""
     n = len(values)
     code = np.zeros(n, dtype=np.int64)
-    returns = Returns(["X"], [dt.date(2001, 1, 31)], code, code, np.asarray(values, dtype=float))
+    returns = Returns(["X"], code, np.full(n, "2001-01-31", dtype="M8[D]"), np.asarray(values, dtype=float))
     return build_stream(returns, "firm_separated").sequences[0].bits
 
 
@@ -380,7 +380,7 @@ class TestBuildStream:
     def test_year_segment_bounds_firm_major(self):
         series = toy_series(n_firms=3, years=2, seed=7)
         stream = build_stream(series, "year_separated")
-        years = np.array([d.year for d in series.dates])[series.date]
+        years = np.array([d.year for d in series.date.tolist()])
         assert [s.source_id for s in stream.sequences] == ["2001", "2002"]  # 2003: one return a firm
         for seq in stream.sequences:
             # One segment per firm with two or more returns that year, in
@@ -507,7 +507,7 @@ class TestReturnSeries:
         records = monthly_records("AAA", 2001, 1, [100.0, 110.0, 121.0])
         series = compute_return_series(panel_of(records))
         assert series.values.tolist() == pytest.approx([math.log(1.1)] * 2)
-        assert series.dates[series.date[0]] == month_end(2001, 2)
+        assert series.date[0] == month_end(2001, 2)
 
     def test_price_ratio_past_the_double_range_gives_a_finite_return(self):
         # 1e200 / 1e-200 overflows to inf, its inverse underflows to 0, and
@@ -550,10 +550,10 @@ def cleaned_panels(draw, floats=WRITER_FLOATS):
     column = st.lists(floats, min_size=n, max_size=n)
     close, adjfactor, retfactor = (np.array(draw(column), dtype=np.float64) for _ in range(3))
     ids = ["A", "F0001", "\u00e9t\u00e9", "a b"]
-    dates = [dt.date(2001, 1, 31), dt.date(2001, 2, 28), dt.date(1999, 12, 31)]
+    dates = np.array([dt.date(2001, 1, 31), dt.date(2001, 2, 28), dt.date(1999, 12, 31)], dtype="M8[D]")
     codes = (draw(st.lists(st.integers(0, k), min_size=n, max_size=n)) for k in (3, 2))
     instrument, date = (np.array(c, dtype=np.int64) for c in codes)
-    return Panel(ids, dates, instrument, date, close, adjfactor, retfactor)
+    return Panel(ids, instrument, dates[date], close, adjfactor, retfactor)
 
 
 @settings(max_examples=200)
@@ -579,8 +579,8 @@ def exponent_form_panel():
     """Four rows; each price column holds every exponent form, and every adjusted price is in range."""
     prices = np.array(EXPONENT_FORMS)
     codes = np.array([0, 1, 0, 1], dtype=np.int64)
-    dates = [dt.date(2001, 1, 31), dt.date(2001, 2, 28)]
-    return Panel(["A", "B"], dates, codes, codes, prices, prices[::-1].copy(), prices.copy())
+    dates = np.array([dt.date(2001, 1, 31), dt.date(2001, 2, 28)], dtype="M8[D]")
+    return Panel(["A", "B"], codes, dates[codes], prices, prices[::-1].copy(), prices.copy())
 
 
 @settings(max_examples=200)
@@ -619,7 +619,8 @@ def test_cleaned_price_fields_equal_repr(monkeypatch):
         n = len(values)
         prices = np.array(values, dtype=np.float64)
         zeros = np.zeros(n, dtype=np.int64)
-        panel = Panel(["A"], [dt.date(2001, 1, 31)], zeros, zeros, prices, prices[::-1].copy(), prices)
+        days = np.full(n, "2001-01-31", dtype="M8[D]")
+        panel = Panel(["A"], zeros, days, prices, prices[::-1].copy(), prices)
         reprs.clear()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cleaned.csv"

@@ -180,7 +180,7 @@ def columnar_run(text, frequency, gap_scope):
     rows = list(
         zip(
             [kept.ids[k] for k in kept.instrument.tolist()],
-            [kept.dates[k] for k in kept.date.tolist()],
+            kept.date.tolist(),
             map(repr, kept.close.tolist()),
             map(repr, kept.adjfactor.tolist()),
             map(repr, kept.retfactor.tolist()),
@@ -192,7 +192,7 @@ def columnar_run(text, frequency, gap_scope):
     returns = []
     for k, name in enumerate(series.ids):
         mine = series.instrument == k
-        returns.append((name, tuple(series.dates[d] for d in series.date[mine].tolist()),
+        returns.append((name, tuple(series.date[mine].tolist()),
                         series.values[mine].tobytes()))
     return parsed.rejects, dropped, rows, returns, series
 
@@ -276,7 +276,8 @@ def test_binarise_median_matches_numpy_median(values):
     median = float(np.median(arr))
     assert got_median == median
     code = np.zeros(arr.size, dtype=np.int64)
-    stream = build_stream(Returns(["X"], [dt.date(2001, 1, 31)], code, code, arr), "firm_separated")
+    days = np.full(arr.size, "2001-01-31", dtype="M8[D]")
+    stream = build_stream(Returns(["X"], code, days, arr), "firm_separated")
     assert stream.sequences[0].bits.tolist() == [int(v > median) for v in values]
 
 
@@ -321,9 +322,9 @@ def panels_with_duplicates(draw):
         rows += [(code, m) for m in months]
     rows = draw(st.permutations(rows))
     instrument, date = (np.array(col, dtype=np.int64) for col in zip(*rows))
-    dates = [dt.date(2001 + m // 12, m % 12 + 1, 28) for m in range(15)]
+    dates = np.array([dt.date(2001 + m // 12, m % 12 + 1, 28) for m in range(15)], dtype="M8[D]")
     close, ones = np.arange(len(rows), dtype=np.float64), np.ones(len(rows))  # close tags each row
-    return pipeline.Panel(["A", "B", "C", "D"], dates, instrument, date, close, ones, ones)
+    return pipeline.Panel(["A", "B", "C", "D"], instrument, dates[date], close, ones, ones)
 
 
 @settings(max_examples=200)
@@ -409,7 +410,7 @@ def sorted_rows(panel):
     return sorted(
         zip(
             [panel.ids[k] for k in panel.instrument.tolist()],
-            [panel.dates[k] for k in panel.date.tolist()],
+            panel.date.tolist(),
             map(float.hex, panel.close.tolist()),
             map(float.hex, panel.adjfactor.tolist()),
             map(float.hex, panel.retfactor.tolist()),
@@ -420,7 +421,7 @@ def sorted_rows(panel):
 def panel_view(result):
     panel = result.records
     columns = [panel.instrument, panel.date, panel.close, panel.adjfactor, panel.retfactor]
-    return panel.ids, panel.dates, [c.dtype.str for c in columns], sorted_rows(panel), result.rejects
+    return panel.ids, [c.dtype.str for c in columns], sorted_rows(panel), result.rejects
 
 
 def check_numpy_pass(text, block):
@@ -494,3 +495,46 @@ def test_decimal_kernel_matches_float(texts):
         assert proven == (plain and int(digits) <= 2**53), text
         if proven:
             assert value.hex() == float(text).hex(), text
+
+
+# dddd-dd-dd texts: year 0000-9999, month and day 00-99, weighted towards
+# real months and the days around a month's end.
+ISO_TEXTS = st.builds(
+    "{:04d}-{:02d}-{:02d}".format,
+    st.integers(0, 9999),
+    st.integers(1, 12) | st.integers(0, 99),
+    st.integers(27, 32) | st.integers(0, 99),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(ISO_TEXTS, min_size=1, max_size=30))
+@example(["1900-02-29"])
+@example(["2000-02-29"])
+@example(["2004-02-29"])
+@example(["0000-01-01"])
+@example(["9999-12-31"])
+@example(["2001-04-31"])
+@example(["2001-13-01"])
+def test_iso_dates_match_fromisoformat(texts):
+    raw = ",".join(texts).encode("ascii")
+    bounds = np.arange(len(texts) + 1) * 11
+    days, ok = pipeline._iso_dates(np.frombuffer(raw, dtype=np.uint8), bounds[:-1], bounds[1:] - 1)
+    assert days.dtype == np.dtype("M8[D]")
+    for text, day, proven in zip(texts, days.tolist(), ok.tolist()):
+        try:
+            want = dt.date.fromisoformat(text)
+        except ValueError:
+            want = None
+        assert proven == (want is not None), text
+        if proven:
+            assert day == want, text
+
+
+@given(st.lists(st.dates(), min_size=1, max_size=30))
+@example([dt.date(1, 1, 1), dt.date(1969, 12, 31), dt.date(1970, 1, 1), dt.date(9999, 12, 31)])
+def test_month_and_year_casts_match_the_calendar(dates):
+    # clean_panel's monthly periods and build_stream's years, pre-1970 days included.
+    days = np.array(dates, dtype="M8[D]")
+    assert (days.astype("M8[M]").view(np.int64) + 1970 * 12).tolist() == [d.year * 12 + d.month - 1 for d in dates]
+    assert (days.astype("M8[Y]").view(np.int64) + 1970).tolist() == [d.year for d in dates]
