@@ -236,9 +236,8 @@ def _float_texts(values: np.ndarray) -> np.ndarray:
     (NaN, infinities, zeros, negatives, exponent forms, 16-17 digits)
     goes to ``repr``.  Each run of bit-identical neighbours is formatted once.
     """
-    bits = values.view(np.int64)  # unlike ==, keeps -0.0 and NaNs apart
-    head = np.r_[values.size > 0, bits[1:] != bits[:-1]]
-    v = values[head]
+    starts, sizes = _runs(values.view(np.int64))  # unlike ==, the bits keep -0.0 and NaNs apart
+    v = values[starts]
     scale = np.full(v.size, -1)
     todo = np.flatnonzero((v >= 1e-4) & (v < 1e15))
     left = v[todo]
@@ -266,7 +265,7 @@ def _float_texts(values: np.ndarray) -> np.ndarray:
     out = np.full((v.size, max(text.shape[1], slow_text.shape[1])), _PAD, dtype=np.uint8)
     out[fast, : text.shape[1]] = text
     out[slow, : slow_text.shape[1]] = slow_text
-    return np.take(out, np.cumsum(head) - 1, axis=0)
+    return np.repeat(out, sizes, axis=0)
 
 
 def _csv_field(text: str) -> str:
@@ -305,36 +304,11 @@ def write_audit(path: Path, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-class _CodeTable:
-    """Codes of keys, looked up in a sorted table to which ``code_of`` adds each new key once.
-
-    ``code_of`` comes with each lookup: a table that kept a callback bound
-    to its ``_PanelBuilder`` would make a cycle, and the builder's columns
-    would outlive the parse until the next garbage collection.
-    """
-
-    def __init__(self):
-        self.keys = np.empty(0, dtype="S32")
-        self.codes = np.empty(0, dtype=np.int64)
-
-    def lookup(self, values: np.ndarray, code_of) -> np.ndarray:
-        """The code of each value; runs of equal neighbours are looked up once."""
-        head = np.ones(values.size, dtype=bool)
-        head[1:] = values[1:] != values[:-1]  # panels list a firm's rows together
-        values = values[head]
-        at = np.searchsorted(self.keys, values)
-        new = values[self.keys.take(at, mode="clip") != values] if self.keys.size else values
-        if new.size:
-            new = np.unique(new)
-            at = np.searchsorted(self.keys, new)
-            self.keys = np.insert(self.keys, at, new)
-            self.codes = np.insert(self.codes, at, [code_of(v) for v in new.tolist()])
-            at = np.searchsorted(self.keys, values)
-        return self.codes[at][np.cumsum(head) - 1]
-
-
 class _PanelBuilder:
-    """Accepted rows and rejects of one price CSV; rejects in input order."""
+    """Accepted rows and rejects of one price CSV; rejects in input order.
+
+    ``keys`` and ``codes``: the ids the numpy pass met, sorted after a ``b""`` no id equals, and their codes.
+    """
 
     def __init__(self, header: list[str] | None):
         if header is None:
@@ -348,7 +322,7 @@ class _PanelBuilder:
         self.n_fields = len(header)
         self.ids: dict[str, int] = {}  # id -> code, in order of first use
         self.texts: dict[str | None, dt.date] = {}  # the row rules' date cache
-        self.id_codes = _CodeTable()  # id bytes -> code
+        self.keys, self.codes = np.array([b""], dtype="S32"), np.array([-1], dtype=np.int64)
         self.columns = tuple(array(code) for code in "qqddd")  # id code, day since 1970, prices
         self.rejects: list[RowReject] = []
 
@@ -379,8 +353,9 @@ class _PanelBuilder:
         sure to accept it with the same values: exactly one field per
         header column, only printable ASCII, a 1-32 byte id without spaces,
         a dddd-dd-dd date that exists, plain decimal prices (``_decimals``)
-        and in-range values.  Every other line goes through the row rules,
-        and its row, if accepted, follows the rows accepted here.
+        and in-range values; each run of one id is looked up in ``keys``
+        once.  Every other line goes through the row rules, and its row,
+        if accepted, follows the rows accepted here.
         """
         raw = text.replace("\r\n", "\n").replace("\r", "\n").encode("utf-8", "surrogatepass")
         buf = np.frombuffer(raw, dtype=np.uint8)
@@ -419,7 +394,16 @@ class _PanelBuilder:
         ok &= (size >= 1) & (size <= 32) & ~np.any(names == 32, axis=1)
 
         names = np.ascontiguousarray(names[ok]).view(f"S{names.shape[1]}")[:, 0]
-        instrument = self.id_codes.lookup(names, lambda name: self.ids.setdefault(name.decode("ascii"), len(self.ids)))
+        heads, lengths = _runs(names)  # panels list a firm's rows together
+        names = names[heads]
+        at = np.searchsorted(self.keys, names)
+        new = np.unique(names[self.keys.take(at, mode="clip") != names])
+        if new.size:
+            code = [self.ids.setdefault(name.decode("ascii"), len(self.ids)) for name in new.tolist()]
+            at = np.searchsorted(self.keys, new)
+            self.keys, self.codes = np.insert(self.keys, at, new), np.insert(self.codes, at, code)
+            at = np.searchsorted(self.keys, names)
+        instrument = np.repeat(self.codes[at], lengths)
         for column, values in zip(self.columns, (instrument, day[ok].view(np.int64), c[ok], a[ok], r[ok])):
             column.frombytes(memoryview(values).cast("B"))  # the block's bytes, not a copy of them
 
@@ -616,8 +600,8 @@ def build_stream(returns: Returns, kind: str) -> ExperimentStream:
     """
     if kind not in ("firm_separated", "year_separated"):
         raise ValueError(f"unknown stream kind {kind!r}")
-    years = returns.date.astype("M8[Y]").view(np.int64) + 1970
     firm = kind == "firm_separated"
+    years = None if firm else returns.date.astype("M8[Y]").view(np.int64) + 1970  # the firm stream reads none
     starts, sizes = _runs(returns.instrument) if firm else _runs(returns.instrument, years)
     if firm and np.any(sizes < 2):
         raise ValueError("need at least two returns to binarise")

@@ -70,6 +70,8 @@ class StreamReport:
     @classmethod
     def from_dict(cls, data: dict) -> "StreamReport":
         def by_nu(key: str, convert) -> dict:
+            if not isinstance(data[key], dict):
+                raise ValueError(f"{key} is not a JSON object")
             return {int(nu): convert(v) for nu, v in data[key].items()}
 
         return cls(
@@ -342,9 +344,10 @@ def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
 
     Raises ValueError unless the window sizes, the keys of every
     nu-keyed map, the trim ladder and the shape of ``per_sequence_d2``
-    agree, the kind is known, alpha lies in (0, 1) and every value a
-    table formats is a number, so that tables can be emitted from the
-    report.
+    agree, the kind is known, alpha lies in (0, 1), every summary row
+    has a mean, sd and max, every value a table formats is a number,
+    every dof and dropped count an integer and every sequence id a
+    string, so that tables can be emitted from the report.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     report = StreamReport.from_dict(payload["report"])
@@ -366,11 +369,20 @@ def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
         raise ValueError(f"unknown report kind {report.kind!r}")
     if not isinstance(report.alpha, (int, float)) or not 0.0 < report.alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {report.alpha!r}")
+    rows = [row for table in (report.psi_summary, report.d2_summary) for row in table.values()]
+    if not all({"mean", "sd", "max"} <= row.keys() for row in rows):
+        raise ValueError("a summary row lacks a mean, sd or max")
     cells = [*report.trim_fractions, *(a.statistic for a in report.combined.values())]
     cells += [step.statistic for steps in report.trim_ladder.values() for step in steps]
-    cells += [v for table in (report.psi_summary, report.d2_summary) for row in table.values() for v in row.values()]
+    cells += [v for row in rows for v in row.values()]
     if not all(isinstance(v, (int, float)) for v in cells):
         raise ValueError("a table value of the report is not a number")
+    counts = [a.dof for a in report.combined.values()]
+    counts += [step.dropped for steps in report.trim_ladder.values() for step in steps]
+    if not all(isinstance(v, int) for v in counts):
+        raise ValueError("a dof or dropped count of the report is not an integer")
+    if not all(isinstance(name, str) for name in report.sequence_ids):
+        raise ValueError("a sequence id of the report is not a string")
     return report, payload.get("config")
 
 

@@ -1032,37 +1032,47 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("data error: cannot read report")
 
     @pytest.mark.parametrize(
-        "edit",
+        "kind, edit",
         [
-            lambda r: r["d2_nus"].append(9),
-            lambda r: r["nus"].remove(1),
-            lambda r: r["psi_summary"].pop("2"),
-            lambda r: r["d2_summary"].pop("5"),
-            lambda r: r["combined"].pop("4"),
-            lambda r: r["significant_fraction"].update({"9": 0.0}),
-            lambda r: r["trim_ladder"].pop("3"),
-            lambda r: r["trim_ladder"]["6"].pop(),
-            lambda r: [row.pop() for row in r["per_sequence_d2"]],
-            lambda r: r["per_sequence_d2"].pop(),
-            lambda r: r.update(alpha=1.5),
-            lambda r: r.update(alpha=0.0),
-            lambda r: r.update(alpha="x"),
-            lambda r: r["trim_fractions"].__setitem__(0, "a"),
-            lambda r: r["combined"]["5"].update(statistic="x"),
-            lambda r: r.update(kind="zzz"),
+            ("firm_like", lambda r: r["d2_nus"].append(9)),
+            ("firm_like", lambda r: r["nus"].remove(1)),
+            ("firm_like", lambda r: r["psi_summary"].pop("2")),
+            ("firm_like", lambda r: r["d2_summary"].pop("5")),
+            ("firm_like", lambda r: r["combined"].pop("4")),
+            ("firm_like", lambda r: r["significant_fraction"].update({"9": 0.0})),
+            ("firm_like", lambda r: r["trim_ladder"].pop("3")),
+            ("firm_like", lambda r: r["trim_ladder"]["6"].pop()),
+            ("firm_like", lambda r: [row.pop() for row in r["per_sequence_d2"]]),
+            ("firm_like", lambda r: r["per_sequence_d2"].pop()),
+            ("firm_like", lambda r: r.update(alpha=1.5)),
+            ("firm_like", lambda r: r.update(alpha=0.0)),
+            ("firm_like", lambda r: r.update(alpha="x")),
+            ("firm_like", lambda r: r["trim_fractions"].__setitem__(0, "a")),
+            ("firm_like", lambda r: r["combined"]["5"].update(statistic="x")),
+            ("firm_like", lambda r: r.update(kind="zzz")),
+            ("firm_like", lambda r: r.update(psi_summary=list(r["psi_summary"].values()))),
+            ("year_like", lambda r: r.update(combined=list(r["combined"].values()))),
+            ("firm_like", lambda r: r["psi_summary"]["2"].pop("mean")),
+            ("firm_like", lambda r: r["d2_summary"]["4"].pop("sd")),
+            ("year_like", lambda r: r["sequence_ids"].__setitem__(0, 7)),
+            ("firm_like", lambda r: r["combined"]["3"].update(dof=[1])),
+            ("firm_like", lambda r: r["trim_ladder"]["3"][0].update(dropped=[1])),
         ],
         ids=[
             "d2-nus", "nus", "psi-summary", "d2-summary", "combined", "significant-fraction",
             "trim-ladder-keys", "trim-ladder-steps", "per-sequence-d2-width", "per-sequence-d2-rows",
             "alpha-above-one", "alpha-zero", "alpha-string", "trim-fraction-string",
-            "combined-statistic-string", "unknown-kind",
+            "combined-statistic-string", "unknown-kind", "psi-summary-list", "combined-list",
+            "psi-row-without-mean", "d2-row-without-sd", "year-sequence-id-int", "combined-dof-list",
+            "trim-dropped-list",
         ],
     )
-    def test_inconsistent_report_is_data_error(self, tmp_path, capsys, edit):
+    def test_inconsistent_report_is_data_error(self, tmp_path, capsys, kind, edit):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"synthetic": {"count": 3, "length": 20}}))
+        config_path.write_text(json.dumps({"synthetic": {"kind": kind, "count": 3, "length": 20}}))
         assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "s")]) == 0
-        path = tmp_path / "s" / "firm_separated" / "report.json"
+        stream = "firm_separated" if kind == "firm_like" else "year_separated"
+        path = tmp_path / "s" / stream / "report.json"
         payload = json.loads(path.read_text())
         edit(payload["report"])
         path.write_text(json.dumps(payload))

@@ -345,7 +345,8 @@ def test_clean_panel_orders_rows_as_lexsort(panel):
 # Unquoted CSVs reach the numpy pass of parse_prices.  Each pool mixes
 # fields that pass can prove with fields it must leave to the row rules.
 BULK_IDS = (
-    "A", "F0001", "ab", "1", "z" * 32, "y" * 33, "a\tb", "x\x00", "\u00e9", " A", "A ", "A B", "", "\x7f",
+    "A", "F0001", "ab", "1", "z" * 32, "F00010", "AB", "z" * 31,
+    "y" * 33, "a\tb", "x\x00", "\u00e9", " A", "A ", "A B", "", "\x7f",
 )
 BULK_DATES = (
     "2001-01-31", "2001-12-31", "2004-02-29", "2001-1-31", "20010131", "2001-02-30",
