@@ -305,10 +305,7 @@ def write_audit(path: Path, rows) -> None:
 
 
 class _PanelBuilder:
-    """Accepted rows and rejects of one price CSV; rejects in input order.
-
-    ``keys`` and ``codes``: the ids the numpy pass met, sorted after a ``b""`` no id equals, and their codes.
-    """
+    """Accepted rows and rejects of one price CSV; rejects in input order."""
 
     def __init__(self, header: list[str] | None):
         if header is None:
@@ -320,9 +317,8 @@ class _PanelBuilder:
         self.index = tuple(column[col] for col in REQUIRED_COLUMNS)
         self.width = max(self.index) + 1
         self.n_fields = len(header)
-        self.ids: dict[str, int] = {}  # id -> code, in order of first use
+        self.ids: dict[str, int] = {}  # id -> code, in order of first use, for the row rules and numpy pass
         self.texts: dict[str | None, dt.date] = {}  # the row rules' date cache
-        self.keys, self.codes = np.array([b""], dtype="S32"), np.array([-1], dtype=np.int64)
         self.columns = tuple(array(code) for code in "qqddd")  # id code, day since 1970, prices
         self.rejects: list[RowReject] = []
 
@@ -353,9 +349,9 @@ class _PanelBuilder:
         sure to accept it with the same values: exactly one field per
         header column, only printable ASCII, a 1-32 byte id without spaces,
         a dddd-dd-dd date that exists, plain decimal prices (``_decimals``)
-        and in-range values; each run of one id is looked up in ``keys``
-        once.  Every other line goes through the row rules, and its row,
-        if accepted, follows the rows accepted here.
+        and in-range values; each distinct id among the run heads is
+        coded once, through ``ids``.  Every other line goes through the row
+        rules, and its row, if accepted, follows the rows accepted here.
         """
         raw = text.replace("\r\n", "\n").replace("\r", "\n").encode("utf-8", "surrogatepass")
         buf = np.frombuffer(raw, dtype=np.uint8)
@@ -395,15 +391,9 @@ class _PanelBuilder:
 
         names = np.ascontiguousarray(names[ok]).view(f"S{names.shape[1]}")[:, 0]
         heads, lengths = _runs(names)  # panels list a firm's rows together
-        names = names[heads]
-        at = np.searchsorted(self.keys, names)
-        new = np.unique(names[self.keys.take(at, mode="clip") != names])
-        if new.size:
-            code = [self.ids.setdefault(name.decode("ascii"), len(self.ids)) for name in new.tolist()]
-            at = np.searchsorted(self.keys, new)
-            self.keys, self.codes = np.insert(self.keys, at, new), np.insert(self.codes, at, code)
-            at = np.searchsorted(self.keys, names)
-        instrument = np.repeat(self.codes[at], lengths)
+        table, at = np.unique(names[heads], return_inverse=True)
+        codes = [self.ids.setdefault(name.decode("ascii"), len(self.ids)) for name in table.tolist()]
+        instrument = np.repeat(np.array(codes, dtype=np.int64)[at], lengths)
         for column, values in zip(self.columns, (instrument, day[ok].view(np.int64), c[ok], a[ok], r[ok])):
             column.frombytes(memoryview(values).cast("B"))  # the block's bytes, not a copy of them
 

@@ -24,6 +24,15 @@ TABLE_FORMATS = ("csv", "markdown")
 _VALUES_PER_WRITE = 1 << 16  # matrix entries formatted per recurrence write
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrimStep:
     fraction: float
@@ -346,8 +355,8 @@ def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
     nu-keyed map, the trim ladder and the shape of ``per_sequence_d2``
     agree, the kind is known, alpha lies in (0, 1), every summary row
     has a mean, sd and max, every value a table formats is a number,
-    every dof and dropped count an integer and every sequence id a
-    string, so that tables can be emitted from the report.
+    every dof and dropped count an integer (a JSON boolean is neither)
+    and every sequence id a string, so tables can be emitted from it.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     report = StreamReport.from_dict(payload["report"])
@@ -367,7 +376,7 @@ def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
         raise ValueError(f"per_sequence_d2 has shape {report.per_sequence_d2.shape}, not {shape}")
     if report.kind not in ("firm_separated", "year_separated"):
         raise ValueError(f"unknown report kind {report.kind!r}")
-    if not isinstance(report.alpha, (int, float)) or not 0.0 < report.alpha < 1.0:
+    if not _is_real(report.alpha) or not 0.0 < report.alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {report.alpha!r}")
     rows = [row for table in (report.psi_summary, report.d2_summary) for row in table.values()]
     if not all({"mean", "sd", "max"} <= row.keys() for row in rows):
@@ -375,11 +384,11 @@ def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
     cells = [*report.trim_fractions, *(a.statistic for a in report.combined.values())]
     cells += [step.statistic for steps in report.trim_ladder.values() for step in steps]
     cells += [v for row in rows for v in row.values()]
-    if not all(isinstance(v, (int, float)) for v in cells):
+    if not all(map(_is_real, cells)):
         raise ValueError("a table value of the report is not a number")
     counts = [a.dof for a in report.combined.values()]
     counts += [step.dropped for steps in report.trim_ladder.values() for step in steps]
-    if not all(isinstance(v, int) for v in counts):
+    if not all(map(_is_int, counts)):
         raise ValueError("a dof or dropped count of the report is not an integer")
     if not all(isinstance(name, str) for name in report.sequence_ids):
         raise ValueError("a sequence id of the report is not a string")

@@ -197,6 +197,32 @@ class TestIngest:
         for name in ("cleaned.csv", "audit.csv"):
             assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
+    @pytest.mark.parametrize("block", [pipeline._BLOCK_CHARS, 1 << 12], ids=["two-blocks", "many-blocks"])
+    def test_ids_sharing_prefixes_ingest_the_same_firm_major_and_date_major(self, tmp_path, monkeypatch, block):
+        # Ids share prefixes and case, and are 31 to 33 bytes long (a
+        # 33-byte id goes to the row rules).  Firm-major, the 32-byte id is
+        # met blocks before the 31-byte one it prefixes; date-major, each
+        # block holds most ids.  F00 is short and the 33-byte id has a gap.
+        monkeypatch.setattr(pipeline, "_BLOCK_CHARS", block)
+        ids = ["z" * 32, *(f"F{k:04d}" for k in range(60)), "ab", "y" * 33, "AB", "F00010", "z" * 31, "F00"]
+        rows = [
+            f"{f},{2001 + m // 12}-{m % 12 + 1:02d}-28,{100 + 10 * np.sin(k * m + 1):.4f},1.0,1.0"
+            for k, f in enumerate(ids)
+            for m in range(6 if f == "F00" else 120)
+            if not (f == "y" * 33 and m == 4)
+        ]
+        date_major = sorted(rows, key=lambda r: r.split(",")[1::-1])
+        for name, body in (("firm-major", rows), ("date-major", date_major)):
+            (tmp_path / f"{name}.csv").write_text("\n".join([HEADER, *body]) + "\n", encoding="utf-8")
+            assert main(["ingest", "--input", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)]) == 0
+        for name in ("cleaned.csv", "audit.csv"):
+            assert (tmp_path / "firm-major" / name).read_bytes() == (tmp_path / "date-major" / name).read_bytes()
+        with open(tmp_path / "firm-major" / "cleaned.csv", newline="", encoding="utf-8") as handle:
+            kept = Counter(row[0] for row in list(csv.reader(handle))[1:])
+        assert kept == {f: 120 for f in ids if f not in ("y" * 33, "F00")}
+        audit = (tmp_path / "firm-major" / "audit.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:2] for line in audit] == [["F00", "short"], ["y" * 33, "gap"]]
+
     def test_bad_header_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
@@ -1057,6 +1083,9 @@ class TestExitCodes:
             ("year_like", lambda r: r["sequence_ids"].__setitem__(0, 7)),
             ("firm_like", lambda r: r["combined"]["3"].update(dof=[1])),
             ("firm_like", lambda r: r["trim_ladder"]["3"][0].update(dropped=[1])),
+            ("firm_like", lambda r: r["combined"]["3"].update(dof=True)),
+            ("firm_like", lambda r: r["trim_ladder"]["3"][0].update(dropped=True)),
+            ("firm_like", lambda r: r["combined"]["5"].update(statistic=True)),
         ],
         ids=[
             "d2-nus", "nus", "psi-summary", "d2-summary", "combined", "significant-fraction",
@@ -1064,7 +1093,7 @@ class TestExitCodes:
             "alpha-above-one", "alpha-zero", "alpha-string", "trim-fraction-string",
             "combined-statistic-string", "unknown-kind", "psi-summary-list", "combined-list",
             "psi-row-without-mean", "d2-row-without-sd", "year-sequence-id-int", "combined-dof-list",
-            "trim-dropped-list",
+            "trim-dropped-list", "combined-dof-bool", "trim-dropped-bool", "combined-statistic-bool",
         ],
     )
     def test_inconsistent_report_is_data_error(self, tmp_path, capsys, kind, edit):
