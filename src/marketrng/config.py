@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from marketrng.pipeline import MIN_OBS
-from marketrng.report import DEFAULT_TRIM_FRACTIONS, _is_int, _is_real
+from marketrng.report import DEFAULT_TRIM_FRACTIONS, _is_real
 from marketrng.rng import SyntheticSpec
 from marketrng.serial import MAX_WINDOW
 
@@ -32,6 +32,11 @@ DEFAULT_SYNTHETIC = {
 
 class ConfigError(ValueError):
     """Raised for unusable configuration files or flag combinations."""
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_list_of(value, check) -> bool:

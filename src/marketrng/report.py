@@ -10,6 +10,7 @@ removing the largest contributors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -24,14 +25,9 @@ TABLE_FORMATS = ("csv", "markdown")
 _VALUES_PER_WRITE = 1 << 16  # matrix entries formatted per recurrence write
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which Python counts as an int.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
 
 @dataclass(frozen=True)
 class TrimStep:
@@ -76,34 +72,21 @@ class StreamReport:
         data["per_sequence_d2"] = self.per_sequence_d2.tolist()
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamReport":
-        def by_nu(key: str, convert) -> dict:
-            if not isinstance(data[key], dict):
-                raise ValueError(f"{key} is not a JSON object")
-            return {int(nu): convert(v) for nu, v in data[key].items()}
-
-        return cls(
-            kind=data["kind"],
-            alpha=data["alpha"],
-            sequence_ids=list(data["sequence_ids"]),
-            nus=[int(nu) for nu in data["nus"]],
-            d2_nus=[int(nu) for nu in data["d2_nus"]],
-            psi_summary=by_nu("psi_summary", dict),
-            d2_summary=by_nu("d2_summary", dict),
-            per_sequence_d2=np.array(data["per_sequence_d2"], dtype=float),
-            combined=by_nu("combined", lambda v: ChiSquareAssessment(**v)),
-            significant_fraction=by_nu("significant_fraction", float),
-            trim_fractions=tuple(data["trim_fractions"]),
-            trim_mode=data["trim_mode"],
-            trim_ladder=by_nu("trim_ladder", lambda steps: [TrimStep(**step) for step in steps]),
-            extras=dict(data.get("extras", {})),
-        )
-
 
 def _contributor_order(values: np.ndarray, id_arr: np.ndarray) -> np.ndarray:
     """Indices of ``values`` from largest to smallest, ties by ascending id."""
     return np.lexsort((id_arr, -values))  # lexsort: primary key last
+
+
+def _summary(matrix: np.ndarray, labels: list[int]) -> dict[int, dict[str, float]]:
+    return {
+        nu: {
+            "mean": float(matrix[:, j].mean()),
+            "sd": float(matrix[:, j].std(ddof=0)),
+            "max": float(matrix[:, j].max()),
+        }
+        for j, nu in enumerate(labels)
+    }
 
 
 def summarize_stream(
@@ -133,28 +116,36 @@ def summarize_stream(
     n, max_nu = psi_matrix.shape
     if max_nu < 3:
         raise ValueError("psi rows must reach at least nu = 3")
+    ids = [str(i) for i in (range(n) if sequence_ids is None else sequence_ids)]
+    psi_summary = _summary(psi_matrix, list(range(1, max_nu + 1)))
+    return _d2_report(
+        second_differences(psi_matrix), psi_summary, alpha, trim_fractions, ids, kind, trim_mode
+    )
+
+
+def _d2_report(
+    d2_matrix: np.ndarray,
+    psi_summary: dict[int, dict[str, float]],
+    alpha: float,
+    trim_fractions: Sequence[float],
+    ids: list[str],
+    kind: str,
+    trim_mode: str,
+) -> StreamReport:
+    """Every field of a report that follows from its (n, max_nu - 2) d2 matrix.
+
+    ``summarize_stream`` builds its reports here, and ``read_report_json``
+    rebuilds a stored report here to check it.
+    """
     if trim_mode not in ("per_nu", "joint"):
         raise ValueError(f"unknown trim_mode {trim_mode!r}")
     for p in trim_fractions:
         if not 0.0 <= p < 1.0:
             raise ValueError(f"trim fraction must lie in [0, 1), got {p}")
-    ids = [str(i) for i in (range(n) if sequence_ids is None else sequence_ids)]
+    n, max_nu = d2_matrix.shape[0], d2_matrix.shape[1] + 2
     if len(ids) != n:
         raise ValueError("sequence_ids must match the psi rows in length")
-
-    nus = list(range(1, max_nu + 1))
     d2_nus = list(range(3, max_nu + 1))
-    d2_matrix = second_differences(psi_matrix)
-
-    def _summary(matrix: np.ndarray, labels: list[int]) -> dict[int, dict[str, float]]:
-        return {
-            nu: {
-                "mean": float(matrix[:, j].mean()),
-                "sd": float(matrix[:, j].std(ddof=0)),
-                "max": float(matrix[:, j].max()),
-            }
-            for j, nu in enumerate(labels)
-        }
 
     combined: dict[int, ChiSquareAssessment] = {}
     significant_fraction: dict[int, float] = {}
@@ -197,9 +188,9 @@ def summarize_stream(
         kind=kind,
         alpha=float(alpha),
         sequence_ids=ids,
-        nus=nus,
+        nus=list(range(1, max_nu + 1)),
         d2_nus=d2_nus,
-        psi_summary=_summary(psi_matrix, nus),
+        psi_summary=psi_summary,
         d2_summary=_summary(d2_matrix, d2_nus),
         per_sequence_d2=d2_matrix,
         combined=combined,
@@ -351,47 +342,48 @@ def write_report_json(
 def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
     """The report and run configuration of a ``report.json``.
 
-    Raises ValueError unless the window sizes, the keys of every
-    nu-keyed map, the trim ladder and the shape of ``per_sequence_d2``
-    agree, the kind is known, alpha lies in (0, 1), every summary row
-    has a mean, sd and max, every value a table formats is a number,
-    every dof and dropped count an integer (a JSON boolean is neither)
-    and every sequence id a string, so tables can be emitted from it.
+    Only the inputs are checked one by one: ``per_sequence_d2`` must be a
+    non-empty list of equal-length rows of finite floats whose sums stay
+    finite, the kind known, alpha a number in (0, 1), the trim fractions
+    numbers (a JSON boolean is not a number), the sequence ids strings,
+    and ``psi_summary`` must map each nu = 1..max_nu to finite floats
+    under ``mean``, ``sd`` and ``max``.  Every other field is rebuilt from
+    these as ``summarize_stream`` builds it, and a ValueError is raised
+    unless the rebuilt report serializes to the stored one, types included.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    report = StreamReport.from_dict(payload["report"])
-    for name, nus in (
-        ("psi_summary", report.nus),
-        ("d2_summary", report.d2_nus),
-        ("combined", report.d2_nus),
-        ("significant_fraction", report.d2_nus),
-        ("trim_ladder", report.d2_nus),
-    ):
-        if sorted(getattr(report, name)) != sorted(nus):
-            raise ValueError(f"{name} is keyed by {sorted(getattr(report, name))}, not {nus}")
-    if any(len(steps) != len(report.trim_fractions) for steps in report.trim_ladder.values()):
-        raise ValueError("trim_ladder needs one step per trim fraction")
-    shape = (report.n_sequences, len(report.d2_nus))
-    if report.per_sequence_d2.shape != shape:
-        raise ValueError(f"per_sequence_d2 has shape {report.per_sequence_d2.shape}, not {shape}")
-    if report.kind not in ("firm_separated", "year_separated"):
-        raise ValueError(f"unknown report kind {report.kind!r}")
-    if not _is_real(report.alpha) or not 0.0 < report.alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {report.alpha!r}")
-    rows = [row for table in (report.psi_summary, report.d2_summary) for row in table.values()]
-    if not all({"mean", "sd", "max"} <= row.keys() for row in rows):
-        raise ValueError("a summary row lacks a mean, sd or max")
-    cells = [*report.trim_fractions, *(a.statistic for a in report.combined.values())]
-    cells += [step.statistic for steps in report.trim_ladder.values() for step in steps]
-    cells += [v for row in rows for v in row.values()]
-    if not all(map(_is_real, cells)):
-        raise ValueError("a table value of the report is not a number")
-    counts = [a.dof for a in report.combined.values()]
-    counts += [step.dropped for steps in report.trim_ladder.values() for step in steps]
-    if not all(map(_is_int, counts)):
-        raise ValueError("a dof or dropped count of the report is not an integer")
-    if not all(isinstance(name, str) for name in report.sequence_ids):
-        raise ValueError("a sequence id of the report is not a string")
+    stored = payload["report"]
+    rows, ids, psi = stored["per_sequence_d2"], stored["sequence_ids"], stored["psi_summary"]
+    alpha, trims = stored["alpha"], stored["trim_fractions"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("per_sequence_d2 is not a list of rows")
+    if not all(isinstance(v, float) for row in rows for v in row):  # as written: 1.0, not 1
+        raise ValueError("a value of per_sequence_d2 is not a float")
+    d2_matrix = np.array(rows, dtype=float)  # a ragged list raises ValueError here
+    if d2_matrix.ndim != 2 or d2_matrix.size == 0:
+        raise ValueError("per_sequence_d2 is not a non-empty matrix")
+    if not math.isfinite(float(abs(d2_matrix).max()) * d2_matrix.size):  # bounds every sum the rebuild takes
+        raise ValueError("per_sequence_d2 holds a NaN, an infinity or a value too large to sum")
+    if stored["kind"] not in ("firm_separated", "year_separated"):
+        raise ValueError(f"unknown report kind {stored['kind']!r}")
+    if not _is_real(alpha) or not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not isinstance(trims, list) or not all(map(_is_real, trims)):
+        raise ValueError("trim_fractions is not a list of numbers")
+    if not isinstance(ids, list) or not all(isinstance(name, str) for name in ids):
+        raise ValueError("sequence_ids is not a list of strings")
+    nu_keys = [str(nu) for nu in range(1, d2_matrix.shape[1] + 3)]
+    if not isinstance(psi, dict) or sorted(psi) != sorted(nu_keys):
+        raise ValueError(f"psi_summary is not keyed by nu = 1..{nu_keys[-1]}")
+    if not all(isinstance(row, dict) and sorted(row) == ["max", "mean", "sd"] for row in psi.values()):
+        raise ValueError("a psi_summary row is not a mean, sd and max")
+    if not all(isinstance(v, float) and math.isfinite(v) for row in psi.values() for v in row.values()):
+        raise ValueError("a psi_summary value is not a finite float")
+    psi_summary = {int(nu): row for nu, row in psi.items()}
+    report = _d2_report(d2_matrix, psi_summary, alpha, trims, ids, stored["kind"], stored["trim_mode"])
+    report.extras = stored["extras"]
+    if json.dumps(report.to_dict(), sort_keys=True) != json.dumps(stored, sort_keys=True):
+        raise ValueError("a field of the report differs from its value rebuilt from per_sequence_d2")
     return report, payload.get("config")
 
 

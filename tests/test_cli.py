@@ -1086,6 +1086,15 @@ class TestExitCodes:
             ("firm_like", lambda r: r["combined"]["3"].update(dof=True)),
             ("firm_like", lambda r: r["trim_ladder"]["3"][0].update(dropped=True)),
             ("firm_like", lambda r: r["combined"]["5"].update(statistic=True)),
+            ("year_like", lambda r: r["per_sequence_d2"][1].__setitem__(2, None)),
+            ("firm_like", lambda r: r["per_sequence_d2"][0].__setitem__(0, True)),
+            ("firm_like", lambda r: r["per_sequence_d2"][2].__setitem__(3, float("nan"))),
+            ("firm_like", lambda r: r["significant_fraction"].update({"3": True})),
+            ("firm_like", lambda r: r["combined"]["3"].update(significant="no")),
+            ("firm_like", lambda r: [row.__setitem__(0, 1e308) for row in r["per_sequence_d2"]]),
+            ("firm_like", lambda r: r["per_sequence_d2"][0].__setitem__(0, 10**400)),
+            ("firm_like", lambda r: r["psi_summary"]["1"].update(mean=10**400)),
+            ("firm_like", lambda r: r["psi_summary"]["2"].update(sd=float("nan"))),
         ],
         ids=[
             "d2-nus", "nus", "psi-summary", "d2-summary", "combined", "significant-fraction",
@@ -1094,6 +1103,9 @@ class TestExitCodes:
             "combined-statistic-string", "unknown-kind", "psi-summary-list", "combined-list",
             "psi-row-without-mean", "d2-row-without-sd", "year-sequence-id-int", "combined-dof-list",
             "trim-dropped-list", "combined-dof-bool", "trim-dropped-bool", "combined-statistic-bool",
+            "per-sequence-d2-null", "per-sequence-d2-bool", "per-sequence-d2-nan", "significant-fraction-bool",
+            "combined-significant-string", "per-sequence-d2-overflow", "per-sequence-d2-huge-int",
+            "psi-value-huge-int", "psi-value-nan",
         ],
     )
     def test_inconsistent_report_is_data_error(self, tmp_path, capsys, kind, edit):
@@ -1108,6 +1120,49 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["report", "--report", str(path), "--out", str(tmp_path / "t")]) == 2
         assert capsys.readouterr().err.startswith("data error: cannot read report: ValueError")
+
+    @pytest.mark.parametrize("kind", ["firm_like", "year_like"])
+    def test_every_edited_derived_value_is_data_error(self, tmp_path, capsys, kind):
+        # Every field but the inputs is rebuilt from them when a report is
+        # read, so an edit is caught even where its type is right.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"synthetic": {"kind": kind, "count": 3, "length": 20}}))
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "s")]) == 0
+        stream = "firm_separated" if kind == "firm_like" else "year_separated"
+        path = tmp_path / "s" / stream / "report.json"
+        assert main(["report", "--report", str(path), "--out", str(tmp_path / "t")]) == 0
+
+        def leaves(node, trail):
+            if not isinstance(node, (dict, list)):
+                yield trail
+                return
+            for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+                yield from leaves(child, trail + (key,))
+
+        inputs = {"per_sequence_d2", "sequence_ids", "kind", "alpha", "trim_fractions", "trim_mode", "psi_summary",
+                  "extras"}
+        payload = json.loads(path.read_text())
+        derived = [trail for key in sorted(REPORT_KEYS - inputs) for trail in leaves(payload["report"][key], (key,))]
+        assert len(derived) > 200
+        edited, edits = tmp_path / "edited.json", 0
+        for trail in derived:
+            node = payload["report"]
+            for key in trail[:-1]:
+                node = node[key]
+            stored = node[trail[-1]]
+            for value in (True, "x", None, -1, 1e9):
+                if json.dumps(stored) == json.dumps(value):
+                    continue
+                node[trail[-1]] = value
+                edited.write_text(json.dumps(payload))
+                node[trail[-1]] = stored
+                capsys.readouterr()
+                assert main(["report", "--report", str(edited), "--out", str(tmp_path / "e")]) == 2, (trail, value)
+                err = capsys.readouterr().err
+                assert err.startswith("data error: cannot read report: ValueError"), (trail, value, err)
+                edits += 1
+        assert edits >= 4 * len(derived)  # a value equals at most one of the five
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize(
         "body, message",

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_report
@@ -498,6 +498,30 @@ class TestEmission:
         assert config == {"alpha": 0.05}
         assert loaded.to_dict() == report.to_dict()
         assert np.array_equal(loaded.per_sequence_d2, report.per_sequence_d2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(-1e3, 1e6, allow_nan=False), min_size=3, max_size=8), min_size=1, max_size=4
+        ),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+        names=st.lists(st.sampled_from(["a", "b", "B", "10", "9", "a b"]), min_size=40, max_size=40),
+        kind=st.sampled_from(["firm_separated", "year_separated"]),
+        trim_mode=st.sampled_from(["per_nu", "joint"]),
+        trims=st.lists(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True), max_size=5),
+        alpha=st.floats(1e-9, 0.5),
+    )
+    def test_report_json_rebuilds_to_the_same_bytes(self, rows, picks, names, kind, trim_mode, trims, alpha):
+        # Reading a report rebuilds every field but its inputs and compares;
+        # a float recomputed differently would make a valid report unreadable.
+        width = min(map(len, rows))
+        psi = np.array([rows[i % len(rows)][:width] for i in picks])  # repeated rows tie
+        report = summarize_stream(psi, alpha, trims, names[: len(picks)], kind=kind, trim_mode=trim_mode)
+        with tempfile.TemporaryDirectory() as tmp:
+            first = write_report_json(report, Path(tmp) / "first.json", config={"alpha": alpha})
+            loaded, config = read_report_json(first)
+            again = write_report_json(loaded, Path(tmp) / "again.json", config=config)
+            assert again.read_bytes() == first.read_bytes()
 
     def test_report_json_deterministic(self, tmp_path):
         report = self._report()
