@@ -144,7 +144,7 @@ class RunConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (RecursionError, ValueError) as exc:  # also nesting too deep, or an int past 4,300 digits
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -351,7 +351,10 @@ def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
     these as ``summarize_stream`` builds it, and a ValueError is raised
     unless the rebuilt report serializes to the stored one, types included.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except RecursionError as exc:  # nesting too deep for the decoder
+        raise ValueError(f"report is not valid JSON: {exc}") from exc
     stored = payload["report"]
     rows, ids, psi = stored["per_sequence_d2"], stored["sequence_ids"], stored["psi_summary"]
     alpha, trims = stored["alpha"], stored["trim_fractions"]

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import string
+import tempfile
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
@@ -17,11 +18,21 @@ from hypothesis import strategies as st
 
 from marketrng import cli, pipeline
 from marketrng.cli import main
+from marketrng.config import RunConfig
 from marketrng.pipeline import parse_prices
 from marketrng.report import read_report_json, write_report_json
 from marketrng.serial import BinarySequence, psi_profile
 
 HEADER = "id,date,close,adjfactor,retfactor"
+# JSON that Python's decoder refuses other than by JSONDecodeError.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+HUGE_INT_JSON = '{"master_seed": ' + "9" * 5000 + "}"
+CONFIG_KEYS = st.sampled_from([*RunConfig.__dataclass_fields__, "jobs", "bogus"])  # every field, "jobs", one unknown
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda values: st.lists(values, max_size=3) | st.dictionaries(st.text(), values, max_size=3),
+    max_leaves=8,
+)
 REPORT_KEYS = {
     "kind", "alpha", "n_sequences", "sequence_ids", "nus", "d2_nus", "psi_summary", "d2_summary",
     "per_sequence_d2", "combined", "significant_fraction", "trim_fractions", "trim_mode",
@@ -1037,8 +1048,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "content",
-        [None, "directory", "not json", "[]", '{"report": {}}', "combined-key-removed"],
-        ids=["missing", "directory", "not-json", "list", "empty-report", "combined-key-removed"],
+        [None, "directory", "not json", "[]", '{"report": {}}', "combined-key-removed", DEEP_JSON],
+        ids=["missing", "directory", "not-json", "list", "empty-report", "combined-key-removed", "deep-nesting"],
     )
     def test_unreadable_report_is_data_error(self, tmp_path, capsys, content):
         path = tmp_path / "report.json"
@@ -1091,6 +1102,7 @@ class TestExitCodes:
             ("firm_like", lambda r: r["per_sequence_d2"][2].__setitem__(3, float("nan"))),
             ("firm_like", lambda r: r["significant_fraction"].update({"3": True})),
             ("firm_like", lambda r: r["combined"]["3"].update(significant="no")),
+            ("firm_like", lambda r: r["combined"]["3"].update(significant=not r["combined"]["3"]["significant"])),
             ("firm_like", lambda r: [row.__setitem__(0, 1e308) for row in r["per_sequence_d2"]]),
             ("firm_like", lambda r: r["per_sequence_d2"][0].__setitem__(0, 10**400)),
             ("firm_like", lambda r: r["psi_summary"]["1"].update(mean=10**400)),
@@ -1105,7 +1117,7 @@ class TestExitCodes:
             "trim-dropped-list", "combined-dof-bool", "trim-dropped-bool", "combined-statistic-bool",
             "per-sequence-d2-null", "per-sequence-d2-bool", "per-sequence-d2-nan", "significant-fraction-bool",
             "combined-significant-string", "per-sequence-d2-overflow", "per-sequence-d2-huge-int",
-            "psi-value-huge-int", "psi-value-nan",
+            "psi-value-huge-int", "psi-value-nan", "combined-significant-flipped",
         ],
     )
     def test_inconsistent_report_is_data_error(self, tmp_path, capsys, kind, edit):
@@ -1174,8 +1186,13 @@ class TestExitCodes:
             ('{"max_nu": 8,}', "config file is not valid JSON"),
             ("[1, 2]", "config file must hold a JSON object"),
             ('{"bogus": 1}', "unknown config key(s): bogus"),
+            (DEEP_JSON, "config file is not valid JSON"),
+            (HUGE_INT_JSON, "config file is not valid JSON"),
         ],
-        ids=["boundary-mode", "synthetic-kind", "synthetic-generator", "no-length", "malformed", "list", "unknown-key"],
+        ids=[
+            "boundary-mode", "synthetic-kind", "synthetic-generator", "no-length", "malformed", "list", "unknown-key",
+            "deep-nesting", "huge-int",
+        ],
     )
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys, body, message):
         config_path = tmp_path / "config.json"
@@ -1184,6 +1201,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=200)
+    @given(st.dictionaries(CONFIG_KEYS, JSON_VALUES).map(json.dumps))
+    @example(DEEP_JSON)
+    @example(HUGE_INT_JSON)
+    def test_no_config_file_is_an_internal_error(self, text):
+        # Whatever a config file holds, it is a usage or a data error at worst.
+        with tempfile.TemporaryDirectory() as tmp:
+            panel = write_panel(Path(tmp) / "p.csv", [(f"F{i}", random_walk_closes(24, i), {}) for i in range(3)])
+            config_path = Path(tmp) / "config.json"
+            config_path.write_text(text, encoding="utf-8")
+            argv = ["ingest", "--input", str(panel), "--config", str(config_path), "--out", str(Path(tmp) / "o")]
+            assert main(argv) in (0, 1, 2)
 
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys, kind):
