@@ -43,6 +43,26 @@ def _is_list_of(value, check) -> bool:
     return isinstance(value, (list, tuple)) and all(map(check, value))
 
 
+def _read_lengths(path: Path) -> list[int]:
+    """One integer of ASCII digits per non-blank line; spaces and tabs around it are ignored."""
+    try:
+        text = path.read_text(encoding="utf-8-sig")  # which reads CR LF and a lone CR as LF
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read lengths file {path}: {exc}") from exc
+    lengths = []
+    for number, line in enumerate(text.split("\n"), 1):
+        entry = line.strip(" \t")
+        if not entry:
+            continue
+        try:
+            if not (entry.isascii() and entry.isdigit()):
+                raise ValueError(repr(entry[:40]))
+            lengths.append(int(entry))
+        except ValueError as exc:  # also an integer past 4,300 digits
+            raise ConfigError(f"lengths file {path} line {number} holds a non-integer entry: {exc}") from exc
+    return lengths
+
+
 @dataclass(frozen=True)
 class RunConfig:
     input_path: str | None = None
@@ -107,8 +127,8 @@ class RunConfig:
             raise ConfigError("synthetic length must be a positive integer")
         if not isinstance(spec.get("lengths_file", ""), str):
             raise ConfigError("synthetic lengths_file must be a path string")
-        if length is None and not spec.get("lengths_file"):
-            raise ConfigError("synthetic spec needs 'length' or 'lengths_file'")
+        if (length is None) == (not spec.get("lengths_file")):
+            raise ConfigError("synthetic spec needs 'length' or 'lengths_file', not both")
         burn_in = spec.get("burn_in", DEFAULT_SYNTHETIC["burn_in"])
         if not _is_int(burn_in) or burn_in < 0:
             raise ConfigError("synthetic burn_in must be a non-negative integer")
@@ -118,15 +138,7 @@ class RunConfig:
         spec = {**DEFAULT_SYNTHETIC, **(self.synthetic or {})}
         count = spec["count"]
         if spec.get("lengths_file"):
-            path = Path(spec["lengths_file"])
-            try:
-                text = path.read_text(encoding="utf-8-sig")
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read lengths file {path}: {exc}") from exc
-            try:
-                lengths = [int(line) for line in text.split() if line.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"lengths file {path} holds a non-integer entry: {exc}") from exc
+            lengths = _read_lengths(Path(spec["lengths_file"]))
             if len(lengths) != count:
                 raise ConfigError(f"lengths file holds {len(lengths)} entries, spec says {count}")
         else:

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -105,6 +105,8 @@ class SyntheticSpec:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
         if not self.lengths:
             raise ValueError("need at least one sequence length")
+        if not all(isinstance(n, (int, np.integer)) for n in self.lengths):
+            raise ValueError("sequence lengths must be integers")
         if any(n < MAX_WINDOW for n in self.lengths):
             raise ValueError(f"sequence lengths must be >= {MAX_WINDOW}")
         object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
@@ -148,20 +150,14 @@ def shape_synthetic(
     return ExperimentStream(kind=kind, sequences=sequences)
 
 
-class SelftestResult(NamedTuple):
-    ok: bool
-    first_mismatch: int | None
-    message: str
-
-
 def _load_reference_vectors() -> list[dict]:
     path = resources.files("marketrng").joinpath("data/pcg64_vectors.json")
     with path.open("r", encoding="utf-8") as handle:
         return json.load(handle)["cases"]
 
 
-def rng_selftest(cases: list[dict] | None = None) -> SelftestResult:
-    """Regenerate the stored reference vectors and compare word by word."""
+def rng_selftest(cases: list[dict] | None = None) -> str | None:
+    """Regenerate the stored reference vectors word by word: the first mismatch as one line, or None."""
     if cases is None:
         cases = _load_reference_vectors()
     for case in cases:
@@ -169,12 +165,8 @@ def rng_selftest(cases: list[dict] | None = None) -> SelftestResult:
         words = pcg64_words(int(case["seed"]), int(case["stream"]))
         for index, (word, got) in enumerate(zip(expected, words)):
             if got != word:
-                return SelftestResult(
-                    ok=False,
-                    first_mismatch=index,
-                    message=(
-                        f"seed={case['seed']} stream={case['stream']} output {index}: "
-                        f"expected {word:#018x}, got {got:#018x}"
-                    ),
+                return (
+                    f"seed={case['seed']} stream={case['stream']} output {index}: "
+                    f"expected {word:#018x}, got {got:#018x}"
                 )
-    return SelftestResult(ok=True, first_mismatch=None, message="all reference vectors match")
+    return None

@@ -712,6 +712,46 @@ class TestSimulateCommand:
         assert all(isinstance(a[0], BinarySequence) and len(a[0]) == 40 for a, _ in calls)
         assert all(k == {"max_nu": max_nu, "respect_boundaries": mode == "respect"} for _, k in calls)
 
+    @pytest.mark.parametrize("mode, months", [("ignore", 37), ("respect", 37), ("respect", 39)])
+    def test_one_profile_call_per_sequence_under_test(self, tmp_path, monkeypatch, mode, months):
+        # The same tracer contract on both panel streams: firm ids, then years.
+        # 37 months is small_panel; at 39, year 2004 holds 3-return segments,
+        # too short for max_nu 8 in respect mode, so it is skipped uncalled.
+        import marketrng.cli
+
+        calls = []
+        real = marketrng.cli.psi_profile
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(marketrng.cli, "psi_profile", counting)
+        panel = write_panel(
+            tmp_path / "panel.csv", [(f"F{i:02d}", random_walk_closes(months, seed=100 + i), {}) for i in range(6)]
+        )
+        out = tmp_path / "out"
+        args = ["test", "--input", str(panel), "--stream", "firm,year", "--boundary-mode", mode]
+        assert main(args + ["--out", str(out)]) == 0
+        assert [len(a) for a, _ in calls] == [1] * 9
+        assert [a[0].source_id for a, _ in calls] == [f"F{i:02d}" for i in range(6)] + ["2001", "2002", "2003"]
+        assert all(isinstance(a[0], BinarySequence) for a, _ in calls)
+        assert all(k == {"max_nu": 8, "respect_boundaries": mode == "respect"} for _, k in calls)
+        year_report = json.loads((out / "year_separated" / "report.json").read_text(encoding="utf-8"))["report"]
+        assert year_report["extras"]["skipped_sequences"] == (["2004"] if months == 39 else [])
+
+    def test_lengths_file_spaces_blank_lines_and_line_ends(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        reports = []
+        for name, text in [("plain", "24\n36\n"), ("spaced", " 24\t\r\n\r\n  \n36 \r")]:
+            lengths_path = tmp_path / f"{name}.txt"
+            lengths_path.write_bytes(text.encode())
+            spec = {"kind": "year_like", "count": 2, "lengths_file": str(lengths_path)}
+            config_path.write_text(json.dumps({"synthetic": spec}), encoding="utf-8")
+            assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / name)]) == 0
+            reports.append(json.loads((tmp_path / name / "year_separated" / "report.json").read_bytes())["report"])
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("marked", ["config", "lengths-file"])
     def test_byte_order_mark_in_config_or_lengths_file(self, tmp_path, marked):
         lengths_path = tmp_path / "lengths.txt"
@@ -749,6 +789,10 @@ class TestSimulateCommand:
             ({"count": 2, "lengths_file": "missing.txt"}, None, "cannot read lengths file"),
             ({"count": 2, "lengths_file": "lengths.txt"}, "24\nabc\n", "non-integer entry"),
             ({"count": 2, "lengths_file": "lengths.txt"}, "24\n5\n", "lengths must be >= 8"),
+            ({"count": 2, "lengths_file": "lengths.txt"}, "24 36\n", "line 1 holds a non-integer entry"),
+            ({"count": 2, "lengths_file": "lengths.txt"}, "24\n2_4\n", "line 2 holds a non-integer entry"),
+            ({"count": 2, "lengths_file": "lengths.txt"}, "24\n\u0663\u0666\n", "line 2 holds a non-integer entry"),
+            ({"count": 2, "length": 227, "lengths_file": "lengths.txt"}, "24\n36\n", "not both"),
             ({"count": True, "length": 20}, None, "count must be a positive integer"),
             ({"count": 2, "length": True}, None, "length must be a positive integer"),
             ({"count": 2, "length": 20.0}, None, "length must be a positive integer"),
@@ -765,6 +809,10 @@ class TestSimulateCommand:
             "lengths-file-missing",
             "lengths-file-non-integer",
             "lengths-file-short-entry",
+            "lengths-file-two-on-a-line",
+            "lengths-file-underscore",
+            "lengths-file-non-ascii-digits",
+            "length-and-lengths-file",
             "count-bool",
             "length-bool",
             "length-float",
@@ -832,15 +880,11 @@ class TestSelftestCommand:
 
     def test_mismatch_reports_index(self, monkeypatch, capsys):
         import marketrng.cli as cli_module
-        from marketrng.rng import SelftestResult
 
-        monkeypatch.setattr(
-            cli_module,
-            "rng_selftest",
-            lambda: SelftestResult(ok=False, first_mismatch=7, message="seed=1 output 7: bad"),
-        )
+        monkeypatch.setattr(cli_module, "rng_selftest", lambda: "seed=1 stream=0 output 7: bad")
         assert main(["rng-selftest"]) == 3
-        assert "7" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "output 7" in captured.err and captured.out == ""
 
 
 class TestReportCommand:

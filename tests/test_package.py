@@ -32,11 +32,13 @@ def _report():
         (lambda tmp: logistic_bit_matrix(np.array([0.3, 0.7]), 0), "n_bits must be positive"),
         (lambda tmp: marketrng.SyntheticSpec("x", (20,)), "unknown synthetic kind"),
         (lambda tmp: marketrng.SyntheticSpec("firm_like", ()), "need at least one sequence length"),
+        (lambda tmp: marketrng.SyntheticSpec("firm_like", (20.7, 30)), "lengths must be integers"),
         (lambda tmp: marketrng.BinarySequence(np.zeros((2, 8), dtype=np.uint8)), "bits must be one-dimensional"),
     ],
     ids=[
         "clean-frequency", "clean-gap-scope", "summarize-trim-mode", "summarize-sequence-ids",
-        "tables-format", "logistic-n-bits", "spec-kind", "spec-no-lengths", "sequence-2d",
+        "tables-format", "logistic-n-bits", "spec-kind", "spec-no-lengths", "spec-float-length",
+        "sequence-2d",
     ],
 )
 def test_public_guards_raise_value_error(tmp_path, call, message):
