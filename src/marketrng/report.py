@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -67,7 +67,9 @@ class StreamReport:
         # The nu keys stay ints.  json.dumps(sort_keys=True) writes them as
         # strings, in the order str keys would sort, only while every nu is
         # one digit; psi_profile caps nu at MAX_WINDOW = 8.
-        data = asdict(self)
+        # asdict would copy the ids one at a time; a str needs no copy.
+        data = asdict(replace(self, sequence_ids=[], per_sequence_d2=None))
+        data["sequence_ids"] = list(self.sequence_ids)
         data["n_sequences"] = self.n_sequences
         data["per_sequence_d2"] = self.per_sequence_d2.tolist()
         return data
@@ -324,18 +326,63 @@ def _write_table(
     return path
 
 
+# The line start of an item nested 2, 3 or 4 deep, as json.dumps(indent=2) writes it.
+_ITEM2, _ITEM3, _ITEM4 = ("\n" + "  " * depth for depth in (2, 3, 4))
+_ROWS_PER_WRITE = 512  # per_sequence_d2 rows encoded per write
+
+
+def _d2_pieces(rows: list[list[float]]):
+    """``json.dumps(rows, indent=2)`` of per_sequence_d2, nested as in a report, a block of rows at a time.
+
+    The C encoder serves only ``indent=None``, so the newline and indent of
+    an entry ride in its separator, and row joins are then rewritten; no
+    float's text holds a bracket.
+    """
+    if not rows or not rows[0]:
+        yield json.dumps(rows, indent=2).replace("\n", _ITEM2)
+        return
+    entry, join = "," + _ITEM4, _ITEM3 + "]," + _ITEM3 + "[" + _ITEM4
+    yield "[" + _ITEM3 + "[" + _ITEM4
+    for lo in range(0, len(rows), _ROWS_PER_WRITE):
+        block = json.dumps(rows[lo : lo + _ROWS_PER_WRITE], separators=(entry, ": "))[2:-2]
+        yield (join if lo else "") + block.replace("]" + entry + "[", join)
+    yield _ITEM3 + "]" + _ITEM2 + "]"
+
+
+def _ids_json(ids: list[str]) -> str:
+    """``json.dumps(ids, indent=2)`` of sequence_ids, nested as in a report, from the C encoder."""
+    if not ids:
+        return "[]"
+    return "[" + _ITEM3 + json.dumps(ids, separators=("," + _ITEM3, ": "))[1:-1] + _ITEM2 + "]"
+
+
 def write_report_json(
     report: StreamReport, path: str | Path, config: dict | None = None
 ) -> Path:
-    """Serialize the full report (plus the run configuration) to JSON."""
+    """Serialize the full report (plus the run configuration) to JSON.
+
+    The bytes are those of ``json.dump(payload, sort_keys=True, indent=2)``
+    and a newline.  The two long lists, per_sequence_d2 and sequence_ids,
+    go in place of two placeholders; only keys and the trim mode, which
+    ``_d2_report`` admits as per_nu or joint, follow them in sorted order,
+    so each placeholder's last match is its own.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"report": report.to_dict()}
+    data = report.to_dict()
+    d2_mark, ids_mark = "<per_sequence_d2>", "<sequence_ids>"
+    d2, ids = data["per_sequence_d2"], data["sequence_ids"]
+    data["per_sequence_d2"], data["sequence_ids"] = d2_mark, ids_mark
+    payload = {"report": data}
     if config is not None:
         payload["config"] = config
-    with open(path, "w", encoding="utf-8") as handle:  # streamed: the text is never held whole
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    head, _, tail = text.rpartition(json.dumps(ids_mark))
+    head, _, middle = head.rpartition(json.dumps(d2_mark))
+    with open(path, "w", encoding="utf-8") as handle:  # piece by piece: the text is never held whole
+        handle.write(head)
+        handle.writelines(_d2_pieces(d2))
+        handle.writelines((middle, _ids_json(ids), tail, "\n"))
     return path
 
 

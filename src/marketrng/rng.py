@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import islice
+from itertools import accumulate, chain, islice
 from typing import Iterator
 
 import numpy as np
@@ -136,9 +136,13 @@ def shape_synthetic(
         raise ValueError(f"unknown generator {generator!r}")
     kind = "firm_separated" if spec.kind == "firm_like" else "year_separated"
     if generator == "pcg64":
-        # Each sequence is the head of its own stream's whole words, MSB first.
-        words = (islice(pcg64_words(master_seed, j), (n + 63) // 64) for j, n in enumerate(spec.lengths))
-        rows = (np.unpackbits(np.array(list(w), ">u8").view(np.uint8))[:n] for w, n in zip(words, spec.lengths))
+        # Each sequence is the head of its own stream's whole words, MSB first;
+        # every stream's words go into one flat array, unpacked at once.
+        counts = [(n + 63) // 64 for n in spec.lengths]
+        words = chain.from_iterable(islice(pcg64_words(master_seed, j), c) for j, c in enumerate(counts))
+        bits = np.unpackbits(np.array(list(words), ">u8").view(np.uint8))
+        firsts = accumulate(counts, initial=0)  # each stream's first word
+        rows = (bits[64 * k : 64 * k + n] for k, n in zip(firsts, spec.lengths))
     else:
         seeds = []
         for j in range(spec.count):  # the first uniform (top 53 bits) of stream j that is not absorbing

@@ -23,7 +23,8 @@ convolution gives each start position its MAX_WINDOW-bit code; the start's
 key for window size nu is the code's top nu bits plus 2**nu - 2, so the
 levels nu = 1..max_nu tile one key range and W_nu and sum(n_i**2) are
 sums over each level.  A start with fewer than nu bits of room before its
-segment ends keys a dump bin instead, which is cut off.
+segment ends keys a dump bin instead, which is cut off; only the last
+MAX_WINDOW - 1 starts of each segment are looked at for that.
 """
 
 from __future__ import annotations
@@ -36,12 +37,20 @@ MAX_WINDOW = 8
 # The level-key layout, read-only and sliced [:max_nu]: the uint8 code
 # weights 2**k (a MAX_WINDOW-bit code fits a byte, so the convolution
 # cannot overflow), then as columns over nu the window size, the shift to
-# a code's top nu bits and the level's first key 2**nu - 2.
+# a code's top nu bits and the level's first key 2**nu - 2, and last the
+# room table, whose entry [nu - 1, r - 1] is True where a start r bits
+# before its segment end has no room for a size-nu window.  Only the last
+# MAX_WINDOW - 1 starts of a segment can lack room.
 _WEIGHTS = (1 << np.arange(MAX_WINDOW)).astype(np.uint8)
 _NUS = np.arange(1, MAX_WINDOW + 1)[:, None]
 _SHIFTS = (MAX_WINDOW - _NUS).astype(np.uint8)
 _FIRSTS = ((1 << _NUS) - 2).astype(np.int16)
-for _layout in (_WEIGHTS, _NUS, _SHIFTS, _FIRSTS):
+_NO_ROOM = np.arange(1, MAX_WINDOW) < _NUS
+# The table's True entries as (level index, room) pairs, level by level,
+# so the pairs of levels 1..max_nu are the first max_nu * (max_nu - 1) / 2.
+_TAIL_LEVELS, _TAIL_ROOMS = np.nonzero(_NO_ROOM)
+_TAIL_ROOMS = _TAIL_ROOMS + 1
+for _layout in (_WEIGHTS, _NUS, _SHIFTS, _FIRSTS, _NO_ROOM, _TAIL_LEVELS, _TAIL_ROOMS):
     _layout.setflags(write=False)
 
 
@@ -102,16 +111,25 @@ def _level_counts(seq: BinarySequence, max_nu: int, respect_boundaries: bool) ->
     code (bits past the end of the array read as 0); a start with fewer
     than nu bits of room before its segment ends keys the dump bin, which
     is cut off.  Small integer dtypes keep the (max_nu, n) key array cheap.
+
+    Only the last MAX_WINDOW - 1 starts before a segment end can lack
+    room, so the room table's (level index l, room r) pairs, r <= l, mark
+    start end - r at level nu = l + 1 for every end; ignore mode has one
+    end, n.  Each start that lacks room is marked from its own end, and
+    every other mark lands on a start that lacks room too: a start that a
+    later end reaches back to has less room than r before its own end, and
+    a start before 0 lands, in the flat key array, on start n - (r - end)
+    of level index l - 1, whose room is at most r - end <= l - 1.
     """
     n = len(seq)
     code = np.convolve(seq.bits, _WEIGHTS)[MAX_WINDOW - 1 :]  # exact: distinct powers of 2 below 256
-    ends = n
-    if respect_boundaries and seq.segment_bounds:
-        sizes = seq.segment_lengths()
-        ends = np.repeat(np.cumsum(sizes), sizes)
     keys = (code >> _SHIFTS[:max_nu]) + _FIRSTS[:max_nu]
+    ends = np.cumsum(seq.segment_lengths()) if respect_boundaries else np.array([n])
+    pairs = max_nu * (max_nu - 1) // 2
+    tails = ends[:, None] - _TAIL_ROOMS[:pairs]
+    tails += _TAIL_LEVELS[:pairs] * n  # flat offsets into keys
     dump = (2 << max_nu) - 2
-    keys[ends - np.arange(n) < _NUS[:max_nu]] = dump
+    keys.reshape(-1)[tails.ravel()] = dump
     return np.bincount(keys.ravel(), minlength=dump + 1)[:dump]
 
 

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from marketrng.chi2 import assess, chi2_critical, chi2_sf
+from marketrng import chi2 as chi2_module
+from marketrng.chi2 import _norm_ppf, assess, chi2_critical, chi2_sf
 
 REFERENCE_CRITICALS = {2: 5.991, 4: 9.488, 8: 15.507, 16: 26.296, 32: 46.194, 64: 83.675}
 
@@ -47,6 +48,19 @@ class TestSurvivalFunction:
             chi2_sf(-1.0, 2)
         with pytest.raises(ValueError):
             chi2_sf(1.0, 0)
+
+    @pytest.mark.parametrize("dof", [1, 2, 64, 270_400])
+    def test_infinite_statistic_has_no_mass(self, dof):
+        assert chi2_sf(math.inf, dof) == 0.0
+        result = assess(math.inf, dof, 0.05)
+        assert result.p_value == 0.0 and result.significant
+
+    @pytest.mark.parametrize("dof", [1, 2, 64, 270_400])
+    def test_nan_statistic_is_rejected(self, dof):
+        with pytest.raises(ValueError, match="nan"):
+            chi2_sf(math.nan, dof)
+        with pytest.raises(ValueError, match="nan"):
+            assess(math.nan, dof, 0.05)
 
 
 class TestCriticalValues:
@@ -185,3 +199,83 @@ class TestScipyProperties:
         # returns its midpoint; the sf error moves the root far less.
         oracle = stats.chi2.isf(alpha, dof)
         assert abs(chi2_critical(alpha, dof) - oracle) <= 1e-9 * max(1.0, oracle)
+
+
+def reference_critical(alpha, dof, sf=chi2_sf):
+    """chi2_critical as plain bracket and bisection, evaluating ``sf`` at every point."""
+    z = _norm_ppf(min(1.0 - alpha, 1.0 - 2.0**-53))
+    t = 1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))
+    seed = dof * t**3 if t > 0.0 else 0.5
+    lo = 0.0
+    hi = max(seed, 1.0)
+    while sf(hi, dof) > alpha:
+        hi *= 2.0
+    if seed > 0.0 and seed < hi and sf(seed, dof) > alpha:
+        lo = seed
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sf(mid, dof) > alpha:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-9 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+# The (0.05, dof) pairs that the benchmark runs assess at nu = 3..8 with the
+# default trims: the 42 of the default 4225 x 227 simulate spec, then those
+# the firm (1940 firms) and year (20 years) streams of its panel add.
+SIM_DOFS = (
+    2, 4, 8, 16, 32, 64, 8028, 8112, 8198, 8282, 8366, 8450, 16056, 16224, 16396, 16564, 16732, 16900,
+    32112, 32448, 32792, 33128, 33464, 33800, 64224, 64896, 65584, 66256, 66928, 67600, 128448, 129792,
+    131168, 132512, 133856, 135200, 256896, 259584, 262336, 265024, 267712, 270400,
+)
+PANEL_DOFS = (
+    3686, 3726, 3764, 3804, 3842, 3880, 7372, 7452, 7528, 7608, 7684, 7760, 14744, 14904, 15056, 15216,
+    15368, 15520, 29488, 29808, 30112, 30432, 30736, 31040, 58976, 59616, 60224, 60864, 61472, 62080,
+    117952, 119232, 120448, 121728, 122944, 124160,
+    38, 40, 76, 80, 152, 160, 304, 320, 608, 640, 1216, 1280,
+)
+
+
+class TestCriticalValueBits:
+    """chi2_critical returns the plain bisection's value bit for bit.
+
+    ``__wrapped__`` skips the cache, so every case computes afresh.
+    """
+
+    @pytest.mark.parametrize("dof", SIM_DOFS + PANEL_DOFS)
+    def test_benchmark_pairs(self, dof):
+        assert chi2_critical.__wrapped__(0.05, dof) == reference_critical(0.05, dof)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-6, 0.01, 0.05, 0.5, 0.95, 1.0 - 1e-9])
+    def test_dof_from_one_to_ten_million(self, alpha):
+        dofs = list(range(1, 41)) + [int(round(10.0 ** (k / 4))) for k in range(6, 29)]
+        for dof in dofs:
+            assert chi2_critical.__wrapped__(alpha, dof) == reference_critical(alpha, dof), dof
+
+    @settings(deadline=None)
+    @given(DOF, TAIL)
+    @example(1, 1e-12)
+    @example(10**7, 1e-12)
+    @example(1, 1.0 - 1e-9)
+    @example(10**7, 1.0 - 1e-9)
+    @example(10**7, 0.5)
+    def test_matches_plain_bisection(self, dof, alpha):
+        assert chi2_critical.__wrapped__(alpha, dof) == reference_critical(alpha, dof)
+
+    @pytest.mark.parametrize(
+        "alpha, dof, flat", [(1.0 - 1e-9, 1, True), (1.0 - 1e-9, 2, True), (0.05, 270_400, False), (1e-12, 10**7, False)]
+    )
+    def test_band_skips_points_unless_sf_is_flat_there(self, monkeypatch, alpha, dof, flat):
+        # Near alpha = 1 at small dof the root is so close to 0 that chi2_sf
+        # rounds to one value across the band, so every point is evaluated.
+        reference_points, points = [], []
+        expected = reference_critical(alpha, dof, lambda x, d: reference_points.append(x) or chi2_sf(x, d))
+        monkeypatch.setattr(chi2_module, "chi2_sf", lambda x, d: points.append(x) or chi2_sf(x, d))
+        assert chi2_critical.__wrapped__(alpha, dof) == expected
+        if flat:
+            assert points[-len(reference_points) :] == reference_points
+        else:
+            assert len(points) <= 4 < len(reference_points)

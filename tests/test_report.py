@@ -1,5 +1,7 @@
 """Reports: summaries, combined chi-square, trimming, KDE, recurrence."""
 
+import dataclasses
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -544,3 +546,83 @@ class TestEmission:
         with pytest.raises(ValueError, match="square"):
             write_recurrence(np.zeros(shape), tmp_path / "recurrence_X")
         assert not any(tmp_path.iterdir())
+
+
+def plain_dump(report, config=None):
+    """The text ``json.dump(payload, sort_keys=True, indent=2)`` and a newline write, from ``asdict``."""
+    data = dataclasses.asdict(report)
+    data["n_sequences"] = len(report.sequence_ids)
+    data["per_sequence_d2"] = report.per_sequence_d2.tolist()
+    payload = {"report": data} if config is None else {"report": data, "config": config}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# Ids that could break a splice: separators and brackets as the encoder
+# writes them, quotes, backslashes, control and non-ASCII characters, and
+# the writer's own placeholders.
+AWKWARD_IDS = [
+    "a, b", 'x"],"y', '"quoted"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "\u00e9t\u00e9",
+    "\u682a\u5f0f", "\U0001f600", "<sequence_ids>", "<per_sequence_d2>", "]", "[", "", " ",
+]
+
+
+class TestReportJsonWriter:
+    """write_report_json writes the bytes of json.dump(sort_keys=True, indent=2), and they load."""
+
+    def _check(self, report, tmp_path, config=None, loads=True):
+        path = write_report_json(report, tmp_path / "report.json", config=config)
+        assert path.read_text(encoding="utf-8") == plain_dump(report, config)
+        if loads:
+            loaded, echo = read_report_json(path)
+            assert loaded.to_dict() == report.to_dict() and echo == config
+
+    @pytest.mark.parametrize("trim_mode", ["per_nu", "joint"])
+    def test_awkward_ids(self, tmp_path, trim_mode):
+        rng = np.random.default_rng(5)
+        psi = rng.random((len(AWKWARD_IDS), 8)) * 40.0
+        report = summarize_stream(psi, sequence_ids=AWKWARD_IDS, trim_mode=trim_mode, trim_fractions=(0.0, 0.1, 0.5))
+        report.extras["skipped_sequences"] = AWKWARD_IDS
+        report.extras["audit"] = [{"id": name, "reason": "gap", "detail": name} for name in AWKWARD_IDS]
+        self._check(report, tmp_path, config={"input_path": "<sequence_ids>", "ids": AWKWARD_IDS})
+
+    @pytest.mark.parametrize("trim_mode", ["per_nu", "joint"])
+    def test_one_sequence_at_max_nu_three(self, tmp_path, trim_mode):
+        report = summarize_stream([[0.5, 1.25, 7.0]], sequence_ids=["only"], trim_mode=trim_mode)
+        assert report.per_sequence_d2.shape == (1, 1)
+        self._check(report, tmp_path)
+
+    def test_year_report_with_audit_extras(self, tmp_path):
+        report = TestEmission()._report()
+        report.extras["skipped_sequences"] = ["2000"]
+        report.extras["audit"] = [
+            {"id": "AAA", "reason": "short_segment", "detail": "5 return(s) in 2003"},
+            {"id": "2000", "reason": "empty_year", "detail": "no qualifying segment"},
+        ]
+        self._check(report, tmp_path, config={"stream": ["year"], "boundary_mode": "respect"})
+
+    @pytest.mark.parametrize("n, rows_per_write", [(5, 1), (5, 2), (6, 3), (6, 6), (1100, 512)])
+    def test_blocks_of_rows(self, tmp_path, monkeypatch, n, rows_per_write):
+        monkeypatch.setattr(report_module, "_ROWS_PER_WRITE", rows_per_write)
+        psi = np.random.default_rng(n).normal(size=(n, 5)) * 10.0
+        self._check(summarize_stream(psi, sequence_ids=[f"s{j}" for j in range(n)]), tmp_path)
+
+    def test_non_finite_values_are_spelled_as_json_spells_them(self, tmp_path):
+        report = TestEmission()._report()
+        report.per_sequence_d2 = report.per_sequence_d2.copy()
+        report.per_sequence_d2[0, :3] = [np.nan, np.inf, -np.inf]
+        report.per_sequence_d2[1, 0] = -0.0
+        self._check(report, tmp_path, loads=False)  # read_report_json rejects non-finite d2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        max_nu=st.integers(3, 8),
+        names=st.lists(st.text(max_size=6), min_size=6, max_size=6),
+        trim_mode=st.sampled_from(["per_nu", "joint"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_ids_and_shape(self, n, max_nu, names, trim_mode, seed):
+        psi = np.random.default_rng(seed).normal(size=(n, max_nu)) * 10.0
+        report = summarize_stream(psi, sequence_ids=names[:n], trim_mode=trim_mode)
+        with tempfile.TemporaryDirectory() as tmp:
+            self._check(report, Path(tmp), config={"names": names})

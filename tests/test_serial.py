@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from marketrng.report import summarize_stream
 from marketrng.rng import SyntheticSpec, shape_synthetic
-from marketrng.serial import BinarySequence, psi_profile, second_differences
+from marketrng.serial import MAX_WINDOW, BinarySequence, psi_profile, second_differences
 
 
 def seq(bits, bounds=()):
@@ -80,6 +80,20 @@ def assert_same_profile(got, expected):
     assert second_differences(got).tolist() == [d2_of(expected, nu) for nu in range(3, len(expected) + 1)]
 
 
+def assert_matches_oracle(s, max_nu, respect):
+    """psi_profile equals the brute-force profile, or raises where the oracle has no window."""
+    if len(s) < max_nu:
+        with pytest.raises(ValueError, match=f"sequence length {len(s)} shorter than max_nu {max_nu}"):
+            psi_profile(s, max_nu, respect)
+        return
+    expected = oracle_profile(s, max_nu, respect)
+    if expected is None:
+        with pytest.raises(ValueError, match="pattern counts cover zero windows"):
+            psi_profile(s, max_nu, respect)
+        return
+    assert_same_profile(psi_profile(s, max_nu, respect), expected)
+
+
 class TestDifferential:
     @given(segmented_sequences(), st.integers(1, 8), st.booleans())
     def test_counts_match_brute_force(self, s, nu, respect):
@@ -97,16 +111,7 @@ class TestDifferential:
 
     @given(segmented_sequences(), st.integers(1, 8), st.booleans())
     def test_profile_matches_brute_force(self, s, max_nu, respect):
-        if len(s) < max_nu:
-            with pytest.raises(ValueError, match=f"sequence length {len(s)} shorter than max_nu {max_nu}"):
-                psi_profile(s, max_nu, respect)
-            return
-        expected = oracle_profile(s, max_nu, respect)
-        if expected is None:
-            with pytest.raises(ValueError, match="pattern counts cover zero windows"):
-                psi_profile(s, max_nu, respect)
-            return
-        assert_same_profile(psi_profile(s, max_nu, respect), expected)
+        assert_matches_oracle(s, max_nu, respect)
 
     @pytest.mark.parametrize("max_nu", range(1, 9))
     @pytest.mark.parametrize("respect", [False, True])
@@ -133,6 +138,30 @@ class TestDifferential:
                 assert_same_profile(psi_profile(s, max_nu, respect), oracle_profile(s, max_nu, respect))
             # One window: W = 1 and sum_i n_i**2 = 1.
             assert psi_profile(seq(bits), max_nu)[max_nu - 1] == 2**max_nu - 1
+
+    # Only the last MAX_WINDOW - 1 starts of a segment can lack room, so the
+    # cases below put segment ends near each other and near the array ends.
+    @pytest.mark.parametrize("max_nu", range(1, MAX_WINDOW + 1))
+    @pytest.mark.parametrize("respect", [False, True])
+    def test_unsegmented_lengths_up_to_one_past_the_window(self, max_nu, respect):
+        rng = np.random.default_rng(300 + max_nu)
+        for n in range(max_nu, MAX_WINDOW + 2):
+            for bits in ([0] * n, [1] * n, *rng.integers(0, 2, size=(3, n)).tolist()):
+                assert_matches_oracle(seq(bits), max_nu, respect)
+
+    @pytest.mark.parametrize("max_nu", range(1, MAX_WINDOW + 1))
+    @pytest.mark.parametrize("respect", [False, True])
+    def test_segments_shorter_than_the_tail(self, max_nu, respect):
+        # Short segments only, or with one segment long enough for max_nu
+        # placed first, inside or last.  A segment end's tail then reaches
+        # back across earlier segments and, near the start, before bit 0.
+        rng = np.random.default_rng(400 + max_nu)
+        for case in range(60):
+            sizes = rng.integers(1, MAX_WINDOW - 1, size=int(rng.integers(1, 10))).tolist()
+            if case % 4:
+                sizes.insert([0, len(sizes) // 2, len(sizes)][case % 4 - 1], int(rng.integers(max_nu, MAX_WINDOW + 2)))
+            bits = rng.integers(0, 2, size=sum(sizes))
+            assert_matches_oracle(seq(bits, tuple(np.cumsum(sizes[:-1]).tolist())), max_nu, respect)
 
     @given(segmented_sequences(), st.integers(1, 8))
     def test_ignore_mode_equals_unsegmented(self, s, max_nu):
