@@ -43,7 +43,7 @@ from marketrng.report import (
     write_report_json,
 )
 from marketrng.rng import rng_selftest, shape_synthetic
-from marketrng.serial import ExperimentStream, psi_profile
+from marketrng.serial import ExperimentStream, has_every_window, psi_profile
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,10 +142,8 @@ def cmd_ingest(config: RunConfig) -> int:
 
 def _write_stream(stream: ExperimentStream, config: RunConfig, out_dir: Path, echo: dict) -> int:
     """Profile, summarise and write one stream; the count of sequences profiled, 0 after a stderr line if none fits."""
-    # psi_profile needs a window of every size up to max_nu; in respect
-    # mode windows stay inside segments, so the longest segment must fit.
     respect = config.boundary_mode == "respect"
-    fits = [(s.segment_lengths().max() if respect else len(s)) >= config.max_nu for s in stream.sequences]
+    fits = [has_every_window(s, config.max_nu, respect) for s in stream.sequences]
     usable = [s for s, ok in zip(stream.sequences, fits) if ok]
     skipped = [s.source_id for s, ok in zip(stream.sequences, fits) if not ok]
     if not usable:

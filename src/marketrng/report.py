@@ -23,6 +23,7 @@ from marketrng.serial import second_differences
 DEFAULT_TRIM_FRACTIONS = (0.01, 0.02, 0.03, 0.04, 0.05)
 TABLE_FORMATS = ("csv", "markdown")
 _VALUES_PER_WRITE = 1 << 16  # matrix entries formatted per recurrence write
+_KDE_POINTS, _KDE_SPAN = 512, 4.0  # every KDE grid: 512 points over mean +- 4 sd
 
 
 def _is_real(value) -> bool:
@@ -244,10 +245,10 @@ def kde_curve(samples, grid, length: float | None = None) -> np.ndarray:
     return np.exp(-0.5 * z**2).mean(axis=1) / (h * np.sqrt(2.0 * np.pi))
 
 
-def default_kde_grid(samples, points: int = 512, span: float = 4.0, length: float | None = None) -> np.ndarray:
-    """Evenly spaced grid over mean +- span * sd in transformed units."""
+def default_kde_grid(samples, length: float | None = None) -> np.ndarray:
+    """Evenly spaced grid of _KDE_POINTS over mean +- _KDE_SPAN * sd in transformed units."""
     _, sd = _centred(samples, length)
-    return np.linspace(-span * sd, span * sd, points)
+    return np.linspace(-_KDE_SPAN * sd, _KDE_SPAN * sd, _KDE_POINTS)
 
 
 def _cell(nu: int, value: float, fmt: str, retained: bool) -> str:

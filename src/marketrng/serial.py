@@ -18,7 +18,7 @@ sequence's psi2 values as a float64 row; ``second_differences`` is the
 one definition of d2 and works on a row or on a (sequences, max_nu)
 matrix of stacked rows alike.
 
-Every window size comes from one bincount per sequence.  One integer
+Every window size comes from one bincount per sequence.  One exact
 convolution gives each start position its MAX_WINDOW-bit code; the start's
 key for window size nu is the code's top nu bits plus 2**nu - 2, so the
 levels nu = 1..max_nu tile one key range and W_nu and sum(n_i**2) are
@@ -34,23 +34,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_WINDOW = 8
-# The level-key layout, read-only and sliced [:max_nu]: the uint8 code
-# weights 2**k (a MAX_WINDOW-bit code fits a byte, so the convolution
-# cannot overflow), then as columns over nu the window size, the shift to
-# a code's top nu bits and the level's first key 2**nu - 2, and last the
-# room table, whose entry [nu - 1, r - 1] is True where a start r bits
-# before its segment end has no room for a size-nu window.  Only the last
-# MAX_WINDOW - 1 starts of a segment can lack room.
-_WEIGHTS = (1 << np.arange(MAX_WINDOW)).astype(np.uint8)
+# The level-key layout, read-only and sliced [:max_nu]: the code weights
+# 2**k (float32: numpy convolves floats about three times as fast as bytes
+# on long inputs, and each code, a sum of distinct powers of 2 below 256,
+# is exact), then as columns over nu the window size, the shift to a
+# code's top nu bits and the level's first key 2**nu - 2, and last the
+# (level index l, room r) pairs with 1 <= r <= l, level by level: a start
+# r bits before its segment end has no room for a window of size l + 1.
+# The pairs of levels 1..max_nu are the first max_nu * (max_nu - 1) / 2.
+_WEIGHTS = (1 << np.arange(MAX_WINDOW)).astype(np.float32)
 _NUS = np.arange(1, MAX_WINDOW + 1)[:, None]
 _SHIFTS = (MAX_WINDOW - _NUS).astype(np.uint8)
 _FIRSTS = ((1 << _NUS) - 2).astype(np.int16)
-_NO_ROOM = np.arange(1, MAX_WINDOW) < _NUS
-# The table's True entries as (level index, room) pairs, level by level,
-# so the pairs of levels 1..max_nu are the first max_nu * (max_nu - 1) / 2.
-_TAIL_LEVELS, _TAIL_ROOMS = np.nonzero(_NO_ROOM)
+_TAIL_LEVELS, _TAIL_ROOMS = np.tril_indices(MAX_WINDOW, -1)
 _TAIL_ROOMS = _TAIL_ROOMS + 1
-for _layout in (_WEIGHTS, _NUS, _SHIFTS, _FIRSTS, _NO_ROOM, _TAIL_LEVELS, _TAIL_ROOMS):
+for _layout in (_WEIGHTS, _NUS, _SHIFTS, _FIRSTS, _TAIL_LEVELS, _TAIL_ROOMS):
     _layout.setflags(write=False)
 
 
@@ -113,24 +111,27 @@ def _level_counts(seq: BinarySequence, max_nu: int, respect_boundaries: bool) ->
     is cut off.  Small integer dtypes keep the (max_nu, n) key array cheap.
 
     Only the last MAX_WINDOW - 1 starts before a segment end can lack
-    room, so the room table's (level index l, room r) pairs, r <= l, mark
-    start end - r at level nu = l + 1 for every end; ignore mode has one
-    end, n.  Each start that lacks room is marked from its own end, and
-    every other mark lands on a start that lacks room too: a start that a
-    later end reaches back to has less room than r before its own end, and
-    a start before 0 lands, in the flat key array, on start n - (r - end)
-    of level index l - 1, whose room is at most r - end <= l - 1.
+    room, so one 2-D index into the keys marks start end - r at level index
+    l for each (l, r) pair and every end; ignore mode has one end, n.  Each
+    start that lacks room is marked from its own end, and every other mark
+    lands on a start that lacks room too: a start that a later end reaches
+    back to has less room than r before its own end, and a start k = r - end
+    before bit 0 wraps within its level onto start n - k >= 0 (the caller
+    refuses n < max_nu), whose room is at most k < l + 1.
     """
     n = len(seq)
-    code = np.convolve(seq.bits, _WEIGHTS)[MAX_WINDOW - 1 :]  # exact: distinct powers of 2 below 256
+    code = np.convolve(seq.bits, _WEIGHTS)[MAX_WINDOW - 1 :].astype(np.uint8)
     keys = (code >> _SHIFTS[:max_nu]) + _FIRSTS[:max_nu]
-    ends = np.cumsum(seq.segment_lengths()) if respect_boundaries else np.array([n])
+    ends = np.fromiter((*seq.segment_bounds, n) if respect_boundaries else (n,), np.intp)
     pairs = max_nu * (max_nu - 1) // 2
-    tails = ends[:, None] - _TAIL_ROOMS[:pairs]
-    tails += _TAIL_LEVELS[:pairs] * n  # flat offsets into keys
     dump = (2 << max_nu) - 2
-    keys.reshape(-1)[tails.ravel()] = dump
+    keys[_TAIL_LEVELS[:pairs], ends[:, None] - _TAIL_ROOMS[:pairs]] = dump
     return np.bincount(keys.ravel(), minlength=dump + 1)[:dump]
+
+
+def has_every_window(seq: BinarySequence, max_nu: int, respect_boundaries: bool) -> bool:
+    """Whether the sequence, or in respect mode its longest segment, fits a size-max_nu window."""
+    return int(seq.segment_lengths().max() if respect_boundaries else len(seq)) >= max_nu
 
 
 def psi_profile(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from marketrng.report import summarize_stream
 from marketrng.rng import SyntheticSpec, shape_synthetic
-from marketrng.serial import MAX_WINDOW, BinarySequence, psi_profile, second_differences
+from marketrng.serial import MAX_WINDOW, BinarySequence, has_every_window, psi_profile, second_differences
 
 
 def seq(bits, bounds=()):
@@ -94,6 +94,17 @@ def assert_matches_oracle(s, max_nu, respect):
     assert_same_profile(psi_profile(s, max_nu, respect), expected)
 
 
+def assert_predicate_matches(s, max_nu, respect):
+    """has_every_window is true exactly where the oracle has a profile and, from max_nu bits on, psi_profile counts."""
+    fits = has_every_window(s, max_nu, respect)
+    assert fits is (oracle_profile(s, max_nu, respect) is not None)
+    if fits:
+        psi_profile(s, max_nu, respect)
+    elif len(s) >= max_nu:  # shorter ones are refused before counting
+        with pytest.raises(ValueError, match="pattern counts cover zero windows"):
+            psi_profile(s, max_nu, respect)
+
+
 class TestDifferential:
     @given(segmented_sequences(), st.integers(1, 8), st.booleans())
     def test_counts_match_brute_force(self, s, nu, respect):
@@ -162,6 +173,34 @@ class TestDifferential:
                 sizes.insert([0, len(sizes) // 2, len(sizes)][case % 4 - 1], int(rng.integers(max_nu, MAX_WINDOW + 2)))
             bits = rng.integers(0, 2, size=sum(sizes))
             assert_matches_oracle(seq(bits, tuple(np.cumsum(sizes[:-1]).tolist())), max_nu, respect)
+
+    @given(segmented_sequences(), st.integers(1, 8), st.booleans())
+    def test_has_every_window_matches_brute_force(self, s, max_nu, respect):
+        assert_predicate_matches(s, max_nu, respect)
+
+    # The edges that the 2-D tail index relies on: segments shorter than
+    # max_nu - 1, whose tails reach back across earlier ends; a short first
+    # segment, whose tails fall below bit 0 and wrap within their level; and
+    # n = max_nu.  Each case maps max_nu to its segment lengths.
+    @pytest.mark.parametrize("max_nu", range(1, MAX_WINDOW + 1))
+    @pytest.mark.parametrize("respect", [False, True])
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            pytest.param(lambda m: [max(1, m - 2)] * 4, id="short-segments"),
+            pytest.param(lambda m: [max(1, m - 2), m + 1], id="short-first-then-long"),
+            pytest.param(lambda m: [1, 1, m, max(1, m - 2)], id="short-around-long"),
+            pytest.param(lambda m: [m], id="n-is-max-nu"),
+            pytest.param(lambda m: [1, m - 1] if m > 1 else [1], id="n-is-max-nu-split"),
+        ],
+    )
+    def test_has_every_window_at_tail_edges(self, max_nu, respect, lengths):
+        lengths = lengths(max_nu)
+        rng = np.random.default_rng(500 + max_nu)
+        bounds = tuple(np.cumsum(lengths[:-1]).tolist())
+        for bits in ([0] * sum(lengths), [1] * sum(lengths), *rng.integers(0, 2, size=(3, sum(lengths))).tolist()):
+            assert_predicate_matches(seq(bits, bounds), max_nu, respect)
+            assert_matches_oracle(seq(bits, bounds), max_nu, respect)
 
     @given(segmented_sequences(), st.integers(1, 8))
     def test_ignore_mode_equals_unsegmented(self, s, max_nu):
