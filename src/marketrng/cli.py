@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from marketrng.config import CHOICES, STREAM_KINDS, ConfigError, RunConfig
+from marketrng.config import CHOICES, ConfigError, RunConfig
 from marketrng.pipeline import (
     MIN_OBS,
     FormatError,
@@ -43,7 +43,7 @@ from marketrng.report import (
     write_report_json,
 )
 from marketrng.rng import rng_selftest, shape_synthetic
-from marketrng.serial import ExperimentStream, has_every_window, psi_profile
+from marketrng.serial import STREAM_KINDS, ExperimentStream, has_every_window, psi_profile
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,11 +65,13 @@ def _comma_list(convert):
     return parse
 
 
-_FLAGS = {  # every flag of ingest, test and simulate, with its argparse keywords
+_FLAGS = {  # every flag of every command, with its argparse keywords
     "--config": dict(help="JSON config file; flags override its values"),
     "--input": dict(dest="input_path", help="input price CSV"),
     "--frequency": dict(choices=CHOICES["frequency"]),
-    "--stream": dict(dest="stream_kinds", type=_comma_list(str.strip), help="comma-separated subset of firm,year"),
+    "--stream": dict(
+        dest="stream_kinds", type=_comma_list(str.strip), help=f"comma-separated subset of {','.join(STREAM_KINDS)}"
+    ),
     "--max-nu": dict(dest="max_nu", type=int),
     "--alpha": dict(type=float),
     "--trim": dict(dest="trim_fractions", type=_comma_list(float), help="comma-separated trim fractions"),
@@ -77,11 +79,15 @@ _FLAGS = {  # every flag of ingest, test and simulate, with its argparse keyword
     "--seed": dict(dest="master_seed", type=int),
     "--jobs": dict(type=int, help="accepted and ignored: runs are single-process"),
     "--out": dict(dest="output_dir"),
+    "--report": dict(dest="report_path", required=True),
+    "--format": dict(dest="table_format", choices=TABLE_FORMATS, default="csv"),
 }
 _COMMAND_FLAGS = {  # the flags each command reads, and no others
     "ingest": "--config --input --frequency --jobs --out".split(),
     "test": "--config --input --frequency --stream --max-nu --alpha --trim --boundary-mode --jobs --out".split(),
     "simulate": "--config --max-nu --alpha --trim --boundary-mode --seed --jobs --out".split(),
+    "rng-selftest": [],
+    "report": "--report --format --out".split(),
 }
 
 
@@ -92,11 +98,6 @@ def _build_parser() -> _Parser:
         command = sub.add_parser(name)
         for flag in flags:
             command.add_argument(flag, **_FLAGS[flag])
-    sub.add_parser("rng-selftest")
-    report = sub.add_parser("report")
-    report.add_argument("--report", dest="report_path", required=True)
-    report.add_argument("--format", dest="table_format", choices=TABLE_FORMATS, default="csv")
-    report.add_argument("--out", dest="output_dir")
     return parser
 
 
@@ -205,17 +206,16 @@ def _file_stem(prefix: str, name: str) -> str:
 def _emit_figures(stream, returns, kept, config: RunConfig, out_dir: Path) -> None:
     """Write the stream's figures; each one skipped gets a stderr line with its reason."""
     figures = out_dir / "figures"
-    if stream.kind == "firm_separated":
+    if stream.kind == STREAM_KINDS["firm"]:
         code = {name: k for k, name in enumerate(returns.ids)}
+        prices = config.recurrence_source == "prices"  # kept and returns share the id table
+        values, rows = (kept.adjusted_prices(), kept.instrument) if prices else (returns.values, returns.instrument)
         for instrument in list(config.recurrence_ids) or returns.ids[:2]:
             if instrument not in code:
                 print(f"no recurrence figure for {instrument!r}: not in the firm stream", file=sys.stderr)
                 continue
-            if config.recurrence_source == "prices":
-                values = kept.adjusted_prices()[kept.instrument == code[instrument]]
-            else:
-                values = returns.values[returns.instrument == code[instrument]]
-            write_recurrence(recurrence_matrix(values), figures / _file_stem("recurrence_", instrument))
+            matrix = recurrence_matrix(values[rows == code[instrument]])
+            write_recurrence(matrix, figures / _file_stem("recurrence_", instrument))
     else:
         months = MIN_OBS[config.frequency]
         for seq in stream.sequences:
@@ -236,14 +236,11 @@ def _emit_figures(stream, returns, kept, config: RunConfig, out_dir: Path) -> No
 
 def cmd_simulate(config: RunConfig) -> int:
     spec, resolved = config.synthetic_spec()
-    generator = resolved["generator"]
-    stream = shape_synthetic(
-        spec, generator=generator, master_seed=config.master_seed, burn_in=resolved["burn_in"]
-    )
+    stream = shape_synthetic(spec, resolved["generator"], config.master_seed, resolved["burn_in"])
     out = Path(config.output_dir) / stream.kind
     if not _write_stream(stream, config, out, {**config.echo_dict(), "synthetic_resolved": resolved}):
         return EXIT_DATA
-    print(f"simulated {spec.count} sequence(s) with {generator} -> {out}")
+    print(f"simulated {spec.count} sequence(s) with {resolved['generator']} -> {out}")
     return EXIT_OK
 
 

@@ -6,17 +6,16 @@ import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from marketrng.pipeline import MIN_OBS
-from marketrng.report import DEFAULT_TRIM_FRACTIONS, _is_real
-from marketrng.rng import SyntheticSpec
-from marketrng.serial import MAX_WINDOW
+from marketrng.pipeline import GAP_SCOPES, MIN_OBS
+from marketrng.report import DEFAULT_TRIM_FRACTIONS, TRIM_MODES, _is_real
+from marketrng.rng import GENERATORS, SYNTHETIC_KINDS, SyntheticSpec
+from marketrng.serial import MAX_WINDOW, STREAM_KINDS
 
-STREAM_KINDS = {"firm": "firm_separated", "year": "year_separated"}  # flag value -> stream kind
 CHOICES = {
     "frequency": tuple(MIN_OBS),
     "boundary_mode": ("ignore", "respect"),
-    "trim_mode": ("per_nu", "joint"),
-    "gap_scope": ("life", "dataset"),
+    "trim_mode": TRIM_MODES,
+    "gap_scope": GAP_SCOPES,
     "recurrence_source": ("returns", "prices"),
 }
 _LIST_FIELDS = ("stream_kinds", "trim_fractions", "recurrence_ids")  # tuples here, lists in JSON; no repeats
@@ -67,7 +66,7 @@ def _read_lengths(path: Path) -> list[int]:
 class RunConfig:
     input_path: str | None = None
     frequency: str = "monthly"
-    stream_kinds: tuple[str, ...] = ("firm", "year")
+    stream_kinds: tuple[str, ...] = tuple(STREAM_KINDS)
     max_nu: int = 8
     alpha: float = 0.05
     trim_fractions: tuple[float, ...] = DEFAULT_TRIM_FRACTIONS
@@ -115,10 +114,9 @@ class RunConfig:
         unknown = set(spec) - {*DEFAULT_SYNTHETIC, "lengths_file"}
         if unknown:
             raise ConfigError(f"unknown synthetic key(s): {', '.join(sorted(unknown))}")
-        if spec.get("kind", DEFAULT_SYNTHETIC["kind"]) not in ("firm_like", "year_like"):
-            raise ConfigError("synthetic kind must be 'firm_like' or 'year_like'")
-        if spec.get("generator", DEFAULT_SYNTHETIC["generator"]) not in ("pcg64", "logistic"):
-            raise ConfigError("synthetic generator must be 'pcg64' or 'logistic'")
+        for key, allowed in (("kind", SYNTHETIC_KINDS), ("generator", GENERATORS)):
+            if spec.get(key, DEFAULT_SYNTHETIC[key]) not in allowed:
+                raise ConfigError(f"synthetic {key} must be {' or '.join(map(repr, allowed))}")
         count = spec.get("count")
         if not _is_int(count) or count < 1:
             raise ConfigError("synthetic count must be a positive integer")

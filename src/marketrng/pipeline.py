@@ -29,9 +29,10 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from marketrng.serial import BinarySequence, ExperimentStream
+from marketrng.serial import STREAM_KINDS, BinarySequence, ExperimentStream
 
 MIN_OBS = {"monthly": 12, "daily": 252}
+GAP_SCOPES = ("life", "dataset")
 REQUIRED_COLUMNS = ("id", "date", "close", "adjfactor", "retfactor")
 _INF = float("inf")
 # Text per numpy pass.  At 1 << 20 the ingest and year-respect commands
@@ -482,8 +483,8 @@ def clean_panel(
     """
     if frequency not in MIN_OBS:
         raise ValueError(f"frequency must be one of {sorted(MIN_OBS)}, got {frequency!r}")
-    if gap_scope not in ("life", "dataset"):
-        raise ValueError(f"gap_scope must be 'life' or 'dataset', got {gap_scope!r}")
+    if gap_scope not in GAP_SCOPES:
+        raise ValueError(f"gap_scope must be {' or '.join(map(repr, GAP_SCOPES))}, got {gap_scope!r}")
 
     day = panel.date.view(np.int64)  # days since 1970; numpy sorts int64 far faster than datetime64
     offset = day - day.min(initial=0)
@@ -588,9 +589,9 @@ def build_stream(returns: Returns, kind: str) -> ExperimentStream:
     qualifying segment yields no sequence and an ``empty_year`` audit
     entry, after the segment entries.  The medians are not kept.
     """
-    if kind not in ("firm_separated", "year_separated"):
+    if kind not in STREAM_KINDS.values():
         raise ValueError(f"unknown stream kind {kind!r}")
-    firm = kind == "firm_separated"
+    firm = kind == STREAM_KINDS["firm"]
     years = None if firm else returns.date.astype("M8[Y]").view(np.int64) + 1970  # the firm stream reads none
     starts, sizes = _runs(returns.instrument) if firm else _runs(returns.instrument, years)
     if firm and np.any(sizes < 2):

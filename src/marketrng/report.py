@@ -18,9 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from marketrng.chi2 import ChiSquareAssessment, assess, chi2_critical
-from marketrng.serial import second_differences
+from marketrng.serial import STREAM_KINDS, second_differences
 
 DEFAULT_TRIM_FRACTIONS = (0.01, 0.02, 0.03, 0.04, 0.05)
+TRIM_MODES = ("per_nu", "joint")
 TABLE_FORMATS = ("csv", "markdown")
 _VALUES_PER_WRITE = 1 << 16  # matrix entries formatted per recurrence write
 _KDE_POINTS, _KDE_SPAN = 512, 4.0  # every KDE grid: 512 points over mean +- 4 sd
@@ -97,7 +98,7 @@ def summarize_stream(
     alpha: float = 0.05,
     trim_fractions: Sequence[float] = DEFAULT_TRIM_FRACTIONS,
     sequence_ids: Sequence[str] | None = None,
-    kind: str = "firm_separated",
+    kind: str = STREAM_KINDS["firm"],
     trim_mode: str = "per_nu",
 ) -> StreamReport:
     """Summaries, combined chi-square, significance shares, and trim ladder.
@@ -140,7 +141,7 @@ def _d2_report(
     ``summarize_stream`` builds its reports here, and ``read_report_json``
     rebuilds a stored report here to check it.
     """
-    if trim_mode not in ("per_nu", "joint"):
+    if trim_mode not in TRIM_MODES:
         raise ValueError(f"unknown trim_mode {trim_mode!r}")
     for p in trim_fractions:
         if not 0.0 <= p < 1.0:
@@ -291,7 +292,7 @@ def emit_tables(report: StreamReport, out_dir: str | Path, fmt: str = "csv") -> 
     )
     d2_rows.append(("combined_dof", [str(a.dof) for a in combined]))
     d2_rows.append(row("significant_fraction", [report.significant_fraction[nu] for nu in d2_nus]))
-    if report.kind == "year_separated":
+    if report.kind == STREAM_KINDS["year"]:
         crit = [chi2_critical(report.alpha, 2 ** (nu - 2)) for nu in d2_nus]
         for seq_id, values in zip(report.sequence_ids, report.per_sequence_d2):
             d2_rows.append(row(seq_id, values, [v <= c for v, c in zip(values, crit)]))
@@ -415,7 +416,7 @@ def read_report_json(path: str | Path) -> tuple[StreamReport, dict | None]:
         raise ValueError("per_sequence_d2 is not a non-empty matrix")
     if not math.isfinite(float(abs(d2_matrix).max()) * d2_matrix.size):  # bounds every sum the rebuild takes
         raise ValueError("per_sequence_d2 holds a NaN, an infinity or a value too large to sum")
-    if stored["kind"] not in ("firm_separated", "year_separated"):
+    if stored["kind"] not in STREAM_KINDS.values():
         raise ValueError(f"unknown report kind {stored['kind']!r}")
     if not _is_real(alpha) or not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")

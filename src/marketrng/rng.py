@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from marketrng.serial import MAX_WINDOW, BinarySequence, ExperimentStream
+from marketrng.serial import MAX_WINDOW, STREAM_KINDS, BinarySequence, ExperimentStream
 
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
@@ -35,6 +35,8 @@ _MASK64 = (1 << 64) - 1
 
 LOGISTIC_R = 4.0
 _GOLDEN_CONJUGATE = 0.6180339887498949
+SYNTHETIC_KINDS = tuple(f"{k}_like" for k in STREAM_KINDS)  # a synthetic kind mirrors a stream kind
+GENERATORS = ("pcg64", "logistic")
 
 
 def pcg64_words(seed: int, stream: int) -> Iterator[int]:
@@ -101,7 +103,7 @@ class SyntheticSpec:
     lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("firm_like", "year_like"):
+        if self.kind not in SYNTHETIC_KINDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
         if not self.lengths:
             raise ValueError("need at least one sequence length")
@@ -132,9 +134,9 @@ def shape_synthetic(
     generator draws its per-sequence seed from that same stream, so both
     baselines reproduce exactly from (spec, generator, master_seed).
     """
-    if generator not in ("pcg64", "logistic"):
+    if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}")
-    kind = "firm_separated" if spec.kind == "firm_like" else "year_separated"
+    kind = STREAM_KINDS[spec.kind.removesuffix("_like")]
     if generator == "pcg64":
         # Each sequence is the head of its own stream's whole words, MSB first;
         # every stream's words go into one flat array, unpacked at once.

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_WINDOW = 8
+STREAM_KINDS = {"firm": "firm_separated", "year": "year_separated"}  # --stream value -> ExperimentStream kind
 # The level-key layout, read-only and sliced [:max_nu]: the code weights
 # 2**k (float32: numpy convolves floats about three times as fast as bytes
 # on long inputs, and each code, a sum of distinct powers of 2 below 256,
@@ -67,7 +68,7 @@ class BinarySequence:
     segment_bounds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.bits, dtype=np.uint8)
+        arr = np.array(self.bits, dtype=np.uint8)  # the one copy: the caller's array stays theirs
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
         if arr.size < 1:
@@ -79,7 +80,6 @@ class BinarySequence:
             raise ValueError("segment_bounds must be strictly increasing and positive")
         if bounds and bounds[-1] >= arr.size:
             raise ValueError("segment_bounds must be smaller than the sequence length")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
         object.__setattr__(self, "segment_bounds", bounds)

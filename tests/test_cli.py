@@ -507,16 +507,19 @@ class TestTestCommand:
         panel = tmp_path / "p.csv"
         panel.write_text("\n".join(rows) + "\n", encoding="utf-8")
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"recurrence_source": "prices", "recurrence_ids": ["AAA"]}), encoding="utf-8")
+        ids = ["BBB", "AAA"]  # both firms, the second in the table first
+        config.write_text(json.dumps({"recurrence_source": "prices", "recurrence_ids": ids}), encoding="utf-8")
         out = tmp_path / "out"
         args = ["test", "--input", str(panel), "--stream", "firm", "--config", str(config), "--out", str(out)]
         assert main(args) == 0
-        fields = [row.split(",") for row in rows[1:25]]
-        prices = [float(c) * float(a) / float(r) for _, _, c, a, r in fields]
-        want = ["%.6g" % abs(p - q) for p in prices for q in prices]
-        got = (out / "firm_separated" / "figures" / "recurrence_AAA.csv").read_text().splitlines()
-        assert [cell for line in got for cell in line.split(",")] == want
-        assert len(got) == 24
+        for name, lines in zip(ids, (rows[25:49], rows[1:25])):
+            fields = [row.split(",") for row in lines]
+            assert {firm for firm, *_ in fields} == {name}
+            prices = [float(c) * float(a) / float(r) for _, _, c, a, r in fields]
+            want = ["%.6g" % abs(p - q) for p in prices for q in prices]
+            got = (out / "firm_separated" / "figures" / f"recurrence_{name}.csv").read_text().splitlines()
+            assert [cell for line in got for cell in line.split(",")] == want
+            assert len(got) == 24
 
     @staticmethod
     def _figures(tmp_path, firms):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import marketrng
+from marketrng import cli, config, pipeline, report, rng, serial
 from marketrng.rng import logistic_bit_matrix
 
 
@@ -45,3 +46,19 @@ def test_public_guards_raise_value_error(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)
     assert not any(tmp_path.iterdir())  # emit_tables refuses before it writes
+
+
+def test_each_closed_set_of_names_has_one_owner():
+    assert config.CHOICES["trim_mode"] is report.TRIM_MODES
+    assert config.CHOICES["gap_scope"] is pipeline.GAP_SCOPES
+    assert config.STREAM_KINDS is serial.STREAM_KINDS
+    assert rng.SYNTHETIC_KINDS == tuple(f"{short}_like" for short in serial.STREAM_KINDS)
+    assert config.RunConfig().stream_kinds == tuple(serial.STREAM_KINDS)
+
+
+def test_every_subcommand_takes_exactly_its_flag_table_row():
+    subparsers = cli._build_parser()._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(cli._COMMAND_FLAGS)
+    for name, flags in cli._COMMAND_FLAGS.items():
+        options = [option for action in subparsers[name]._actions for option in action.option_strings]
+        assert sorted(options) == sorted(["-h", "--help", *flags]), name

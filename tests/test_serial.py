@@ -234,6 +234,17 @@ class TestBinarySequence:
         with pytest.raises(ValueError):
             s.bits[0] = 1
 
+    @pytest.mark.parametrize(
+        "bits",
+        [np.array([0, 1, 1], dtype=np.uint8), np.array([False, True, True]), [0, 1, 1]],
+        ids=["uint8", "bool", "list"],
+    )
+    def test_bits_do_not_follow_the_callers_input(self, bits):
+        s = BinarySequence(bits)
+        bits[0] = 1
+        assert s.bits.tolist() == [0, 1, 1]
+        assert s.bits.dtype == np.uint8
+
     def test_segments_split(self):
         s = seq([0, 1, 0, 1, 1, 1], bounds=(2, 5))
         parts = np.split(s.bits, list(s.segment_bounds))
