@@ -6,52 +6,32 @@ serial) test, with chi-square significance assessment, a bit-exact
 PCG64 baseline, and batch reporting utilities.
 """
 
-from marketrng.serial import BinarySequence, ExperimentStream, psi_profile, second_differences
-from marketrng.chi2 import ChiSquareAssessment, assess, chi2_critical, chi2_sf
-from marketrng.pipeline import (
-    Panel,
-    Returns,
-    build_stream,
-    clean_panel,
-    compute_return_series,
-    monthly_column_sums,
-    parse_prices,
-)
-from marketrng.rng import SyntheticSpec, pcg64_words, rng_selftest, shape_synthetic
-from marketrng.report import (
-    StreamReport,
-    emit_tables,
-    kde_curve,
-    recurrence_matrix,
-    summarize_stream,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinarySequence",
-    "psi_profile",
-    "second_differences",
-    "ChiSquareAssessment",
-    "assess",
-    "chi2_critical",
-    "chi2_sf",
-    "Panel",
-    "Returns",
-    "ExperimentStream",
-    "build_stream",
-    "clean_panel",
-    "compute_return_series",
-    "monthly_column_sums",
-    "parse_prices",
-    "SyntheticSpec",
-    "pcg64_words",
-    "rng_selftest",
-    "shape_synthetic",
-    "StreamReport",
-    "emit_tables",
-    "kde_curve",
-    "recurrence_matrix",
-    "summarize_stream",
-    "__version__",
-]
+# Each public name and the module that defines it; a name imports its module on first use.
+_MODULES = {
+    "BinarySequence": "serial", "psi_profile": "serial", "second_differences": "serial",
+    "ChiSquareAssessment": "chi2", "assess": "chi2", "chi2_critical": "chi2", "chi2_sf": "chi2",
+    "Panel": "pipeline", "Returns": "pipeline", "ExperimentStream": "serial",
+    "build_stream": "pipeline", "clean_panel": "pipeline", "compute_return_series": "pipeline",
+    "monthly_column_sums": "pipeline", "parse_prices": "pipeline",
+    "SyntheticSpec": "rng", "pcg64_words": "rng", "rng_selftest": "rng", "shape_synthetic": "rng",
+    "StreamReport": "report", "emit_tables": "report", "kde_curve": "report",
+    "recurrence_matrix": "report", "summarize_stream": "report",
+}
+
+__all__ = [*_MODULES, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULES[name]}"), name)
+    globals()[name] = value  # later lookups find it without calling __getattr__
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULES})

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import re
 import sys
 from pathlib import Path
+
+# No command calls BLAS, so OpenBLAS's idle worker threads only burn CPU; set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

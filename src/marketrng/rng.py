@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 from itertools import accumulate, chain, islice
 from typing import Iterator
 
@@ -157,6 +156,8 @@ def shape_synthetic(
 
 
 def _load_reference_vectors() -> list[dict]:
+    from importlib import resources  # only rng-selftest reads the vectors
+
     path = resources.files("marketrng").joinpath("data/pcg64_vectors.json")
     with path.open("r", encoding="utf-8") as handle:
         return json.load(handle)["cases"]

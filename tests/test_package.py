@@ -1,5 +1,10 @@
 """The package's public surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,52 @@ def test_every_exported_name_resolves():
     missing = [name for name in marketrng.__all__ if not hasattr(marketrng, name)]
     assert not missing
     assert len(set(marketrng.__all__)) == len(marketrng.__all__)
+
+
+def _fresh_python(code, **env):
+    """Run ``code`` in a fresh interpreter that imports this ``marketrng``; its stdout lines."""
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "PYTHONPATH")}
+    base["PYTHONPATH"] = str(Path(marketrng.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], env=base | env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    code = """
+import sys, marketrng
+for name in marketrng.__all__[:-1]:
+    value = getattr(marketrng, name)
+    assert value is vars(sys.modules[value.__module__])[name], name
+assert marketrng.__all__[-1] == "__version__"
+assert set(marketrng.__all__) <= set(dir(marketrng))
+namespace = {}
+exec("from marketrng import *", namespace)
+assert sorted(set(namespace) - {"__builtins__"}) == sorted(marketrng.__all__)
+try:
+    marketrng.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _fresh_python(code) == ["module 'marketrng' has no attribute 'no_such_name'"]
+
+
+def test_importing_the_package_loads_no_module_and_sets_nothing():
+    code = (
+        "import os, sys, marketrng; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('marketrng.'))); "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    assert _fresh_python(code) == ["[]", "None"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_the_cli_runs_one_blas_thread_unless_the_user_set_a_count():
+    code = "import os, marketrng.cli; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    assert _fresh_python(code) == ["1 1"]
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS starts no more threads than there are CPUs")
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2") == ["2 2"]
 
 
 def _panel():
