@@ -140,8 +140,7 @@ def cmd_ingest(config: RunConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_cleaned(out / "cleaned.csv", kept)
-    rejected = [{"id": f"line:{rej.line}", "reason": "reject", "detail": rej.reason} for rej in rejects]
-    write_audit(out / "audit.csv", rejected + dropped)
+    write_audit(out / "audit.csv", dropped, rejects)
     return EXIT_OK if kept.ids else EXIT_DATA
 
 
@@ -211,25 +210,20 @@ def _emit_figures(stream, returns, kept, config: RunConfig, out_dir: Path) -> No
     """Write the stream's figures; each one skipped gets a stderr line with its reason."""
     figures = out_dir / "figures"
     if stream.kind == STREAM_KINDS["firm"]:
-        code = {name: k for k, name in enumerate(returns.ids)}
         prices = config.recurrence_source == "prices"  # kept and returns share the id table
         values, rows = (kept.adjusted_prices(), kept.instrument) if prices else (returns.values, returns.instrument)
         for instrument in list(config.recurrence_ids) or returns.ids[:2]:
-            if instrument not in code:
+            if instrument not in returns.ids:
                 print(f"no recurrence figure for {instrument!r}: not in the firm stream", file=sys.stderr)
                 continue
-            matrix = recurrence_matrix(values[rows == code[instrument]])
+            matrix = recurrence_matrix(values[rows == returns.ids.index(instrument)])
             write_recurrence(matrix, figures / _file_stem("recurrence_", instrument))
     else:
         months = MIN_OBS[config.frequency]
         for seq in stream.sequences:
             try:
                 sums = monthly_column_sums(seq, months)
-            except ValueError:
-                print(f"no kde figure for year {seq.source_id}: no segment of {months} returns", file=sys.stderr)
-                continue
-            total_bits = sums.rows_included * months
-            try:
+                total_bits = sums.rows_included * months
                 grid = default_kde_grid(sums.values, length=total_bits)
                 density = kde_curve(sums.values, grid, length=total_bits)
             except ValueError as exc:

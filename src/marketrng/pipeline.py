@@ -297,9 +297,11 @@ def write_cleaned(path: Path, panel: Panel) -> None:
             handle.write(line[line != _PAD].tobytes())
 
 
-def write_audit(path: Path, rows) -> None:
+def write_audit(path: Path, rows, rejects=()) -> None:
+    """Write ``id,reason,detail`` lines: one ``line:<n>,reject,<reason>`` per RowReject, then ``rows``."""
     lines = ["id,reason,detail"]
-    for row in rows:
+    rejected = ({"id": f"line:{rej.line}", "reason": "reject", "detail": rej.reason} for rej in rejects)
+    for row in (*rejected, *rows):
         detail = str(row.get("detail", "")).replace(",", ";")
         lines.append(f"{_csv_field(row['id'])},{row['reason']},{detail}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -641,7 +643,7 @@ def monthly_column_sums(year_seq: BinarySequence, months_per_row: int) -> Column
     full = sizes == months_per_row
     rows = int(full.sum())
     if not rows:
-        raise ValueError("no segment of the requested length")
+        raise ValueError(f"no segment of {months_per_row} returns")
     bits = year_seq.bits[np.repeat(full, sizes)].reshape(rows, months_per_row)
     sums = bits.sum(axis=0, dtype=np.int64)
     return ColumnSums(values=sums, rows_included=rows, rows_excluded=sizes.size - rows)

@@ -340,9 +340,6 @@ def _d2_pieces(rows: list[list[float]]):
     an entry ride in its separator, and row joins are then rewritten; no
     float's text holds a bracket.
     """
-    if not rows or not rows[0]:
-        yield json.dumps(rows, indent=2).replace("\n", _ITEM2)
-        return
     entry, join = "," + _ITEM4, _ITEM3 + "]," + _ITEM3 + "[" + _ITEM4
     yield "[" + _ITEM3 + "[" + _ITEM4
     for lo in range(0, len(rows), _ROWS_PER_WRITE):
@@ -353,22 +350,21 @@ def _d2_pieces(rows: list[list[float]]):
 
 def _ids_json(ids: list[str]) -> str:
     """``json.dumps(ids, indent=2)`` of sequence_ids, nested as in a report, from the C encoder."""
-    if not ids:
-        return "[]"
     return "[" + _ITEM3 + json.dumps(ids, separators=("," + _ITEM3, ": "))[1:-1] + _ITEM2 + "]"
 
 
-def write_report_json(
-    report: StreamReport, path: str | Path, config: dict | None = None
-) -> Path:
+def write_report_json(report: StreamReport, path: str | Path, config: dict | None = None) -> Path:
     """Serialize the full report (plus the run configuration) to JSON.
 
     The bytes are those of ``json.dump(payload, sort_keys=True, indent=2)``
     and a newline.  The two long lists, per_sequence_d2 and sequence_ids,
     go in place of two placeholders; only keys and the trim mode, which
     ``_d2_report`` admits as per_nu or joint, follow them in sorted order,
-    so each placeholder's last match is its own.
+    so each placeholder's last match is its own.  A report with no
+    sequences, which ``summarize_stream`` never builds, raises ValueError.
     """
+    if not report.sequence_ids or not report.per_sequence_d2.size:
+        raise ValueError("a report with no sequences cannot be written")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     data = report.to_dict()

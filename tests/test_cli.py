@@ -963,6 +963,16 @@ class TestExitCodes:
     def test_unknown_command_is_usage(self):
         assert main(["frobnicate"]) == 1
 
+    def test_unexpected_error_is_internal(self, small_panel, tmp_path, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "build_stream", boom)
+        out = tmp_path / "out"
+        assert main(["test", "--input", str(small_panel), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.endswith("internal error: boom\n")
+        assert (out / "audit.csv").exists()  # written before any stream runs
+
     def test_invalid_alpha_is_usage(self, small_panel, tmp_path):
         assert (
             main(
@@ -1149,11 +1159,13 @@ class TestExitCodes:
             ("firm_like", lambda r: r["per_sequence_d2"][2].__setitem__(3, float("nan"))),
             ("firm_like", lambda r: r["significant_fraction"].update({"3": True})),
             ("firm_like", lambda r: r["combined"]["3"].update(significant="no")),
-            ("firm_like", lambda r: r["combined"]["3"].update(significant=not r["combined"]["3"]["significant"])),
             ("firm_like", lambda r: [row.__setitem__(0, 1e308) for row in r["per_sequence_d2"]]),
             ("firm_like", lambda r: r["per_sequence_d2"][0].__setitem__(0, 10**400)),
             ("firm_like", lambda r: r["psi_summary"]["1"].update(mean=10**400)),
             ("firm_like", lambda r: r["psi_summary"]["2"].update(sd=float("nan"))),
+            ("firm_like", lambda r: r["combined"]["3"].update(significant=not r["combined"]["3"]["significant"])),
+            ("firm_like", lambda r: r.update(per_sequence_d2=5)),
+            ("firm_like", lambda r: r.update(per_sequence_d2=[])),
         ],
         ids=[
             "d2-nus", "nus", "psi-summary", "d2-summary", "combined", "significant-fraction",
@@ -1164,7 +1176,8 @@ class TestExitCodes:
             "trim-dropped-list", "combined-dof-bool", "trim-dropped-bool", "combined-statistic-bool",
             "per-sequence-d2-null", "per-sequence-d2-bool", "per-sequence-d2-nan", "significant-fraction-bool",
             "combined-significant-string", "per-sequence-d2-overflow", "per-sequence-d2-huge-int",
-            "psi-value-huge-int", "psi-value-nan", "combined-significant-flipped",
+            "psi-value-huge-int", "psi-value-nan", "combined-significant-flipped", "per-sequence-d2-number",
+            "per-sequence-d2-empty",
         ],
     )
     def test_inconsistent_report_is_data_error(self, tmp_path, capsys, kind, edit):

@@ -471,7 +471,7 @@ class TestMonthlyColumnSums:
         # The per-segment loop that the vectorised version replaced.
         rows = [seg for seg in np.split(s.bits, list(s.segment_bounds)) if seg.size == months]
         if not rows:
-            with pytest.raises(ValueError, match="no segment of the requested length"):
+            with pytest.raises(ValueError, match=f"no segment of {months} returns"):
                 monthly_column_sums(s, months)
             return
         result = monthly_column_sums(s, months)

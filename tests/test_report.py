@@ -606,6 +606,14 @@ class TestReportJsonWriter:
         psi = np.random.default_rng(n).normal(size=(n, 5)) * 10.0
         self._check(summarize_stream(psi, sequence_ids=[f"s{j}" for j in range(n)]), tmp_path)
 
+    def test_report_without_sequences_is_refused(self, tmp_path):
+        # summarize_stream and read_report_json refuse such a report, so none is written.
+        psi = np.random.default_rng(3).normal(size=(4, 8)) * 10.0
+        empty = dataclasses.replace(summarize_stream(psi), sequence_ids=[], per_sequence_d2=np.empty((0, 6)))
+        with pytest.raises(ValueError, match="no sequences"):
+            write_report_json(empty, tmp_path / "out" / "report.json")
+        assert not any(tmp_path.iterdir())
+
     def test_non_finite_values_are_spelled_as_json_spells_them(self, tmp_path):
         report = TestEmission()._report()
         report.per_sequence_d2 = report.per_sequence_d2.copy()
