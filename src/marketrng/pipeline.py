@@ -42,6 +42,7 @@ _ROWS_PER_WRITE = 1 << 16
 _POW10 = np.array([float(10**k) for k in range(19)])  # 10**k as an exact double
 _POW10_INT = 10 ** np.arange(16, dtype=np.int64)  # and as an integer, to 10**15
 _PAD = 255  # fills each text field to its column's width; no UTF-8 text holds this byte
+_MONTH_DAYS = np.array([0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # the longest, by month 1-12
 
 
 class FormatError(ValueError):
@@ -166,7 +167,7 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     """
     size = hi - lo
     mantissa, step = (np.zeros(size.size, dtype=np.uint64) for _ in range(2))  # 19 digits fit; int64 could wrap
-    n_digit, n_dot, before_dot = (np.zeros(size.size, dtype=np.int64) for _ in range(3))
+    n_digit, n_dot, before_dot = (np.zeros(size.size, dtype=np.int8) for _ in range(3))  # counts stay <= 19
     for j in range(int(np.clip(size.max(initial=0), 0, 19))):
         inside = size > j
         char = buf.take(lo + j, mode="clip")
@@ -187,16 +188,23 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
 def _iso_dates(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Days (``datetime64[D]``) of the fields of the form dddd-dd-dd, and which fields are real days.
 
-    A day past its month's end rolls into a later month and fails the last test; year 0 fails the first.
+    Year 0 fails the first test and a day past its month's longest the
+    second.  A 29 February rolls into March outside a leap year, which
+    the calendar of ``datetime64`` decides, and fails the last test.
     """
-    digits = [buf.take(lo + j, mode="clip") - np.int64(48) for j in (0, 1, 2, 3, 5, 6, 8, 9)]
     ok = (hi - lo == 10) & (buf.take(lo + 4, mode="clip") == 45) & (buf.take(lo + 7, mode="clip") == 45)
-    ok &= np.all([(0 <= x) & (x <= 9) for x in digits], axis=0)
+    digits = []
+    for j in (0, 1, 2, 3, 5, 6, 8, 9):
+        x = buf.take(lo + j, mode="clip") - np.uint8(48)  # wraps below '0'
+        ok &= x < 10
+        digits.append(x.astype(np.int64))
     y = ((digits[0] * 10 + digits[1]) * 10 + digits[2]) * 10 + digits[3]
     m, d = digits[4] * 10 + digits[5], digits[6] * 10 + digits[7]
     month = ((y - 1970) * 12 + m - 1).astype("M8[M]")
     day = month.astype("M8[D]") + (d - 1)
-    ok &= (y >= 1) & (m >= 1) & (m <= 12) & (d >= 1) & (day.astype("M8[M]") == month)
+    ok &= (y >= 1) & (m >= 1) & (m <= 12) & (d >= 1) & (d <= _MONTH_DAYS.take(m, mode="clip"))
+    leap = np.flatnonzero(ok & (m == 2) & (d == 29))
+    ok[leap] = day[leap].astype("M8[M]") == month[leap]
     return day, ok
 
 
@@ -346,17 +354,20 @@ class _PanelBuilder:
     def read_block(self, text: str, offset: int) -> int:
         """Parse a block without quotes whose first line is line ``offset + 1``; return its line count.
 
-        CR LF and then a lone CR become LF first, so each line ends at one
-        LF, as ``csv.reader`` counts lines of a file opened with
-        newline="".  A line is accepted here only when the row rules are
-        sure to accept it with the same values: exactly one field per
-        header column, only printable ASCII, a 1-32 byte id without spaces,
-        a dddd-dd-dd date that exists, plain decimal prices (``_decimals``)
-        and in-range values; each distinct id among the run heads is
-        coded once, through ``ids``.  Every other line goes through the row
-        rules, and its row, if accepted, follows the rows accepted here.
+        In a block that holds a CR, CR LF and then a lone CR become LF
+        first, so each line ends at one LF, as ``csv.reader`` counts lines
+        of a file opened with newline="".  A line is accepted here only
+        when the row rules are sure to accept it with the same values:
+        exactly one field per header column, only printable ASCII, a 1-32
+        byte id without spaces, a dddd-dd-dd date that exists, plain
+        decimal prices (``_decimals``) and in-range values; each distinct
+        id among the run heads is coded once, through ``ids``.  Every other
+        line goes through the row rules, and its row, if accepted, follows
+        the rows accepted here.
         """
-        raw = text.replace("\r\n", "\n").replace("\r", "\n").encode("utf-8", "surrogatepass")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        raw = text.encode("utf-8", "surrogatepass")
         buf = np.frombuffer(raw, dtype=np.uint8)
         odd = np.flatnonzero(buf - np.uint8(0x20) > 0x7E - 0x20)  # not printable ASCII
         newline = buf[odd] == 10
@@ -387,12 +398,12 @@ class _PanelBuilder:
         ok &= (0.0 < adjusted) & (adjusted < _INF)
         id_lo, id_hi = field(i_id)
         size = id_hi - id_lo
+        ok &= (size >= 1) & (size <= 32)
         names = np.zeros((size.size, np.clip(size.max(initial=1), 1, 32)), dtype=np.uint8)
         for j in range(names.shape[1]):
             names[:, j] = np.where(size > j, buf.take(id_lo + j, mode="clip"), np.uint8(0))
-        ok &= (size >= 1) & (size <= 32) & ~np.any(names == 32, axis=1)
-
-        names = np.ascontiguousarray(names[ok]).view(f"S{names.shape[1]}")[:, 0]
+            ok &= names[:, j] != 32
+        names = names.view(f"S{names.shape[1]}")[:, 0][ok]
         heads, lengths = _runs(names)  # panels list a firm's rows together
         table, at = np.unique(names[heads], return_inverse=True)
         codes = [self.ids.setdefault(name.decode("ascii"), len(self.ids)) for name in table.tolist()]

@@ -346,11 +346,12 @@ def test_clean_panel_orders_rows_as_lexsort(panel):
 # fields that pass can prove with fields it must leave to the row rules.
 BULK_IDS = (
     "A", "F0001", "ab", "1", "z" * 32, "F00010", "AB", "z" * 31,
-    "y" * 33, "a\tb", "x\x00", "\u00e9", " A", "A ", "A B", "", "\x7f",
+    "y" * 33, "a\tb", "x\x00", "\u00e9", " A", "A ", "A B", "", "\x7f", "F000 1", "z" * 31 + " ",
 )
 BULK_DATES = (
     "2001-01-31", "2001-12-31", "2004-02-29", "2001-1-31", "20010131", "2001-02-30",
     "0000-01-01", "2001-13-01", " 2001-01-31", "2001/01/31", "",
+    "2001-0a-31", "200:-01-31", "2001-01-3/", "2O01-01-31",  # one non-digit: ':' and '/' flank the digits
 )
 BULK_PRICES = (
     "5.", ".5", "007.5", "1e5", "+1", "1_0", " 1.5", "Infinity", "0", "0.000", "nan", "",
@@ -467,6 +468,9 @@ PREFIX_CASES = [
     ("\n".join([",".join(REQUIRED), f"{a},2001-01-31,1,1,1", f"{b},2001-01-31,2,1,1"]) + "\n", 8)
     for a, b in (("z" * 32, "z" * 31), ("z" * 31, "z" * 32))
 ]
+# Ids whose one space is in a late column or is the 32nd byte: the row
+# rules keep the first id as it is and strip the second.
+SPACE_CASE = ("\n".join([",".join(REQUIRED), "F000 1,2001-01-31,1,1,1", "z" * 31 + " ,2001-01-31,2,1,1"]) + "\n", 64)
 
 
 def test_numpy_pass_matches_row_rules_and_reference():
@@ -476,6 +480,7 @@ def test_numpy_pass_matches_row_rules_and_reference():
     @given(unquoted_csv())
     @example(PREFIX_CASES[0])
     @example(PREFIX_CASES[1])
+    @example(SPACE_CASE)
     def check(case):
         seen.update(check_numpy_pass(*case))
 
@@ -510,12 +515,20 @@ def test_decimal_kernel_matches_float(texts):
 
 
 # dddd-dd-dd texts: year 0000-9999, month and day 00-99, weighted towards
-# real months and the days around a month's end.
-ISO_TEXTS = st.builds(
+# real months and the days around a month's end.  Some have one printable
+# non-digit at a digit place, most often ':' or '/', the bytes just past
+# either end of the digits.
+DIGIT_DATES = st.builds(
     "{:04d}-{:02d}-{:02d}".format,
     st.integers(0, 9999),
     st.integers(1, 12) | st.integers(0, 99),
     st.integers(27, 32) | st.integers(0, 99),
+)
+ISO_TEXTS = DIGIT_DATES | st.builds(
+    lambda text, at, char: text[:at] + char + text[at + 1 :],
+    DIGIT_DATES,
+    st.sampled_from((0, 1, 2, 3, 5, 6, 8, 9)),
+    st.sampled_from(":/") | st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters="0123456789"),
 )
 
 
@@ -528,6 +541,7 @@ ISO_TEXTS = st.builds(
 @example(["9999-12-31"])
 @example(["2001-04-31"])
 @example(["2001-13-01"])
+@example(["2001-0a-31", "200:-01-31", "2001-01-3/", "2O01-01-31"])
 def test_iso_dates_match_fromisoformat(texts):
     raw = ",".join(texts).encode("ascii")
     bounds = np.arange(len(texts) + 1) * 11
