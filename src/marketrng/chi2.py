@@ -196,7 +196,8 @@ def chi2_critical(alpha: float, dof: int) -> float:
 def assess(statistic: float, dof: int, alpha: float = 0.05) -> ChiSquareAssessment:
     """Bundle p-value, critical value, and the significance verdict.
 
-    A statistic at or below zero (finite-sample second differences can be
+    Significant means above the critical value; a statistic equal to it is
+    not.  One at or below zero (finite-sample second differences can be
     negative) keeps its sign and gets p = 1, the survival function there.
     """
     p = 1.0 if statistic <= 0.0 else chi2_sf(statistic, dof)

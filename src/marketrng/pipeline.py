@@ -559,33 +559,29 @@ def compute_return_series(panel: Panel) -> Returns:
     return Returns(panel.ids, instrument[1:][same], date[1:][same], values)
 
 
-def _run_order(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The permutation ``np.lexsort((values, run))`` gives, for values without NaN.
-
-    Two one-key sorts: dense value ranks, in which equal values such as
-    0.0 and -0.0 share one, then a stable sort of ``run * n + rank``.
-    """
-    order = np.argsort(values)
-    ranked = values[order]
-    new = np.r_[False, ranked[1:] != ranked[:-1]]
-    del ranked  # each temporary goes once used, so the sorts add little to peak memory
-    key = np.empty(values.size, dtype=np.int64)
-    key[order] = np.cumsum(new)
-    del order, new
-    key += np.repeat(np.arange(starts.size) * values.size, sizes)
-    return np.argsort(key, kind="stable")
-
-
 def _binarise_runs(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
-    """Bits and medians of every run of ``values``.
+    """Bits and medians of every run of ``values``, which hold no NaN.
 
-    Medians are read by position from one sort by (run, value): the middle
-    element of an odd run, the midpoint of the central pair of an even one.
+    The runs of each width class (``ceil(log2(size))``) fill the rows of a
+    table padded with +inf.  A stable row sort keeps ties (0.0 and -0.0
+    among them) in index order, and a real +inf ahead of the padding.  The
+    median is the middle element of an odd run, the midpoint of the
+    central pair of an even one.
     """
-    ranked = values[_run_order(values, starts, sizes)]
-    median = ranked[starts + (sizes - 1) // 2]
+    median, upper = np.empty(sizes.size), np.empty(sizes.size)
+    width_class = np.ceil(np.log2(sizes)).astype(np.int64)
+    for c in np.unique(width_class).tolist():
+        runs = np.flatnonzero(width_class == c)
+        n = sizes[runs]
+        filled = np.arange(1 << c) < n[:, None]
+        table = np.full(filled.shape, np.inf)
+        take = np.repeat(starts[runs] - (np.cumsum(n) - n), n)  # a run's start, less its offset in the fill
+        take += np.arange(take.size)  # in place: one index array at a time
+        table[filled] = values[take]
+        table.sort(axis=1, kind="stable")
+        median[runs], upper[runs] = table[np.arange(runs.size), [(n - 1) // 2, n // 2]]
     even = sizes % 2 == 0
-    median[even] = (median[even] + ranked[(starts + sizes // 2)[even]]) / 2
+    median[even] = (median[even] + upper[even]) / 2
     return (values > np.repeat(median, sizes)).astype(np.uint8), median
 
 

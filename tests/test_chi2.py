@@ -125,6 +125,9 @@ class TestAssessment:
         assert assess(56.58, 2, 0.05).significant
         assert not assess(4.24, 2, 0.05).significant
 
+    def test_statistic_at_the_critical_value_is_not_significant(self):
+        assert assess(chi2_critical(0.05, 2), 2, 0.05).significant is False
+
     def test_consistency_invariant(self):
         rng = np.random.default_rng(1)
         for _ in range(100):

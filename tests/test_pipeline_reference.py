@@ -293,16 +293,23 @@ def runs_of_values(draw):
     return np.array(values, dtype=np.float64), np.array(sizes)
 
 
+# One run of 300 values, the only one drawn here past 16 slots (a 512-slot
+# row): 140 of -2.5 and 140 of 3.0 around 20 zeros, whose central pair
+# (the 10th and 11th zeros in index order) are both -0.0.
+WIDE_ZEROS = [0.0] * 9 + [-0.0, -0.0] + [0.0] * 9
+WIDE_RUN = [v for z in WIDE_ZEROS for v in [3.0] * 7 + [z] + [-2.5] * 7]
+TWELVE = [2.0, 0.0, -1.0, -0.0, 2.0, -0.0, 0.0, -1.0, 7.0, -0.0, 0.0, -3.0]
+
+
 @settings(max_examples=300)
 @given(runs_of_values())
 @example((np.array([-0.0, 0.0, -0.0]), np.array([3])))
 @example((np.array([0.0, -0.0, 0.0, -0.0, 7.0]), np.array([1, 4])))
 @example((np.array([-np.inf, np.inf, 1.0]), np.array([2, 1])))
+@example((np.array([5.0, *WIDE_RUN, *TWELVE]), np.array([1, 300, 12])))
 def test_binarise_runs_matches_lexsort_form(case):
     values, sizes = case
     starts = np.r_[0, np.cumsum(sizes)[:-1]]
-    run = np.repeat(np.arange(sizes.size), sizes)
-    assert np.array_equal(pipeline._run_order(values, starts, sizes), np.lexsort((values, run)))
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and 2 * max in midpoints
         bits, median = pipeline._binarise_runs(values, starts, sizes)
         want_bits, want_median, want_degenerate = ref.binarise_runs_lexsort(values, starts, sizes)

@@ -15,6 +15,7 @@ import reference_report
 import reference_values as ref
 from reference_report import trim_top_contributors
 from marketrng import report as report_module
+from marketrng.chi2 import chi2_critical
 from marketrng.report import (
     StreamReport,
     default_kde_grid,
@@ -77,6 +78,12 @@ class TestSummarize:
         profiles, ids = year_profiles()
         report = summarize_stream(profiles, sequence_ids=ids)
         assert report.significant_fraction[6] == pytest.approx(18.0 / 19.0)
+
+    def test_d2_equal_to_its_critical_value_is_not_significant(self):
+        crit = chi2_critical(0.05, 2)  # d2(3) of the first row is crit - 2 * 0 + 0, exactly
+        report = summarize_stream([[0.0, 0.0, crit], [0.0, 0.0, 0.0]])
+        assert report.per_sequence_d2[0, 0] == crit
+        assert report.significant_fraction[3] == 0.0
 
     def test_combined_statistic_equals_column_sum(self):
         profiles, ids = year_profiles()
@@ -190,7 +197,7 @@ def test_joint_ladder_matches_dropped_id_set(psi_rows, fractions, random):
             assert step.statistic == float(kept.sum())
 
 
-@pytest.mark.parametrize("fraction", [-0.1, 1.5])
+@pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5])
 def test_bad_trim_fraction_rejected_in_both_modes(fraction):
     profiles, ids = year_profiles()
     for mode in ("per_nu", "joint"):

@@ -300,6 +300,8 @@ class TestCounting:
             psi_profile(s, 9)
         with pytest.raises(ValueError):
             psi_profile(s, 4)
+        with pytest.raises(ValueError, match=r"max_nu must be in 1\.\.8"):
+            psi_profile(seq([0, 1] * 5), MAX_WINDOW + 1)  # long enough for 9-bit windows
 
 
 class TestPsiSquare:
