@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from marketrng.pipeline import GAP_SCOPES, MIN_OBS
@@ -64,6 +64,8 @@ def _read_lengths(path: Path) -> list[int]:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The settings of one run, checked when built: a RunConfig that exists is valid."""
+
     input_path: str | None = None
     frequency: str = "monthly"
     stream_kinds: tuple[str, ...] = tuple(STREAM_KINDS)
@@ -79,7 +81,7 @@ class RunConfig:
     recurrence_ids: tuple[str, ...] = ()
     recurrence_source: str = "returns"
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self) -> None:
         for name, choices in CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {choices}")
@@ -105,7 +107,6 @@ class RunConfig:
                 raise ConfigError(f"{name} lists {repeated[0]!r} more than once")
         if self.synthetic is not None:
             self._validate_synthetic(self.synthetic)
-        return self
 
     @staticmethod
     def _validate_synthetic(spec: dict) -> None:
@@ -166,12 +167,7 @@ class RunConfig:
         for key in _LIST_FIELDS:
             if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
-        return cls(**data).validate()
-
-    def with_overrides(self, **overrides) -> "RunConfig":
-        """Apply non-None flag values on top of this configuration."""
-        updates = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **updates).validate()
+        return cls(**data)
 
     def echo_dict(self) -> dict:
         """Config as echoed into report.json.

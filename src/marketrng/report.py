@@ -334,53 +334,47 @@ _ROWS_PER_WRITE = 512  # per_sequence_d2 rows encoded per write
 
 
 def _d2_pieces(rows: list[list[float]]):
-    """``json.dumps(rows, indent=2)`` of per_sequence_d2, nested as in a report, a block of rows at a time.
+    """The items of per_sequence_d2 as ``json.dumps(indent=2)`` nests them in a report, a block of rows at a time.
 
     The C encoder serves only ``indent=None``, so the newline and indent of
     an entry ride in its separator, and row joins are then rewritten; no
     float's text holds a bracket.
     """
     entry, join = "," + _ITEM4, _ITEM3 + "]," + _ITEM3 + "[" + _ITEM4
-    yield "[" + _ITEM3 + "[" + _ITEM4
+    yield _ITEM3 + "[" + _ITEM4
     for lo in range(0, len(rows), _ROWS_PER_WRITE):
         block = json.dumps(rows[lo : lo + _ROWS_PER_WRITE], separators=(entry, ": "))[2:-2]
         yield (join if lo else "") + block.replace("]" + entry + "[", join)
-    yield _ITEM3 + "]" + _ITEM2 + "]"
-
-
-def _ids_json(ids: list[str]) -> str:
-    """``json.dumps(ids, indent=2)`` of sequence_ids, nested as in a report, from the C encoder."""
-    return "[" + _ITEM3 + json.dumps(ids, separators=("," + _ITEM3, ": "))[1:-1] + _ITEM2 + "]"
+    yield _ITEM3 + "]" + _ITEM2
 
 
 def write_report_json(report: StreamReport, path: str | Path, config: dict | None = None) -> Path:
     """Serialize the full report (plus the run configuration) to JSON.
 
     The bytes are those of ``json.dump(payload, sort_keys=True, indent=2)``
-    and a newline.  The two long lists, per_sequence_d2 and sequence_ids,
-    go in place of two placeholders; only keys and the trim mode, which
-    ``_d2_report`` admits as per_nu or joint, follow them in sorted order,
-    so each placeholder's last match is its own.  A report with no
-    sequences, which ``summarize_stream`` never builds, raises ValueError.
+    and a newline.  The payload is dumped with per_sequence_d2 and
+    sequence_ids empty, and each list's items go between the brackets of
+    the last line that opens it: an encoded string holds no raw newline,
+    and "report" sorts after "config".  A report with no sequences, which
+    ``summarize_stream`` never builds, raises ValueError.
     """
     if not report.sequence_ids or not report.per_sequence_d2.size:
         raise ValueError("a report with no sequences cannot be written")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = report.to_dict()
-    d2_mark, ids_mark = "<per_sequence_d2>", "<sequence_ids>"
-    d2, ids = data["per_sequence_d2"], data["sequence_ids"]
-    data["per_sequence_d2"], data["sequence_ids"] = d2_mark, ids_mark
+    data = asdict(replace(report, sequence_ids=[], per_sequence_d2=[]))
+    data["n_sequences"] = report.n_sequences
     payload = {"report": data}
     if config is not None:
         payload["config"] = config
     text = json.dumps(payload, sort_keys=True, indent=2)
-    head, _, tail = text.rpartition(json.dumps(ids_mark))
-    head, _, middle = head.rpartition(json.dumps(d2_mark))
+    head, d2_open, middle = text.rpartition(_ITEM2 + '"per_sequence_d2": [')
+    middle, ids_open, tail = middle.rpartition(_ITEM2 + '"sequence_ids": [')
     with open(path, "w", encoding="utf-8") as handle:  # piece by piece: the text is never held whole
-        handle.write(head)
-        handle.writelines(_d2_pieces(d2))
-        handle.writelines((middle, _ids_json(ids), tail, "\n"))
+        handle.writelines((head, d2_open))
+        handle.writelines(_d2_pieces(report.per_sequence_d2.tolist()))  # its rows are freed before the ids are encoded
+        ids = json.dumps(report.sequence_ids, separators=("," + _ITEM3, ": "))[1:-1]
+        handle.writelines((middle, ids_open, _ITEM3, ids, _ITEM2, tail, "\n"))
     return path
 
 

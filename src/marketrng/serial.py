@@ -35,6 +35,7 @@ import numpy as np
 
 MAX_WINDOW = 8
 STREAM_KINDS = {"firm": "firm_separated", "year": "year_separated"}  # --stream value -> ExperimentStream kind
+_UINT8 = np.dtype(np.uint8)  # a dtype compares faster with a dtype than with a scalar type
 # The level-key layout, read-only and sliced [:max_nu]: the code weights
 # 2**k (float32: numpy convolves floats about three times as fast as bytes
 # on long inputs, and each code, a sum of distinct powers of 2 below 256,
@@ -68,12 +69,14 @@ class BinarySequence:
     segment_bounds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        arr = np.array(self.bits, dtype=np.uint8)  # the one copy: the caller's array stays theirs
+        arr = np.array(self.bits)  # a copy: the caller's array stays theirs
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
         if arr.size < 1:
             raise ValueError("empty sequence")
-        if arr.max(initial=0) > 1:
+        if arr.dtype != _UINT8 and ((arr == 0) | (arr == 1)).all():
+            arr = arr.astype(np.uint8)  # only exact 0s and 1s are cast, so the cast changes no value
+        if arr.dtype != _UINT8 or arr.max(initial=0) > 1:
             raise ValueError("bits must contain only 0 and 1")
         bounds = tuple(map(int, self.segment_bounds))
         if bounds and np.diff((0,) + bounds).min() <= 0:

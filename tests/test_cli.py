@@ -1,6 +1,7 @@
 """End-to-end command line behaviour, exit codes, and determinism."""
 
 import csv
+import dataclasses
 import datetime as dt
 import importlib.util
 import io
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from marketrng import cli, pipeline
 from marketrng.cli import main
-from marketrng.config import RunConfig
+from marketrng.config import ConfigError, RunConfig
 from marketrng.pipeline import parse_prices
 from marketrng.report import read_report_json, write_report_json
 from marketrng.serial import BinarySequence, psi_profile
@@ -1061,6 +1062,13 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_a_config_is_checked_when_built(self):
+        # Building one, directly or by dataclasses.replace, runs the same check as from_file.
+        with pytest.raises(ConfigError, match=r"max_nu must be an integer in \[3, 8\]"):
+            RunConfig(max_nu=9)
+        with pytest.raises(ConfigError, match=r"alpha must be a number in \(0, 1\)"):
+            dataclasses.replace(RunConfig(), alpha=1.5)
 
     @pytest.mark.parametrize(
         "flags, setting, name",

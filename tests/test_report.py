@@ -607,6 +607,13 @@ class TestReportJsonWriter:
         ]
         self._check(report, tmp_path, config={"stream": ["year"], "boundary_mode": "respect"})
 
+    def test_config_holding_the_long_lists_keys(self, tmp_path):
+        # Config keys sit as deep as the report's own and sort before them, so each list goes in at its last line.
+        opens = ['\n    "per_sequence_d2": [', '\n    "sequence_ids": [']
+        report = summarize_stream(np.random.default_rng(7).random((2, 8)) * 40.0, sequence_ids=opens)
+        report.extras["skipped_sequences"] = opens
+        self._check(report, tmp_path, config={"per_sequence_d2": [], "sequence_ids": [], "ids": opens})
+
     @pytest.mark.parametrize("n, rows_per_write", [(5, 1), (5, 2), (6, 3), (6, 6), (1100, 512)])
     def test_blocks_of_rows(self, tmp_path, monkeypatch, n, rows_per_write):
         monkeypatch.setattr(report_module, "_ROWS_PER_WRITE", rows_per_write)

@@ -221,6 +221,28 @@ class TestBinarySequence:
         with pytest.raises(ValueError):
             seq([0, 1, 2])
 
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.array([256, 1, 0]),
+            np.array([-255, 0, 1]),
+            [0.5, 1.5, 1.0],
+            np.array([np.nan, 1.0]),
+            ["1", "0"],
+            [256, 1, 0],
+            [2**70, 1],
+        ],
+        ids=["wraps-to-0", "wraps-to-1", "fractions", "nan", "strings", "list-past-uint8", "past-int64"],
+    )
+    def test_rejects_values_a_uint8_cast_would_change(self, bits):
+        # The values given are checked, not their uint8 cast, which wraps, truncates or overflows.
+        with pytest.raises(ValueError, match="bits must contain only 0 and 1"):
+            BinarySequence(bits)
+
+    @pytest.mark.parametrize("bits", [[1.0, 0.0, 1.0], np.array([1, 0, 1], np.int8), np.array([1, 0, 1], np.float32)])
+    def test_accepts_zero_and_one_of_any_type(self, bits):
+        assert BinarySequence(bits).bits.tolist() == [1, 0, 1]
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             seq([0, 1, 0, 1], bounds=(2, 2))

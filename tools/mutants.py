@@ -75,6 +75,27 @@ MUTANTS = (
         "tests/test_pipeline_reference.py",
     ),
     Mutant(
+        "critical-band-narrow",
+        "src/marketrng/chi2.py",
+        "eps = 1e-11 * max(",
+        "eps = 1e-13 * max(",
+        "tests/test_chi2.py",
+    ),
+    Mutant(
+        "config-unchecked",
+        "src/marketrng/config.py",
+        "def __post_init__(self)",
+        "def _post_init(self)",
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "report-d2-first-key",
+        "src/marketrng/report.py",
+        "text.rpartition(_ITEM2 + '\"per_sequence_d2\": [')",
+        "text.partition(_ITEM2 + '\"per_sequence_d2\": [')",
+        "tests/test_report.py",
+    ),
+    Mutant(
         "assess-p-at-zero",
         "src/marketrng/chi2.py",
         "p = 1.0 if statistic <= 0.0 else",
